@@ -19,8 +19,9 @@ from .ingredients import extract_fix_ingredients
 from .llm import (BackendError, CompletionRequest, Patch, PatchParseError,
                   combine, parse_patch)
 from .localization import CoverageMatrix, SuspiciousLocation
-from .matching import (CandidateSibling, StatementContext, extract_context,
-                       group_by_method, jaccard_filter, token_match)
+from .matching import (CandidateSibling, StatementContext, TokenPool,
+                       extract_context, group_by_method, jaccard_filter,
+                       token_match)
 from .prompting import (BugEvidence, FailingTest, FeedbackEntry,
                         PromptBudgetError, build_prompt)
 from .source_index import SourceIndex
@@ -364,7 +365,7 @@ class RepairEngine:
         except _BudgetExhausted:
             state.stopped = "budget"
             return state
-        pool = self._build_pool()
+        pool = TokenPool(self._build_pool())
         try:
             for loc in suspicious[:self.config.cap]:
                 self._check_budget()

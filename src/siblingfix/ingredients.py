@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 
 from .matching import MethodGroup, sparse_cosine, tfidf_vectors, tokenize
-from .source_index import ClassRef, SourceIndex, identifiers_in, mask_code
+from .source_index import ClassRef, SourceIndex, Statement, identifiers_in
 
 logger = logging.getLogger(__name__)
 
@@ -29,9 +29,9 @@ class FixIngredient:
     line: int  # declaration line, tie-break and dedupe key
 
 
-def _receiver_of(stmt_text: str, member: str) -> str | None:
+def _receiver_of(stmt: Statement, member: str) -> str | None:
     m = re.search(rf"([A-Za-z_$][\w$]*)\s*\.\s*{re.escape(member)}\b",
-                  mask_code(stmt_text))
+                  stmt.masked)
     return m.group(1) if m else None
 
 
@@ -40,7 +40,7 @@ def _declared_type(index: SourceIndex, file: str, var: str) -> str | None:
     pattern = re.compile(rf"([A-Za-z_$][\w$]*)\s*(?:<[^>]*>)?\s*(?:\[\s*\])?\s+"
                          rf"{re.escape(var)}\s*[;=,)]")
     for stmt in index.files[file].statements:
-        m = pattern.search(mask_code(stmt.text))
+        m = pattern.search(stmt.masked)
         if m and m.group(1) not in ("return", "new"):
             return m.group(1)
     return None
@@ -105,7 +105,7 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
                 for ing in direct:
                     add(ing)
                 # Resolve declaring classes: receiver type first, then name.
-                receiver = _receiver_of(stmt.text, ref.name)
+                receiver = _receiver_of(stmt, ref.name)
                 resolved: list[ClassRef] = []
                 if receiver:
                     type_token = _declared_type(index, stmt.file, receiver)

@@ -11,9 +11,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
-from .source_index import (MethodRef, SourceIndex, Statement, identifiers_in,
-                           mask_code)
+from .source_index import MethodRef, SourceIndex, Statement, identifiers_in
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 _PIECE_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
@@ -43,11 +43,22 @@ def tfidf_vectors(docs: list[list[str]]) -> list[dict[str, float]]:
 
 
 def sparse_cosine(a: dict[str, float], b: dict[str, float]) -> float:
+    return _cosine(a, _norm(a), b, _norm(b))
+
+
+def _norm(v: dict[str, float]) -> float:
+    return math.sqrt(sum(x * x for x in v.values()))
+
+
+def _cosine(a: dict[str, float], na: float, b: dict[str, float],
+            nb: float) -> float:
+    """Cosine from precomputed norms. The dot product walks the smaller
+    vector, and `a` when both have the same length, so swapping equal-length
+    arguments may change the last bits. `TokenPool.score` passes the target
+    first, as `_score` does, to get the same floats."""
     if len(b) < len(a):
         a, b = b, a
     dot = sum(v * b.get(t, 0.0) for t, v in a.items())
-    na = math.sqrt(sum(v * v for v in a.values()))
-    nb = math.sqrt(sum(v * v for v in b.values()))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -89,15 +100,18 @@ class MethodGroup:
 _ASSIGN_OPS = r"(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"
 
 
+@lru_cache(maxsize=4096)
+def _assign_patterns(name: str) -> tuple[re.Pattern, re.Pattern]:
+    n = re.escape(name)
+    return (re.compile(rf"(?<![\w.$]){n}\s*(?:\[[^\]]*\])?\s*{_ASSIGN_OPS}"),
+            # Declaration without initializer: a type-ish token then the name.
+            re.compile(rf"[\w>\]]\s+{n}\s*(?:[;,=)]|:)"))
+
+
 def _assigns(stmt: Statement, name: str) -> bool:
     """Heuristic: does the statement assign or declare `name`?"""
-    masked = mask_code(stmt.text)
-    if re.search(rf"(?<![\w.$]){re.escape(name)}\s*(?:\[[^\]]*\])?\s*{_ASSIGN_OPS}",
-                 masked):
-        return True
-    # Declaration without initializer: a type-ish token then the name.
-    return bool(re.search(
-        rf"[\w>\]]\s+{re.escape(name)}\s*(?:[;,=)]|:)", masked))
+    assign, declare = _assign_patterns(name)
+    return bool(assign.search(stmt.masked) or declare.search(stmt.masked))
 
 
 def extract_context(index: SourceIndex, target: Statement) -> StatementContext:
@@ -133,21 +147,68 @@ def extract_context(index: SourceIndex, target: Statement) -> StatementContext:
     return StatementContext(target=target, context=tuple(ordered))
 
 
-def token_match(target: StatementContext, pool: list[StatementContext],
-                limit: int = 100) -> list[CandidateSibling]:
-    """Top-`limit` pool contexts by TF-IDF cosine against the target.
+class TokenPool:
+    """A run's sibling pool, tokenized once.
 
-    The corpus is pool plus target; the target's own context is excluded
-    from the results. Ties break by (file, line).
+    When the target is a pool member with the same rendered text, the
+    corpus of `token_match` (pool minus target, plus target) is exactly the
+    pool, so IDF, vectors and norms are the same for every such target and
+    are computed once, on first use. Other targets are scored per call.
     """
-    if not pool:
-        return []
+
+    def __init__(self, contexts: list[StatementContext]):
+        self.contexts = list(contexts)
+
+    def __len__(self) -> int:
+        return len(self.contexts)
+
+    @cached_property
+    def _tfidf(self):
+        # One string object per distinct token keeps the vectors compact.
+        vocab: dict[str, str] = {}
+        vectors = tfidf_vectors([[vocab.setdefault(t, t) for t in tokenize(c.rendered)]
+                                 for c in self.contexts])
+        positions = {c.key: i for i, c in enumerate(self.contexts)}
+        if len(positions) < len(self.contexts):
+            positions = {}  # repeated keys: the corpus is not the pool
+        return vectors, [_norm(v) for v in vectors], positions
+
+    def score(self, target: StatementContext
+              ) -> list[tuple[float, StatementContext]]:
+        vectors, norms, positions = self._tfidf
+        pos = positions.get(target.key)
+        if pos is None or self.contexts[pos].rendered != target.rendered:
+            return _score(target, self.contexts)
+        tv, tn = vectors[pos], norms[pos]
+        return [(_cosine(tv, tn, v, n), c)
+                for i, (c, v, n) in enumerate(zip(self.contexts, vectors, norms))
+                if i != pos]
+
+
+def _score(target: StatementContext, pool: list[StatementContext]
+           ) -> list[tuple[float, StatementContext]]:
+    """Cosine against the target of every pool context but the target's
+    own, over the corpus of the target plus those contexts."""
     candidates = [ctx for ctx in pool if ctx.key != target.key]
     docs = [tokenize(target.rendered)] + [tokenize(c.rendered) for c in candidates]
     vectors = tfidf_vectors(docs)
     target_vec = vectors[0]
-    scored = [(sparse_cosine(target_vec, vec), ctx)
-              for vec, ctx in zip(vectors[1:], candidates)]
+    return [(sparse_cosine(target_vec, vec), ctx)
+            for vec, ctx in zip(vectors[1:], candidates)]
+
+
+def token_match(target: StatementContext,
+                pool: list[StatementContext] | TokenPool,
+                limit: int = 100) -> list[CandidateSibling]:
+    """Top-`limit` pool contexts by TF-IDF cosine against the target.
+
+    The corpus is pool plus target; the target's own context is excluded
+    from the results. Ties break by (file, line). A `TokenPool` gives the
+    same results as a list of its contexts.
+    """
+    if not pool:
+        return []
+    scored = pool.score(target) if isinstance(pool, TokenPool) else _score(target, pool)
     scored.sort(key=lambda item: (-item[0], item[1].key))
     return [CandidateSibling(context=ctx, token_similarity=sim)
             for sim, ctx in scored[:limit]]

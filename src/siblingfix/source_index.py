@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -57,6 +59,12 @@ class Statement:
     @property
     def line(self) -> int:
         return self.start_line
+
+    @cached_property
+    def masked(self) -> str:
+        """`mask_code(self.text)`, computed once per statement."""
+        masked = mask_code(self.text)
+        return self.text if masked == self.text else masked  # share if equal
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,27 @@ class SourceFile:
     def lines(self) -> list[str]:
         return self.text.splitlines()
 
+    # Lookup tables, built on first use and kept out of the dataclass fields
+    # so equality still compares only what was indexed.
+
+    @cached_property
+    def statement_by_line(self) -> list[Statement | None]:
+        """Per line, the statement `SourceIndex.statement_at` returns."""
+        return _best_by_line(
+            self.statements, lambda s: (s.start_line, s.end_line),
+            lambda s: (s.kind != "simple", s.end_line - s.start_line, s.start_line))
+
+    @cached_property
+    def method_by_line(self) -> list[MethodRef | None]:
+        """Per line, the innermost method whose body span holds it."""
+        return _best_by_line(self.methods, lambda m: (m.body_start, m.body_end),
+                             lambda m: (m.span_length, m.body_start))
+
+    @cached_property
+    def statement_starts(self) -> list[int]:
+        """Start line of each statement; statements are in text order."""
+        return [s.start_line for s in self.statements]
+
 
 @dataclass
 class SourceIndex:
@@ -123,21 +152,13 @@ class SourceIndex:
         return self.files[path]
 
     def statement_at(self, path: str, line: int) -> Statement | None:
-        """Statement whose span contains the line; simple statements win ties."""
-        hits = [s for s in self._file(path).statements
-                if s.start_line <= line <= s.end_line]
-        if not hits:
-            return None
-        hits.sort(key=lambda s: (s.kind != "simple",
-                                 s.end_line - s.start_line, s.start_line))
-        return hits[0]
+        """Statement whose span contains the line; simple statements win,
+        then the shortest span, then the earliest start."""
+        return _at(self._file(path).statement_by_line, line)
 
     def enclosing_method(self, path: str, line: int) -> MethodRef | None:
         """Innermost method whose body span contains the line, if any."""
-        hits = [m for m in self._file(path).methods if m.contains(line)]
-        if not hits:
-            return None
-        return min(hits, key=lambda m: (m.span_length, m.body_start))
+        return _at(self._file(path).method_by_line, line)
 
     def method_body(self, ref: MethodRef) -> str:
         sf = self._file(ref.file)
@@ -156,8 +177,28 @@ class SourceIndex:
         return [c for sf in self.files.values() for c in sf.classes if c.name == name]
 
     def statements_in_method(self, ref: MethodRef) -> list[Statement]:
-        return [s for s in self._file(ref.file).statements
-                if ref.body_start <= s.start_line and s.end_line <= ref.body_end]
+        sf = self._file(ref.file)
+        lo = bisect_left(sf.statement_starts, ref.body_start)
+        hi = bisect_right(sf.statement_starts, ref.body_end, lo)
+        return [s for s in sf.statements[lo:hi] if s.end_line <= ref.body_end]
+
+
+def _best_by_line(items, span, key) -> list:
+    """Per line, the first item with the smallest key among those whose
+    inclusive (start, end) span holds the line; None where none does."""
+    table = [None] * (max((span(i)[1] for i in items), default=0) + 1)
+    for item in items:
+        k = key(item)
+        start, end = span(item)
+        for line in range(max(start, 0), end + 1):
+            best = table[line]
+            if best is None or k < key(best):
+                table[line] = item
+    return table
+
+
+def _at(table: list, line: int):
+    return table[line] if 0 <= line < len(table) else None
 
 
 def _line_slice(text: str, start: int, end: int) -> str:
@@ -432,7 +473,7 @@ def index_source(root: str | Path, include: list[str]) -> SourceIndex:
 
 def identifiers_in(statement: Statement) -> list[Identifier]:
     """Classify identifier tokens: call, field-access, or variable."""
-    masked = mask_code(statement.text)
+    masked = statement.masked
     out = []
     for m in _IDENT_RE.finditer(masked):
         name = m.group(0)

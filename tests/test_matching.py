@@ -184,3 +184,150 @@ def test_group_by_method_thirteen_methods(tmp_path):
             context=StatementContext(target=s, context=(s,))))
     groups = group_by_method(cands, index)
     assert len(groups) == 13
+
+
+# -- run-scoped token pool ----------------------------------------------
+
+def _ranked(cands):
+    return [(c.key, c.token_similarity) for c in cands]
+
+
+def _covered_pool(index, coverage):
+    from siblingfix.engine import RepairConfig, RepairEngine
+    engine = RepairEngine(project_root=".", index=index, coverage=coverage,
+                          backend=None, provider=None, harness_command="true",
+                          config=RepairConfig())
+    return engine._build_pool()
+
+
+def _no_fallback(*args):
+    raise AssertionError("a covered target took the per-call path")
+
+
+def test_token_pool_matches_per_call_on_miniproject(mini_index, mini_coverage,
+                                                    monkeypatch):
+    from siblingfix import matching
+    from siblingfix.matching import TokenPool
+    pool = _covered_pool(mini_index, mini_coverage)
+    tokens = TokenPool(pool)
+    assert len(tokens) == len(pool)
+    for member in pool:
+        # A fresh context for the same statement, as repair_bug makes one.
+        target = extract_context(mini_index, member.target)
+        want = token_match(target, pool, limit=100)
+        with monkeypatch.context() as m:
+            m.setattr(matching, "_score", _no_fallback)
+            got = token_match(target, tokens, limit=100)
+        assert _ranked(got) == _ranked(want)
+        assert [c.context for c in got] == [c.context for c in want]
+
+
+def test_token_pool_ties_beyond_limit(monkeypatch):
+    """A pool larger than `limit`, much of it scoring exactly 0.0 against a
+    target, ranks the same keys in the same order with equal floats."""
+    from siblingfix import matching
+    from siblingfix.matching import TokenPool
+    # Five families of contexts share no token with one another, so a
+    # target scores 0.0 against the four other families.
+    words = [["alpha", "beta", "gamma", "delta"], ["omega", "sigma", "kappa"],
+             ["theta", "lambda", "tau", "rho"], ["mu", "nu", "xi"],
+             ["phi", "chi", "psi", "eta"]]
+    pool = []
+    for i in range(160):
+        fam = words[i % 5]
+        a, b = fam[i % len(fam)], fam[(i * 7 + 3) % len(fam)]
+        pool.append(ctx(f"{a} = {b}({a}, {i % 5});",
+                        f"f{(i * 13) % 9}.java", 1 + (i * 37) % 400))
+    pool.append(ctx("unrelated();", "z.java", 1))
+    tokens = TokenPool(pool)
+    cut_ties = 0
+    for target in pool[:40] + pool[-1:]:
+        want = token_match(target, pool, limit=100)
+        with monkeypatch.context() as m:
+            m.setattr(matching, "_score", _no_fallback)
+            got = token_match(target, tokens, limit=100)
+        assert _ranked(got) == _ranked(want)
+        # The cut at `limit` falls inside a run of zero-score ties.
+        cut_ties += want[-1].token_similarity == 0.0
+    assert cut_ties > 1
+    # The last target shares no token with the pool: every score is 0.0 and
+    # the order is (file, line).
+    last = token_match(pool[-1], tokens, limit=100)
+    assert {c.token_similarity for c in last} == {0.0}
+    assert [c.key for c in last] == sorted(c.key for c in last)
+
+
+def test_token_pool_uncovered_target_falls_back(mini_index, mini_coverage,
+                                                monkeypatch):
+    from siblingfix import matching
+    from siblingfix.matching import TokenPool
+    pool = _covered_pool(mini_index, mini_coverage)
+    tokens = TokenPool(pool)
+    covered = {c.key for c in pool}
+    uncovered = [s for sf in mini_index.files.values() for s in sf.statements
+                 if (s.file, s.start_line) not in covered]
+    assert uncovered
+    calls = []
+
+    def spy(target, contexts):
+        calls.append(target.key)
+        return original(target, contexts)
+    original = matching._score
+    monkeypatch.setattr(matching, "_score", spy)
+    for stmt in uncovered:
+        target = extract_context(mini_index, stmt)
+        assert _ranked(token_match(target, tokens, limit=100)) == \
+            _ranked(token_match(target, pool, limit=100))
+    assert len(calls) == 2 * len(uncovered)
+    # A member key whose rendered text differs is not the pool's corpus.
+    member = pool[0]
+    other = ctx(member.rendered + " extra", *member.key)
+    calls.clear()
+    assert _ranked(token_match(other, tokens)) == _ranked(token_match(other, pool))
+    assert len(calls) == 2
+    # A pool that repeats a key never takes the shared vectors.
+    repeated = pool + [ctx("other text", *member.key)]
+    calls.clear()
+    assert _ranked(token_match(member, TokenPool(repeated))) == \
+        _ranked(token_match(member, repeated))
+    assert len(calls) == 2
+
+
+# -- _assigns pattern cache ---------------------------------------------
+
+def _assigns_uncached(stmt, name):
+    """_assigns as it was: two regex searches compiled per call (the
+    statement's masked text is mask_code(stmt.text))."""
+    import re
+    from siblingfix.matching import _ASSIGN_OPS
+    masked = stmt.masked
+    if re.search(rf"(?<![\w.$]){re.escape(name)}\s*(?:\[[^\]]*\])?\s*{_ASSIGN_OPS}",
+                 masked):
+        return True
+    return bool(re.search(
+        rf"[\w>\]]\s+{re.escape(name)}\s*(?:[;,=)]|:)", masked))
+
+
+def test_extract_context_over_600_distinct_locals(tmp_path, monkeypatch):
+    """More distinct local names than the `re` module caches patterns for."""
+    from siblingfix import matching
+    blocks, width = 21, 30  # 630 locals, each use reads 30 fresh ones
+    body = ["class Many {", "    int run(int seed) {"]
+    for b in range(blocks):
+        names = [f"v{b * width + j}" for j in range(width)]
+        body += [f"        int {name} = seed + {j};" for j, name in enumerate(names)]
+        # Assignments inside a string or a comment do not count.
+        body.append(f'        note("{names[0]} = 0"); // {names[1]} = 0')
+        body.append(f"        seed = use({' + '.join(names)});")
+    body += ["        return seed;", "    }", "}", ""]
+    index = make_index(tmp_path, "\n".join(body), "Many.java")
+    method = index.enclosing_method("Many.java", 3)
+    targets = [s for s in index.statements_in_method(method)
+               if "use(" in s.text or s.text.startswith("int v1")]
+    assert len(targets) > blocks
+    got = [extract_context(index, s) for s in targets]
+    monkeypatch.setattr(matching, "_assigns", _assigns_uncached)
+    want = [extract_context(index, s) for s in targets]
+    assert got == want
+    assert all(len(c.context) > width for c in got if "use(" in c.target.text)
+    assert matching._assign_patterns.cache_info().currsize >= blocks * width

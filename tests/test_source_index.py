@@ -166,3 +166,98 @@ def test_generated_methods_index_cleanly(tmp_path_factory, names):
         if s.kind == "simple":
             m = index.enclosing_method("G.java", s.start_line)
             assert m is not None and m.contains(s.start_line)
+
+
+# -- lookup tables against linear scans ---------------------------------
+
+def _scan_statement_at(sf, line):
+    hits = [s for s in sf.statements if s.start_line <= line <= s.end_line]
+    if not hits:
+        return None
+    hits.sort(key=lambda s: (s.kind != "simple",
+                             s.end_line - s.start_line, s.start_line))
+    return hits[0]
+
+
+def _scan_enclosing_method(sf, line):
+    hits = [m for m in sf.methods if m.contains(line)]
+    if not hits:
+        return None
+    return min(hits, key=lambda m: (m.span_length, m.body_start))
+
+
+def _scan_statements_in_method(sf, ref):
+    return [s for s in sf.statements
+            if ref.body_start <= s.start_line and s.end_line <= ref.body_end]
+
+
+_VAR = st.sampled_from(["a", "b", "total", "x1", "s"])
+
+_STATEMENT = st.one_of(
+    st.builds("{0} = {0} + 1;".format, _VAR),
+    st.builds("use({});".format, _VAR),
+    st.builds("{0} = 1; {0}++; use({0});".format, _VAR),          # one line
+    st.builds("{0} = compute({0},\n    {0} + 2);".format, _VAR),  # multi-line
+    st.builds('{} = "a;{{b}}"; // c "d"'.format, _VAR),
+    st.just("/* block\n   comment */ int z = 0;"),
+    st.builds("if ({0} > 0) {{\n use({0});\n }}".format, _VAR),
+    st.builds("Runnable r = new Runnable() {{\n public void run() {{ use({}); }}\n}};"
+              .format, _VAR),
+)
+
+_METHOD = st.one_of(
+    st.builds(lambda n, body: f"void m{n}() {{\n" + "\n".join(body) + "\n}",
+              st.integers(0, 9), st.lists(_STATEMENT, max_size=4)),
+    st.builds("int g{0}() {{ return {0}; }}".format, st.integers(0, 9)),  # one-line
+    st.builds("void h{0}() {{ a = {0}; b = a; }}".format, st.integers(0, 9)),
+    st.builds("int p{0}() {{ return 0; }} int q{0}() {{ return 1; }}".format,
+              st.integers(0, 9)),                                   # same line
+)
+
+
+def _class_strategy(depth):
+    member = _METHOD | st.builds("int f{} = 0;".format, st.integers(0, 9))
+    if depth:
+        member = member | st.deferred(lambda: _class_strategy(depth - 1))
+    return st.builds(lambda n, members: f"class N{n} {{\n" + "\n".join(members) + "\n}",
+                     st.integers(0, 9), st.lists(member, max_size=4))
+
+
+_FILE = st.builds(
+    lambda head, classes, tail, broken: "\n".join(head + classes + tail)
+    + ("\n}" if broken else "") + "\n",
+    st.lists(st.sampled_from(["package p;", "import q.R;", "int top = 1;"]),
+             max_size=3),
+    st.lists(_class_strategy(2), max_size=3),
+    st.lists(_STATEMENT, max_size=2),          # statements outside any class
+    st.sampled_from([False, False, True]),     # unbalanced: line-wise fallback
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_FILE)
+def test_lookup_tables_match_linear_scans(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("tables")
+    (tmp / "T.java").write_text(text, encoding="utf-8")
+    index = index_source(tmp, ["*.java"])
+    sf = index.files["T.java"]
+    for line in range(0, len(text.splitlines()) + 2):
+        assert index.statement_at("T.java", line) is _scan_statement_at(sf, line)
+        assert index.enclosing_method("T.java", line) is \
+            _scan_enclosing_method(sf, line)
+    for ref in sf.methods:
+        assert index.statements_in_method(ref) == \
+            _scan_statements_in_method(sf, ref)
+    for s in sf.statements:
+        assert s.masked == mask_code(s.text)
+
+
+def test_lookup_tables_stay_out_of_equality(tmp_path):
+    write(tmp_path, "C.java", NESTED)
+    a = index_source(tmp_path, ["*.java"])
+    b = index_source(tmp_path, ["*.java"])
+    a.statement_at("C.java", 3)
+    a.enclosing_method("C.java", 3)
+    assert a.files["C.java"] == b.files["C.java"]
+    assert a.statement_at("C.java", -1) is None
+    assert a.enclosing_method("C.java", 10_000) is None
