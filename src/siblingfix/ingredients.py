@@ -40,6 +40,8 @@ def _declared_type(index: SourceIndex, file: str, var: str) -> str | None:
     pattern = re.compile(rf"([A-Za-z_$][\w$]*)\s*(?:<[^>]*>)?\s*(?:\[\s*\])?\s+"
                          rf"{re.escape(var)}\s*[;=,)]")
     for stmt in index.files[file].statements:
+        if var not in stmt.masked:  # the pattern needs `var` verbatim
+            continue
         m = pattern.search(stmt.masked)
         if m and m.group(1) not in ("return", "new"):
             return m.group(1)

@@ -14,6 +14,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -32,6 +33,7 @@ KEYWORDS = frozenset(
 _CLASS_RE = re.compile(r"\b(?:class|interface|enum|struct)\s+([A-Za-z_]\w*)")
 _SIGNATURE_NAME_RE = re.compile(r"([A-Za-z_][\w$]*)\s*\(")
 _IDENT_RE = re.compile(r"[A-Za-z_$][\w$]*")
+_CALL_OPEN_RE = re.compile(r"\s*\(")
 
 
 class IndexError_(Exception):
@@ -207,88 +209,96 @@ def _line_slice(text: str, start: int, end: int) -> str:
     return "\n".join(lines[start - 1:end])
 
 
+_MASKED_RE = re.compile(r"""
+      //[^\n]*                                      # line comment
+    | /\*.*?(?:\*/|\Z)                              # block comment, to EOF if open
+    | (?P<literal> "(?:[^"\\]+|\\.)*(?:"|\\?\Z)     # string literal, to EOF if open
+                 | '(?:[^'\\]+|\\.)*(?:'|\\?\Z) )   # char literal, to EOF if open
+""", re.S | re.X)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def _mask(text: str) -> tuple[str, list[int]]:
+    """`mask_code(text)`, and the offsets where string/char literals open."""
+    literals: list[int] = []
+
+    def blank(m: re.Match) -> str:
+        if m.lastgroup == "literal":
+            literals.append(m.start())
+        s = m.group()
+        return _NOT_NEWLINE_RE.sub(" ", s) if "\n" in s else " " * len(s)
+
+    return _MASKED_RE.sub(blank, text), literals
+
+
 def mask_code(text: str) -> str:
     """Replace string/char literals and comments with spaces, same length.
 
     Newlines inside comments are preserved so line numbers survive.
     """
-    out = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            j = i
-            while j < n and text[j] != "\n":
-                out[j] = " "
-                j += 1
-            i = j
-        elif c == "/" and i + 1 < n and text[i + 1] == "*":
-            j = i + 2
-            while j < n and not (text[j - 1] == "*" and text[j] == "/"):
-                j += 1
-            for k in range(i, min(j + 1, n)):
-                if text[k] != "\n":
-                    out[k] = " "
-            i = j + 1
-        elif c in ("\"", "'"):
-            quote = c
-            j = i + 1
-            while j < n and text[j] != quote:
-                j += 2 if text[j] == "\\" else 1
-            for k in range(i, min(j + 1, n)):
-                if text[k] != "\n":
-                    out[k] = " "
-            i = j + 1
-        else:
-            i += 1
-    return "".join(out)
+    return _mask(text)[0]
 
 
 def _line_starts(text: str) -> list[int]:
-    starts = [0]
-    for i, c in enumerate(text):
-        if c == "\n":
-            starts.append(i + 1)
-    return starts
+    return [0] + [m.end() for m in re.finditer("\n", text)]
 
 
 def _line_of(offset: int, starts: list[int]) -> int:
     """1-based line number of a char offset."""
-    lo, hi = 0, len(starts) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if starts[mid] <= offset:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo + 1
+    return bisect_right(starts, offset)
 
 
-def _matching_brace(masked: str, open_pos: int) -> int | None:
-    depth = 0
-    for i in range(open_pos, len(masked)):
-        if masked[i] == "{":
-            depth += 1
-        elif masked[i] == "}":
-            depth -= 1
-            if depth == 0:
-                return i
-    return None
+_BRACKET_RE = re.compile(r"[(){}]")
 
 
-def _segment_statements(path: str, text: str, masked: str,
-                        starts: list[int]) -> list[Statement]:
-    """Char-level statement segmentation.
+def _bracket_pairs(masked: str) -> dict[int, int]:
+    """Offset of the matching ')' or '}' for each '(' or '{' that has one.
+
+    A stack pairs each close with the latest unclosed open of its kind and
+    skips a close that finds none; that is the pair a forward depth count
+    from the open would find.
+    """
+    pairs: dict[int, int] = {}
+    parens: list[int] = []
+    braces: list[int] = []
+    for m in _BRACKET_RE.finditer(masked):
+        i = m.start()
+        c = m.group()
+        if c == "(":
+            parens.append(i)
+        elif c == "{":
+            braces.append(i)
+        elif c == ")":
+            if parens:
+                pairs[parens.pop()] = i
+        elif braces:
+            pairs[braces.pop()] = i
+    return pairs
+
+
+_EVENT_RE = re.compile(r"[();{}]")
+_SIGNIFICANT_RE = re.compile(r"[^\s{}]")
+
+
+def _segment_statements(path: str, text: str, masked: str, starts: list[int],
+                        literals: list[int]) -> list[Statement]:
+    """Statement segmentation over the '(', ')', ';', '{' and '}' of `masked`.
 
     A statement ends at ';' (outside parentheses) or at '{' (block header).
     Material pending when a '}' or EOF arrives is flushed as kind "other".
+    A statement starts at the first character after the previous one that
+    is neither blank nor a brace in `masked`, or at the opening quote of a
+    string/char literal (`literals`); comments never start one.
     """
+    n = len(masked)
     stmts: list[Statement] = []
     seg_start: int | None = None
     paren = 0
+    after = 0  # the next statement starts at or after this offset
+    first = -1  # first start candidate at or after `after`, n if none
 
     def flush(end: int, kind: str) -> None:
-        nonlocal seg_start
+        nonlocal seg_start, after
         if seg_start is not None:
             stmts.append(Statement(
                 file=path,
@@ -298,27 +308,44 @@ def _segment_statements(path: str, text: str, masked: str,
                 kind=kind,
             ))
         seg_start = None
+        after = end + 1
 
-    for i, c in enumerate(masked):
-        # Comments never open a segment; string literals (also masked) do.
-        significant = (not c.isspace() and c not in "{}") or text[i] in "\"'"
-        if seg_start is None and significant:
-            seg_start = i
+    def open_segment(limit: int) -> None:
+        # Search only when `after` has passed the cached candidate, so each
+        # stretch of text is searched once.
+        nonlocal seg_start, first
+        if first < after:
+            m = _SIGNIFICANT_RE.search(masked, after)
+            first = m.start() if m else n
+            k = bisect_left(literals, after)
+            if k < len(literals):
+                first = min(first, literals[k])
+        if first <= limit:
+            seg_start = first
+
+    for m in _EVENT_RE.finditer(masked):
+        i = m.start()
+        c = m.group()
+        if seg_start is None:
+            open_segment(i)
         if c == "(":
             paren += 1
         elif c == ")":
             paren = max(0, paren - 1)
-        elif c == ";" and paren == 0:
-            flush(i, "simple")
+        elif c == ";":
+            if paren == 0:
+                flush(i, "simple")
         elif c == "{":
             flush(i, "block-header")
             paren = 0
-        elif c == "}":
+        else:
             if seg_start is not None:
                 flush(i - 1, "other")
             paren = 0
+    if seg_start is None:
+        open_segment(n - 1)
     if seg_start is not None:
-        flush(len(text) - 1, "other")
+        flush(n - 1, "other")
     return stmts
 
 
@@ -330,14 +357,11 @@ def _linewise_statements(path: str, text: str) -> list[Statement]:
     return stmts
 
 
-def _find_classes(path: str, text: str, masked: str,
-                  starts: list[int]) -> list[ClassRef]:
+def _find_classes(path: str, masked: str, starts: list[int],
+                  pairs: dict[int, int]) -> list[ClassRef]:
     classes = []
     for m in _CLASS_RE.finditer(masked):
-        brace = masked.find("{", m.end())
-        if brace < 0:
-            continue
-        close = _matching_brace(masked, brace)
+        close = pairs.get(masked.find("{", m.end()))
         if close is None:
             continue
         classes.append(ClassRef(
@@ -355,48 +379,46 @@ def _signature_text(masked: str, text: str, name_pos: int, close_paren: int) -> 
     return " ".join(raw.split())
 
 
+def _after_dot(masked: str, pos: int) -> bool:
+    """Whether the last non-blank character before `pos` is a '.'."""
+    k = pos - 1
+    while k >= 0 and masked[k].isspace():
+        k -= 1
+    return k >= 0 and masked[k] == "."
+
+
+_BODY_OPEN_RE = re.compile(r"\s*(?:throws\s+[\w$.,\s]*)?\{")
+
+
 def _find_methods(path: str, text: str, masked: str, starts: list[int],
-                  classes: list[ClassRef], digest: str) -> list[MethodRef]:
+                  pairs: dict[int, int], classes: list[ClassRef],
+                  digest: str) -> list[MethodRef]:
     methods: list[MethodRef] = []
+    class_by_line = _best_by_line(classes, lambda c: (c.body_start, c.body_end),
+                                  lambda c: c.body_end - c.body_start)
     for m in _SIGNATURE_NAME_RE.finditer(masked):
         name = m.group(1)
         if name in KEYWORDS:
             continue
         # A call on a receiver (x.foo(...)) is not a declaration.
-        k = m.start() - 1
-        while k >= 0 and masked[k].isspace():
-            k -= 1
-        if k >= 0 and masked[k] == ".":
+        if _after_dot(masked, m.start()):
             continue
-        # Skip over the parameter list to the matching ')'.
-        depth = 0
-        j = masked.find("(", m.end() - 1)
-        close_paren = None
-        for i in range(j, len(masked)):
-            if masked[i] == "(":
-                depth += 1
-            elif masked[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    close_paren = i
-                    break
+        close_paren = pairs.get(m.end() - 1)
         if close_paren is None:
             continue
         # Next significant char must be '{' (a throws clause may intervene).
-        tail = masked[close_paren + 1:close_paren + 200]
-        t = re.match(r"\s*(?:throws\s+[\w$.,\s]*)?\{", tail)
+        t = _BODY_OPEN_RE.match(masked, close_paren + 1, close_paren + 200)
         if not t:
             continue
-        brace = close_paren + 1 + t.end() - 1
-        close = _matching_brace(masked, brace)
+        brace = t.end() - 1
+        close = pairs.get(brace)
         if close is None:
             continue
         sig_line = _line_of(m.start(), starts)
         body_end = _line_of(close, starts)
         brace_line = _line_of(brace, starts)
         body_start = min(sig_line, brace_line)
-        enclosing = [c for c in classes if c.body_start <= sig_line <= c.body_end]
-        cls = min(enclosing, key=lambda c: c.body_end - c.body_start) if enclosing else None
+        cls = _at(class_by_line, sig_line)
         sig_text = _signature_text(masked, text, m.start(), close_paren)
         methods.append(MethodRef(
             file=path, name=name, signature_line=sig_line,
@@ -412,20 +434,28 @@ def _find_methods(path: str, text: str, masked: str, starts: list[int],
 _FIELD_NAME_RE = re.compile(r"([A-Za-z_$][\w$]*)\s*(?:=(?!=)|;|\[\s*\]\s*[;=])")
 
 
-def _collect_fields(cls: ClassRef, statements: list[Statement],
-                    methods: list[MethodRef]) -> list[FieldDecl]:
+def _collect_fields(classes: list[ClassRef], statements: list[Statement],
+                    methods: list[MethodRef], n_lines: int) -> None:
+    """Set each class's fields: the simple statements that start inside the
+    class but in no method body and that name a field."""
+    # Per line, how many method bodies hold it, by a running sum of
+    # +1 at each body's first line and -1 after its last.
+    depth = [0] * (n_lines + 2)
+    for m in methods:
+        depth[m.body_start] += 1
+        depth[m.body_end + 1] -= 1
+    in_method = list(accumulate(depth))
     fields = []
     for s in statements:
-        if s.kind != "simple":
+        if s.kind != "simple" or in_method[s.start_line]:
             continue
-        if not (cls.body_start <= s.start_line <= cls.body_end):
-            continue
-        if any(m.contains(s.start_line) for m in methods):
-            continue
-        m = _FIELD_NAME_RE.search(mask_code(s.text))
+        m = _FIELD_NAME_RE.search(s.masked)
         if m and m.group(1) not in KEYWORDS:
             fields.append(FieldDecl(name=m.group(1), line=s.start_line, text=s.text.strip()))
-    return fields
+    lines = [f.line for f in fields]
+    for cls in classes:
+        cls.fields = fields[bisect_left(lines, cls.body_start):
+                            bisect_right(lines, cls.body_end)]
 
 
 def _index_file(root: Path, rel: str, warnings: list[str]) -> SourceFile | None:
@@ -436,19 +466,23 @@ def _index_file(root: Path, rel: str, warnings: list[str]) -> SourceFile | None:
         logger.warning("unreadable file skipped: %s: %s", rel, exc)
         return None
     digest = hashlib.sha256(text.encode()).hexdigest()
-    masked = mask_code(text)
+    masked, literals = _mask(text)
     if masked.count("{") != masked.count("}"):
         warnings.append(f"unbalanced braces, indexed line-wise: {rel}")
         logger.warning("unbalanced braces, indexed line-wise: %s", rel)
         return SourceFile(rel, text, digest, _linewise_statements(rel, text),
                           [], [], line_wise=True)
     starts = _line_starts(text)
-    statements = _segment_statements(rel, text, masked, starts)
-    classes = _find_classes(rel, text, masked, starts)
-    methods = _find_methods(rel, text, masked, starts, classes, digest)
+    pairs = _bracket_pairs(masked)
+    statements = _segment_statements(rel, text, masked, starts, literals)
+    classes = _find_classes(rel, masked, starts, pairs)
+    methods = _find_methods(rel, text, masked, starts, pairs, classes, digest)
+    by_class: dict[str | None, list[MethodRef]] = {}
+    for m in methods:
+        by_class.setdefault(m.class_name, []).append(m)
     for cls in classes:
-        cls.methods = [m for m in methods if m.class_name == cls.name]
-        cls.fields = _collect_fields(cls, statements, methods)
+        cls.methods = list(by_class.get(cls.name, ()))
+    _collect_fields(classes, statements, methods, len(starts))
     return SourceFile(rel, text, digest, statements, methods, classes)
 
 
@@ -479,12 +513,10 @@ def identifiers_in(statement: Statement) -> list[Identifier]:
         name = m.group(0)
         if name in KEYWORDS:
             continue
-        after = masked[m.end():].lstrip()
-        if after.startswith("("):
+        if _CALL_OPEN_RE.match(masked, m.end()):
             out.append(Identifier("call", name))
             continue
-        before = masked[:m.start()].rstrip()
-        if before.endswith("."):
+        if _after_dot(masked, m.start()):
             out.append(Identifier("field-access", name))
         else:
             out.append(Identifier("variable", name))

@@ -101,3 +101,25 @@ def test_unresolvable_reference_skipped(tmp_path):
     groups = groups_for_line(index, "Lone.java", 3)
     out = extract_fix_ingredients(groups, index, n=5)
     assert out == []  # nothing resolvable, silently skipped
+
+
+def test_class_name_receiver_resolves_by_member_name(tmp_path):
+    from siblingfix.ingredients import _declared_type
+    from siblingfix.source_index import index_source
+    (tmp_path / "Util.java").write_text(
+        "class Util {\n    static int sum(int a, int b) {\n        return a + b;\n    }\n"
+        "    static int twice(int a) {\n        return sum(a, a);\n    }\n}\n",
+        encoding="utf-8")
+    (tmp_path / "Calc.java").write_text(
+        "class Calc {\n    int run() {\n        int y = Util.sum(1, 2);\n"
+        "        return y;\n    }\n}\n", encoding="utf-8")
+    index = index_source(tmp_path, ["*.java"])
+    # `Util` is a class name: no statement declares it, so resolution falls
+    # back to the classes that declare the member `sum`.
+    assert _declared_type(index, "Calc.java", "Util") is None
+    assert _declared_type(index, "Calc.java", "y") == "int"
+    out = extract_fix_ingredients(groups_for_line(index, "Calc.java", 3), index, n=5)
+    assert {(i.declaring_class, i.signature_text) for i in out} == {
+        ("Util", "static int sum(int a, int b)"),
+        ("Util", "static int twice(int a)"),
+    }

@@ -1,11 +1,17 @@
+import hashlib
+import re
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siblingfix.source_index import (IndexError_, Statement, StaleRefError,
-                                     identifiers_in, index_source, mask_code)
+from siblingfix.source_index import (_CLASS_RE, _FIELD_NAME_RE, _SIGNATURE_NAME_RE,
+                                     KEYWORDS, ClassRef, FieldDecl, IndexError_,
+                                     MethodRef, SourceFile, Statement,
+                                     StaleRefError, _linewise_statements,
+                                     _signature_text, identifiers_in,
+                                     index_source, mask_code)
 
 
 def write(tmp_path, name, text):
@@ -128,6 +134,27 @@ def test_mask_code_preserves_length_and_newlines():
     assert "{" not in masked.split("\n")[1]  # brace inside string is masked
 
 
+def test_mask_code_block_comment_needs_its_own_star():
+    # The '*' of "/*" does not also close the comment: "/*/" stays open.
+    assert mask_code("/*/ a; */ b;") == " " * 10 + "b;"
+
+
+def test_quote_in_comment_does_not_open_statement(tmp_path):
+    write(tmp_path, "A.java", "class A {\n    void f() {\n        // don't touch\n"
+                              "        int x = 1;\n    }\n}\n")
+    index = index_source(tmp_path, ["*.java"])
+    simple = [s for s in index.files["A.java"].statements if s.kind == "simple"]
+    assert [(s.start_line, s.text) for s in simple] == [(4, "int x = 1;")]
+
+
+def test_identifiers_across_blanks():
+    ids = identifiers_in(stmt("a .\n b (c) ;\n d\t(e . f)"))
+    assert [(i.kind, i.name) for i in ids] == [
+        ("variable", "a"), ("call", "b"), ("variable", "c"),
+        ("call", "d"), ("variable", "e"), ("field-access", "f"),
+    ]
+
+
 def test_statement_roundtrip_order(mini_index):
     """Statements appear in order as verbatim, non-overlapping file slices."""
     for sf in mini_index.files.values():
@@ -200,6 +227,9 @@ _STATEMENT = st.one_of(
     st.builds("{0} = compute({0},\n    {0} + 2);".format, _VAR),  # multi-line
     st.builds('{} = "a;{{b}}"; // c "d"'.format, _VAR),
     st.just("/* block\n   comment */ int z = 0;"),
+    st.builds("// don't {0}\n{0} = 1;".format, _VAR),          # quotes in comments
+    st.builds("/* say \"{0}\" */ {0} = 'q';".format, _VAR),
+    st.builds("/*/ it's {0}; */ {0}++;".format, _VAR),
     st.builds("if ({0} > 0) {{\n use({0});\n }}".format, _VAR),
     st.builds("Runnable r = new Runnable() {{\n public void run() {{ use({}); }}\n}};"
               .format, _VAR),
@@ -212,6 +242,8 @@ _METHOD = st.one_of(
     st.builds("void h{0}() {{ a = {0}; b = a; }}".format, st.integers(0, 9)),
     st.builds("int p{0}() {{ return 0; }} int q{0}() {{ return 1; }}".format,
               st.integers(0, 9)),                                   # same line
+    st.builds('void k{0}(@Named("a(") int a) throws E {{ use(f(a)); }}'.format,
+              st.integers(0, 9)),                                   # nested parens
 )
 
 
@@ -261,3 +293,204 @@ def test_lookup_tables_stay_out_of_equality(tmp_path):
     assert a.files["C.java"] == b.files["C.java"]
     assert a.statement_at("C.java", -1) is None
     assert a.enclosing_method("C.java", 10_000) is None
+
+
+# -- index against the character-loop indexer ---------------------------
+#
+# The reference functions below scan character by character, as the indexer
+# once did. They carry two fixes: "/*/" does not close a block comment, and
+# only the opening quote of a string or char literal, not a quote inside a
+# comment, starts a statement.
+
+def _ref_scan(text):
+    """Masked text, and the offsets where string/char literals open."""
+    out = list(text)
+    literals = set()
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            j = i
+            while j < n and text[j] != "\n":
+                out[j] = " "
+                j += 1
+            i = j
+        elif c == "/" and i + 1 < n and text[i + 1] == "*":
+            j = i + 3
+            while j < n and not (text[j - 1] == "*" and text[j] == "/"):
+                j += 1
+            for k in range(i, min(j + 1, n)):
+                if text[k] != "\n":
+                    out[k] = " "
+            i = j + 1
+        elif c in ("\"", "'"):
+            literals.add(i)
+            quote = c
+            j = i + 1
+            while j < n and text[j] != quote:
+                j += 2 if text[j] == "\\" else 1
+            for k in range(i, min(j + 1, n)):
+                if text[k] != "\n":
+                    out[k] = " "
+            i = j + 1
+        else:
+            i += 1
+    return "".join(out), literals
+
+
+def _ref_line_starts(text):
+    starts = [0]
+    for i, c in enumerate(text):
+        if c == "\n":
+            starts.append(i + 1)
+    return starts
+
+
+def _ref_line_of(offset, starts):
+    lo, hi = 0, len(starts) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if starts[mid] <= offset:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo + 1
+
+
+def _ref_matching(masked, open_pos, opening, closing):
+    depth = 0
+    for i in range(open_pos, len(masked)):
+        if masked[i] == opening:
+            depth += 1
+        elif masked[i] == closing:
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
+
+
+def _ref_segment_statements(path, text, masked, literals, starts):
+    stmts = []
+    seg_start = None
+    paren = 0
+
+    def flush(end, kind):
+        nonlocal seg_start
+        if seg_start is not None:
+            stmts.append(Statement(path, _ref_line_of(seg_start, starts),
+                                   _ref_line_of(end, starts),
+                                   text[seg_start:end + 1], kind))
+        seg_start = None
+
+    for i, c in enumerate(masked):
+        significant = (not c.isspace() and c not in "{}") or i in literals
+        if seg_start is None and significant:
+            seg_start = i
+        if c == "(":
+            paren += 1
+        elif c == ")":
+            paren = max(0, paren - 1)
+        elif c == ";" and paren == 0:
+            flush(i, "simple")
+        elif c == "{":
+            flush(i, "block-header")
+            paren = 0
+        elif c == "}":
+            if seg_start is not None:
+                flush(i - 1, "other")
+            paren = 0
+    if seg_start is not None:
+        flush(len(text) - 1, "other")
+    return stmts
+
+
+def _ref_find_classes(path, masked, starts):
+    classes = []
+    for m in _CLASS_RE.finditer(masked):
+        brace = masked.find("{", m.end())
+        close = None if brace < 0 else _ref_matching(masked, brace, "{", "}")
+        if close is not None:
+            classes.append(ClassRef(path, m.group(1), _ref_line_of(m.start(), starts),
+                                    _ref_line_of(close, starts)))
+    return classes
+
+
+def _ref_find_methods(path, text, masked, starts, classes, digest):
+    methods = []
+    for m in _SIGNATURE_NAME_RE.finditer(masked):
+        name = m.group(1)
+        if name in KEYWORDS:
+            continue
+        if masked[:m.start()].rstrip().endswith("."):
+            continue
+        close_paren = _ref_matching(masked, m.end() - 1, "(", ")")
+        if close_paren is None:
+            continue
+        t = re.match(r"\s*(?:throws\s+[\w$.,\s]*)?\{",
+                     masked[close_paren + 1:close_paren + 200])
+        if not t:
+            continue
+        brace = close_paren + t.end()
+        close = _ref_matching(masked, brace, "{", "}")
+        if close is None:
+            continue
+        sig_line = _ref_line_of(m.start(), starts)
+        enclosing = [c for c in classes if c.body_start <= sig_line <= c.body_end]
+        cls = min(enclosing, key=lambda c: c.body_end - c.body_start) if enclosing else None
+        sig_text = _signature_text(masked, text, m.start(), close_paren)
+        methods.append(MethodRef(
+            path, name, sig_line, min(sig_line, _ref_line_of(brace, starts)),
+            _ref_line_of(close, starts), cls.name if cls else None, sig_text,
+            hashlib.sha1(sig_text.encode()).hexdigest()[:12], digest))
+    return methods
+
+
+def _ref_collect_fields(cls, statements, methods):
+    fields = []
+    for s in statements:
+        if s.kind != "simple":
+            continue
+        if not (cls.body_start <= s.start_line <= cls.body_end):
+            continue
+        if any(m.contains(s.start_line) for m in methods):
+            continue
+        m = _FIELD_NAME_RE.search(_ref_scan(s.text)[0])
+        if m and m.group(1) not in KEYWORDS:
+            fields.append(FieldDecl(m.group(1), s.start_line, s.text.strip()))
+    return fields
+
+
+def _ref_index_file(rel, text):
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    masked, literals = _ref_scan(text)
+    if masked.count("{") != masked.count("}"):
+        return SourceFile(rel, text, digest, _linewise_statements(rel, text),
+                          [], [], line_wise=True)
+    starts = _ref_line_starts(text)
+    statements = _ref_segment_statements(rel, text, masked, literals, starts)
+    classes = _ref_find_classes(rel, masked, starts)
+    methods = _ref_find_methods(rel, text, masked, starts, classes, digest)
+    for cls in classes:
+        cls.methods = [m for m in methods if m.class_name == cls.name]
+        cls.fields = _ref_collect_fields(cls, statements, methods)
+    return SourceFile(rel, text, digest, statements, methods, classes)
+
+
+_CODE_CHARS = "ab\"'\\/*\n {};x"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_CODE_CHARS, max_size=60))
+def test_mask_code_matches_character_loop(text):
+    assert mask_code(text) == _ref_scan(text)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FILE | st.text(alphabet=_CODE_CHARS + "()=\t", max_size=120))
+def test_index_matches_character_loop(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("oracle")
+    (tmp / "T.java").write_text(text, encoding="utf-8")
+    sf = index_source(tmp, ["*.java"]).files["T.java"]
+    ref = _ref_index_file("T.java", text)
+    assert sf == ref
+    assert [c.fields for c in sf.classes] == [c.fields for c in ref.classes]
