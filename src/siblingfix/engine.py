@@ -169,10 +169,6 @@ class RepairEngine:
                 stmts[(stmt.file, stmt.start_line)] = stmt
         return [extract_context(self.index, stmts[k]) for k in sorted(stmts)]
 
-    def _add_plausible(self, state: RepairState, patch: Patch) -> None:
-        if all(p.id != patch.id for p in state.plausible):
-            state.plausible.append(patch)
-
     @staticmethod
     def _dedupe(patches: list[Patch]) -> list[Patch]:
         seen: dict[str, Patch] = {}
@@ -184,12 +180,12 @@ class RepairEngine:
 
     def _attempt(self, state: RepairState, loc_id: str, phase: str,
                  groups, ingredients, fb: list[FeedbackEntry],
-                 group_jaccard, promising: Patch | None):
+                 seed: Patch | None) -> tuple[str, FeedbackEntry]:
         """One prompt/generate/validate cycle.
 
-        Returns (patch, report, verdict-name); patch/report are None on
-        prompt, parse, or application failures, which still consume the
-        attempt and produce feedback.
+        Returns the verdict and the feedback for the next attempt, whose
+        patch is the validated one. Prompt, parse, and application failures
+        still consume the attempt; their feedback carries only a note.
         """
         self._check_budget()
         attempt_no = self._next_attempt(loc_id)
@@ -201,13 +197,13 @@ class RepairEngine:
 
         try:
             bundle = build_prompt(groups, self.evidence, fb, ingredients,
-                                  self.index, token_budget=self.config.token_budget,
-                                  group_jaccard=group_jaccard)
+                                  self.index, token_budget=self.config.token_budget)
         except PromptBudgetError as exc:
             logger.warning("prompt over budget at %s attempt %d: %s",
                            loc_id, attempt_no, exc)
             record("prompt-error")
-            return None, None, "prompt-error", f"prompt construction failed: {exc}"
+            return "prompt-error", FeedbackEntry(
+                patch=None, note=f"prompt construction failed: {exc}")
         self.recorder.prompt(loc_id, attempt_no, bundle.text)
         self.prompt_chars += len(bundle.text)
         self.requests += 1
@@ -220,140 +216,100 @@ class RepairEngine:
             patch = parse_patch(response)
         except PatchParseError as exc:
             record("parse-error")
-            return None, None, "parse-error", f"output format error: {exc}"
-        if promising is not None:
-            patch = combine(patch, promising)
+            return "parse-error", FeedbackEntry(
+                patch=None, note=f"output format error: {exc}")
+        if seed is not None:
+            patch = combine(patch, seed)
         try:
             report = self._validate(patch)
         except PatchApplicationError as exc:
             record("apply-error", patch.id)
-            return None, None, "apply-error", f"patch application failed: {exc}"
-        verdict = classify(self.baseline, report)
-        record(_VERDICT_NAMES[verdict.kind], patch.id)
-        return patch, report, verdict.kind, None
+            return "apply-error", FeedbackEntry(
+                patch=None, note=f"patch application failed: {exc}")
+        verdict = classify(self.baseline, report).kind
+        record(_VERDICT_NAMES[verdict], patch.id)
+        # A plausible patch is fed back without its (all-pass) report.
+        return verdict, FeedbackEntry(
+            patch=patch, report=None if verdict == "PassAll" else report)
+
+    # -- Algorithm: one phase ---------------------------------------------
+
+    def _run_phase(self, state: RepairState, loc_id: str, phase: str,
+                   groups, ingredients, seed: Patch | None = None
+                   ) -> list[Patch]:
+        """Up to `attempts` cycles, each fed back the previous outcome.
+
+        Phase A starts fresh. Phase B starts from the seed, a carried
+        promising patch, and combines it into every generated patch.
+        Returns the patches to carry: each Promising patch, plus the seed
+        after any seeded attempt that did not pass all, or when the seed
+        itself no longer applies.
+        """
+        carry: list[Patch] = []
+        fb: list[FeedbackEntry] = []
+        if seed is not None:
+            self._check_budget()
+            try:
+                fb = [FeedbackEntry(patch=seed, report=self._validate(seed))]
+            except PatchApplicationError as exc:
+                logger.warning("promising patch %s no longer applies: %s",
+                               seed.id, exc)
+                return [seed]
+        for _ in range(self.config.attempts):
+            if self.config.stop_on_first_plausible and state.plausible:
+                break
+            verdict, entry = self._attempt(state, loc_id, phase, groups,
+                                           ingredients, fb, seed)
+            fb = [entry]
+            if verdict == "PassAll":
+                if all(p.id != entry.patch.id for p in state.plausible):
+                    state.plausible.append(entry.patch)
+            elif verdict == "Promising":
+                carry.append(entry.patch)
+            elif seed is not None:
+                carry.append(seed)  # carry-forward rule
+        return carry
+
+    def _run_phases(self, state: RepairState, loc_id: str, prefix: str,
+                    groups, ingredients) -> list[Patch]:
+        """Phase A, then one phase B per promising patch held on entry."""
+        carry = self._run_phase(state, loc_id, f"{prefix}-A", groups,
+                                ingredients)
+        for seed in list(state.promising):
+            if self.config.stop_on_first_plausible and state.plausible:
+                break
+            carry += self._run_phase(state, loc_id, f"{prefix}-B", groups,
+                                     ingredients, seed)
+        return carry
 
     # -- Algorithm: simultaneous repair -----------------------------------
 
     def simultaneous_repair(self, candidates: list[CandidateSibling],
                             target: StatementContext, state: RepairState,
                             loc_id: str) -> None:
+        """All sibling groups in one prompt; the promising set is only read."""
         filtered = jaccard_filter(list(candidates), target, self.config.alpha)
         groups = group_by_method(filtered, self.index)
         if not groups:
             logger.info("no groups after Jaccard filter at %s", loc_id)
             return
-        group_jaccard = {}
-        for cand in filtered:
-            stmt = cand.context.target
-            method = self.index.enclosing_method(stmt.file, stmt.start_line)
-            for g in groups:
-                if g.file == stmt.file and (
-                        (g.method is None and method is None)
-                        or (g.method is not None and method is not None
-                            and g.method.signature_line == method.signature_line)):
-                    key = (g.file, min(g.sibling_lines))
-                    group_jaccard[key] = max(group_jaccard.get(key, 0.0),
-                                             cand.jaccard_similarity or 0.0)
         ingredients = extract_fix_ingredients(groups, self.index,
                                               self.config.ingredients)
-        fb: list[FeedbackEntry] = []
-        for _ in range(self.config.attempts):
-            if self.config.stop_on_first_plausible and state.plausible:
-                return
-            patch, report, verdict, note = self._attempt(
-                state, loc_id, "sim-A", groups, ingredients, fb,
-                group_jaccard, promising=None)
-            if verdict == "PassAll":
-                self._add_plausible(state, patch)
-                fb = [FeedbackEntry(patch=patch)]
-            elif patch is None:
-                fb = [FeedbackEntry(patch=None, note=note)]
-            else:
-                fb = [FeedbackEntry(patch=patch, report=report)]
-        for p_pro in list(state.promising):
-            if self.config.stop_on_first_plausible and state.plausible:
-                return
-            self._check_budget()
-            try:
-                seed_report = self._validate(p_pro)
-            except PatchApplicationError as exc:
-                logger.warning("promising patch %s no longer applies: %s",
-                               p_pro.id, exc)
-                continue
-            fb = [FeedbackEntry(patch=p_pro, report=seed_report)]
-            for _ in range(self.config.attempts):
-                if self.config.stop_on_first_plausible and state.plausible:
-                    return
-                patch, report, verdict, note = self._attempt(
-                    state, loc_id, "sim-B", groups, ingredients, fb,
-                    group_jaccard, promising=p_pro)
-                if verdict == "PassAll":
-                    self._add_plausible(state, patch)
-                    fb = [FeedbackEntry(patch=patch)]
-                elif patch is None:
-                    fb = [FeedbackEntry(patch=None, note=note)]
-                else:
-                    fb = [FeedbackEntry(patch=patch, report=report)]
+        self._run_phases(state, loc_id, "sim", groups, ingredients)
 
     # -- Algorithm: iterative repair --------------------------------------
 
     def iterative_repair(self, candidates: list[CandidateSibling],
                          state: RepairState, loc_id: str) -> None:
-        groups = group_by_method(list(candidates), self.index)
-        for group in groups:
+        """One group at a time; each group started replaces the promising
+        set with what its phases carry."""
+        for group in group_by_method(list(candidates), self.index):
             if self.config.stop_on_first_plausible and state.plausible:
                 return
-            fb: list[FeedbackEntry] = []
-            new_pro: list[Patch] = []
             ingredients = extract_fix_ingredients([group], self.index,
                                                   self.config.ingredients)
-            for _ in range(self.config.attempts):
-                if self.config.stop_on_first_plausible and state.plausible:
-                    break
-                patch, report, verdict, note = self._attempt(
-                    state, loc_id, "iter-A", [group], ingredients, fb,
-                    None, promising=None)
-                if verdict == "PassAll":
-                    self._add_plausible(state, patch)
-                    fb = [FeedbackEntry(patch=patch)]
-                elif patch is None:
-                    fb = [FeedbackEntry(patch=None, note=note)]
-                else:
-                    if verdict == "Promising":
-                        new_pro.append(patch)
-                    fb = [FeedbackEntry(patch=patch, report=report)]
-            for p_pro in list(state.promising):
-                if self.config.stop_on_first_plausible and state.plausible:
-                    break
-                self._check_budget()
-                try:
-                    seed_report = self._validate(p_pro)
-                except PatchApplicationError as exc:
-                    logger.warning("promising patch %s no longer applies: %s",
-                                   p_pro.id, exc)
-                    new_pro.append(p_pro)
-                    continue
-                fb = [FeedbackEntry(patch=p_pro, report=seed_report)]
-                for _ in range(self.config.attempts):
-                    if self.config.stop_on_first_plausible and state.plausible:
-                        break
-                    patch, report, verdict, note = self._attempt(
-                        state, loc_id, "iter-B", [group], ingredients, fb,
-                        None, promising=p_pro)
-                    if verdict == "PassAll":
-                        self._add_plausible(state, patch)
-                        fb = [FeedbackEntry(patch=patch)]
-                    elif patch is None:
-                        # Failed attempt: carry the prior promising patch.
-                        new_pro.append(p_pro)
-                        fb = [FeedbackEntry(patch=None, note=note)]
-                    else:
-                        if verdict == "Promising":
-                            new_pro.append(patch)
-                        else:
-                            new_pro.append(p_pro)  # carry-forward rule
-                        fb = [FeedbackEntry(patch=patch, report=report)]
-            state.promising = self._dedupe(new_pro)
+            state.promising = self._dedupe(self._run_phases(
+                state, loc_id, "iter", [group], ingredients))
 
     # -- Algorithm: main loop ---------------------------------------------
 
@@ -392,13 +348,10 @@ class RepairEngine:
                     embedding_similarity=1.0, jaccard_similarity=1.0)]
                 candidates += [c for c in cands if c.key != target.key]
                 self.simultaneous_repair(candidates, target, state, loc_id)
+                if not state.plausible:
+                    self.iterative_repair(candidates, state, loc_id)
                 if state.plausible:
-                    state.stopped = "plausible"
-                    return state
-                self.iterative_repair(candidates, state, loc_id)
-                if state.plausible:
-                    state.stopped = "plausible"
-                    return state
+                    break
         except _BudgetExhausted:
             state.stopped = "budget"
             return state

@@ -83,10 +83,8 @@ class ScriptedBackend:
             raise ValueError("on_missing must be 'error' or 'empty'")
         self.directory = Path(directory)
         self.on_missing = on_missing
-        self.requests = 0
 
     def complete(self, request: CompletionRequest) -> str:
-        self.requests += 1
         path = self.directory / f"{request.location_id}_attempt{request.attempt}.txt"
         if not path.exists():
             if self.on_missing == "empty":
@@ -107,10 +105,8 @@ class RemoteChatBackend:
         self.max_retries = max_retries
         self.session = session or requests.Session()
         self._sleep = sleep
-        self.requests = 0
 
     def complete(self, request: CompletionRequest) -> str:
-        self.requests += 1
         headers = {}
         key = os.environ.get(self.api_key_env)
         if key:
@@ -135,11 +131,6 @@ class RemoteChatBackend:
                 if attempt < self.max_retries:
                     self._sleep(2 ** attempt)
         raise BackendError(f"completion failed after retries: {last}")
-
-
-def complete(request: CompletionRequest, backend) -> str:
-    """Raw model text for the request."""
-    return backend.complete(request)
 
 
 def parse_patch(response: str) -> Patch:

@@ -1,8 +1,7 @@
 """Spectrum-based fault localization over a line-level coverage matrix.
 
 Coverage is ingested from a JSON-lines protocol file; scoring uses the
-Ochiai metric by default with a pluggable scorer hook. Locations covered
-by no test never enter the ranking.
+Ochiai metric. Locations covered by no test never enter the ranking.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
 
 logger = logging.getLogger(__name__)
 
@@ -96,11 +94,7 @@ def ochiai(ef: int, ep: int, nf: int, np: int) -> float:
     return ef / math.sqrt((ef + nf) * (ef + ep))
 
 
-Scorer = Callable[[int, int, int, int], float]
-
-
-def ochiai_rank(matrix: CoverageMatrix,
-                scorer: Scorer = ochiai) -> list[SuspiciousLocation]:
+def ochiai_rank(matrix: CoverageMatrix) -> list[SuspiciousLocation]:
     """Score every covered location and rank descending.
 
     Ties break by (file, line) ascending; ranks are 1..N.
@@ -119,7 +113,7 @@ def ochiai_rank(matrix: CoverageMatrix,
     for loc in matrix.all_locations():
         e_f = ef.get(loc, 0)
         e_p = ep.get(loc, 0)
-        score = scorer(e_f, e_p, len(failing) - e_f, len(passing) - e_p)
+        score = ochiai(e_f, e_p, len(failing) - e_f, len(passing) - e_p)
         scored.append((loc, score))
     scored.sort(key=lambda item: (-item[1], item[0][0], item[0][1]))
     return [SuspiciousLocation(file=loc[0], line=loc[1], score=score, rank=i)

@@ -95,6 +95,7 @@ class MethodGroup:
     method: MethodRef | None
     file: str
     sibling_lines: set[int] = field(default_factory=set)
+    jaccard: float | None = None  # best Jaccard of its candidates, if scored
 
 
 _ASSIGN_OPS = r"(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"
@@ -236,7 +237,9 @@ def jaccard_filter(candidates: list[CandidateSibling], target: StatementContext,
 
 def group_by_method(candidates: list[CandidateSibling],
                     index: SourceIndex) -> list[MethodGroup]:
-    """One group per enclosing method; methodless candidates group per file."""
+    """One group per enclosing method; methodless candidates group per file.
+
+    Each group keeps the best Jaccard similarity among its candidates."""
     groups: dict[tuple, MethodGroup] = {}
     for cand in candidates:
         stmt = cand.context.target
@@ -248,4 +251,6 @@ def group_by_method(candidates: list[CandidateSibling],
             key = (stmt.file, -1, "")
             group = groups.setdefault(key, MethodGroup(method=None, file=stmt.file))
         group.sibling_lines.add(stmt.start_line)
+        if cand.jaccard_similarity is not None:
+            group.jaccard = max(group.jaccard or 0.0, cand.jaccard_similarity)
     return [groups[k] for k in sorted(groups)]

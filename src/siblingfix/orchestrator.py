@@ -12,6 +12,7 @@ import dataclasses
 import difflib
 import json
 import logging
+import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +23,7 @@ from .llm import Patch, RemoteChatBackend, ScriptedBackend
 from .localization import (CoverageError, SuspiciousLocation, apply_spfl,
                            load_coverage, ochiai_rank)
 from .source_index import SourceIndex, index_source
-from .validation import apply_patch
+from .validation import patched_texts
 
 logger = logging.getLogger(__name__)
 
@@ -158,22 +159,19 @@ class RunRecorder:
             text, encoding="utf-8")
 
 
-def patch_to_diff(project_root: Path, patch: Patch, index: SourceIndex) -> str:
-    """Unified diff of the patch against the pristine project."""
-    import shutil
-    workspace = apply_patch(project_root, patch, index)
-    try:
-        chunks = []
-        for rel in sorted({e.file for e in patch.edits}):
-            before = (project_root / rel).read_text(encoding="utf-8")
-            after = (workspace / rel).read_text(encoding="utf-8")
-            diff = difflib.unified_diff(
-                before.splitlines(keepends=True), after.splitlines(keepends=True),
-                fromfile=f"a/{rel}", tofile=f"b/{rel}")
-            chunks.append("".join(diff))
-        return "".join(chunks)
-    finally:
-        shutil.rmtree(workspace, ignore_errors=True)
+# Diff lines end at "\n" only, as the index counts them.
+_LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def patch_to_diff(patch: Patch, index: SourceIndex) -> str:
+    """Unified diff of the patch against the indexed project text."""
+    chunks = []
+    for rel, after in sorted(patched_texts(patch, index).items()):
+        diff = difflib.unified_diff(
+            _LINE_RE.findall(index.files[rel].text), _LINE_RE.findall(after),
+            fromfile=f"a/{rel}", tofile=f"b/{rel}")
+        chunks.append("".join(diff))
+    return "".join(chunks)
 
 
 def _make_run_dir(out_dir: Path) -> Path:
@@ -251,7 +249,7 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
     elapsed = time.monotonic() - start
     cache.flush()
 
-    diffs = [patch_to_diff(desc.project_root, p, index) for p in state.plausible]
+    diffs = [patch_to_diff(p, index) for p in state.plausible]
     patches_dir = run_dir / "patches"
     patches_dir.mkdir(exist_ok=True)
     for i, diff in enumerate(diffs, 1):

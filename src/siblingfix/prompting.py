@@ -14,6 +14,7 @@ from .ingredients import FixIngredient
 from .llm import OUTPUT_FORMAT_SPEC, Patch, render_patch
 from .matching import MethodGroup
 from .source_index import SourceIndex
+from .validation import StackFrame, TestReport
 
 SECTION_ORDER = ("role", "task", "reasoning-steps", "patch-definitions",
                  "buggy-methods", "test-results", "feedback", "ingredients")
@@ -53,18 +54,10 @@ class PromptBudgetError(Exception):
 
 
 @dataclass
-class StackFrameInfo:
-    unit: str
-    method: str
-    file: str
-    line: int
-
-
-@dataclass
 class FailingTest:
     test_id: str
     message: str
-    frames: list[StackFrameInfo] = field(default_factory=list)
+    frames: list[StackFrame] = field(default_factory=list)
 
 
 @dataclass
@@ -80,7 +73,7 @@ class BugEvidence:
 @dataclass
 class FeedbackEntry:
     patch: Patch | None
-    report: "object | None" = None  # validation.TestReport when present
+    report: TestReport | None = None
     note: str | None = None
 
 
@@ -187,16 +180,13 @@ def estimate_tokens(text: str) -> int:
 
 def build_prompt(groups: list[MethodGroup], evidence: BugEvidence,
                  feedback: list[FeedbackEntry], ingredients: list[FixIngredient],
-                 index: SourceIndex, token_budget: int = 24000,
-                 group_jaccard: dict[tuple[str, int], float] | None = None
+                 index: SourceIndex, token_budget: int = 24000
                  ) -> PromptBundle:
     """Render the eight-section repair prompt within the token budget.
 
     Over budget, truncation order: ingredients (lowest score first), then
-    feedback stack traces, then whole groups lowest-Jaccard-first.
-
-    group_jaccard maps (file, lowest sibling line) to the group's best
-    Jaccard similarity; missing entries are kept longest.
+    feedback stack traces, then whole groups lowest-Jaccard-first; groups
+    without a Jaccard score are kept longest.
     """
     if not groups:
         raise ValueError("build_prompt requires at least one method group")
@@ -214,11 +204,9 @@ def build_prompt(groups: list[MethodGroup], evidence: BugEvidence,
         bundle = _assemble(groups, evidence, feedback, ingredients, index,
                            5, feedback_frames)
     while estimate_tokens(bundle.text) > token_budget and len(groups) > 1:
-        jac = group_jaccard or {}
         drop = min(range(len(groups)),
-                   key=lambda i: jac.get(
-                       (groups[i].file, min(groups[i].sibling_lines)),
-                       float("inf")))
+                   key=lambda i: (float("inf") if groups[i].jaccard is None
+                                  else groups[i].jaccard))
         groups.pop(drop)
         bundle = _assemble(groups, evidence, feedback, ingredients, index,
                            5, feedback_frames)

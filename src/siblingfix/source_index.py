@@ -36,10 +36,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_$][\w$]*")
 _CALL_OPEN_RE = re.compile(r"\s*\(")
 
 
-class IndexError_(Exception):
-    """Raised for lookups against files the index does not know."""
-
-
 class StaleRefError(Exception):
     """Raised when a MethodRef no longer matches the indexed file bytes."""
 
@@ -78,7 +74,6 @@ class MethodRef:
     body_end: int
     class_name: str | None
     signature_text: str
-    signature_hash: str
     file_digest: str
 
     def contains(self, line: int) -> bool:
@@ -116,10 +111,6 @@ class SourceFile:
     classes: list[ClassRef]
     line_wise: bool = False
 
-    @property
-    def lines(self) -> list[str]:
-        return self.text.splitlines()
-
     # Lookup tables, built on first use and kept out of the dataclass fields
     # so equality still compares only what was indexed.
 
@@ -148,29 +139,26 @@ class SourceIndex:
     files: dict[str, SourceFile]
     warnings: list[str]
 
-    def _file(self, path: str) -> SourceFile:
-        if path not in self.files:
-            raise IndexError_(f"file not in index: {path}")
-        return self.files[path]
+    # Lookups index `files` directly: an unknown path raises KeyError.
 
     def statement_at(self, path: str, line: int) -> Statement | None:
         """Statement whose span contains the line; simple statements win,
         then the shortest span, then the earliest start."""
-        return _at(self._file(path).statement_by_line, line)
+        return _at(self.files[path].statement_by_line, line)
 
     def enclosing_method(self, path: str, line: int) -> MethodRef | None:
         """Innermost method whose body span contains the line, if any."""
-        return _at(self._file(path).method_by_line, line)
+        return _at(self.files[path].method_by_line, line)
 
     def method_body(self, ref: MethodRef) -> str:
-        sf = self._file(ref.file)
+        sf = self.files[ref.file]
         if sf.digest != ref.file_digest:
             raise StaleRefError(
                 f"stale method ref {ref.file}:{ref.name}: file changed since indexing")
         return _line_slice(sf.text, ref.body_start, ref.body_end)
 
     def methods_named(self, path: str, name: str) -> list[MethodRef]:
-        return [m for m in self._file(path).methods if m.name == name]
+        return [m for m in self.files[path].methods if m.name == name]
 
     def all_methods_named(self, name: str) -> list[MethodRef]:
         return [m for sf in self.files.values() for m in sf.methods if m.name == name]
@@ -179,7 +167,7 @@ class SourceIndex:
         return [c for sf in self.files.values() for c in sf.classes if c.name == name]
 
     def statements_in_method(self, ref: MethodRef) -> list[Statement]:
-        sf = self._file(ref.file)
+        sf = self.files[ref.file]
         lo = bisect_left(sf.statement_starts, ref.body_start)
         hi = bisect_right(sf.statement_starts, ref.body_end, lo)
         return [s for s in sf.statements[lo:hi] if s.end_line <= ref.body_end]
@@ -205,8 +193,12 @@ def _at(table: list, line: int):
 
 def _line_slice(text: str, start: int, end: int) -> str:
     """Verbatim text of inclusive 1-based line range, no trailing newline."""
-    lines = text.splitlines()
-    return "\n".join(lines[start - 1:end])
+    return "\n".join(text.split("\n")[start - 1:end])
+
+
+def text_digest(text: str) -> str:
+    """Digest of a file's text, as `SourceFile.digest` records it."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 _MASKED_RE = re.compile(r"""
@@ -351,7 +343,7 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
 
 def _linewise_statements(path: str, text: str) -> list[Statement]:
     stmts = []
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(text.split("\n"), start=1):
         if line.strip():
             stmts.append(Statement(path, i, i, line, "other"))
     return stmts
@@ -425,7 +417,6 @@ def _find_methods(path: str, text: str, masked: str, starts: list[int],
             body_start=body_start, body_end=body_end,
             class_name=cls.name if cls else None,
             signature_text=sig_text,
-            signature_hash=hashlib.sha1(sig_text.encode()).hexdigest()[:12],
             file_digest=digest,
         ))
     return methods
@@ -465,7 +456,7 @@ def _index_file(root: Path, rel: str, warnings: list[str]) -> SourceFile | None:
         warnings.append(f"unreadable file skipped: {rel}: {exc}")
         logger.warning("unreadable file skipped: %s: %s", rel, exc)
         return None
-    digest = hashlib.sha256(text.encode()).hexdigest()
+    digest = text_digest(text)
     masked, literals = _mask(text)
     if masked.count("{") != masked.count("}"):
         warnings.append(f"unbalanced braces, indexed line-wise: {rel}")

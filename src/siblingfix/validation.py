@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .llm import Patch
-from .source_index import SourceIndex, StaleRefError
+from .source_index import SourceIndex, text_digest
 
 logger = logging.getLogger(__name__)
 
@@ -90,10 +90,9 @@ class HarnessConfig:
     expected_tests: list[str] = field(default_factory=list)
 
 
-def apply_patch(project_root: str | Path, patch: Patch, index: SourceIndex,
-                workspace_root: str | Path | None = None) -> Path:
-    """Copy the project into a fresh workspace and replace edited spans."""
-    project_root = Path(project_root)
+def patched_texts(patch: Patch, index: SourceIndex) -> dict[str, str]:
+    """The text of each edited file with the patch applied, rendered from
+    the indexed text. Lines are split on "\n" only, as the index counts them."""
     spans: dict[str, list[tuple[int, int, str]]] = {}
     for edit in patch.edits:
         if edit.file not in index.files:
@@ -106,27 +105,36 @@ def apply_patch(project_root: str | Path, patch: Patch, index: SourceIndex,
             raise PatchApplicationError(
                 f"ambiguous method (overloads): {edit.file}:{edit.method}")
         ref = matches[0]
-        try:
-            index.method_body(ref)
-        except StaleRefError as exc:
-            raise PatchApplicationError(str(exc)) from exc
         spans.setdefault(edit.file, []).append(
             (ref.body_start, ref.body_end, edit.body))
-    workspace = Path(tempfile.mkdtemp(prefix="repair-ws-",
-                                      dir=workspace_root))
-    shutil.copytree(project_root, workspace, dirs_exist_ok=True)
+    texts = {}
     for rel, edits in spans.items():
-        path = workspace / rel
-        text = path.read_text(encoding="utf-8")
-        had_final_newline = text.endswith("\n")
-        lines = text.split("\n")
-        if had_final_newline:
-            lines = lines[:-1]
+        lines = index.files[rel].text.split("\n")
         # Apply bottom-up so earlier spans stay valid.
         for start, end, body in sorted(edits, reverse=True):
             lines[start - 1:end] = body.split("\n")
-        out = "\n".join(lines) + ("\n" if had_final_newline else "")
-        path.write_text(out, encoding="utf-8")
+        texts[rel] = "\n".join(lines)
+    return texts
+
+
+def apply_patch(project_root: str | Path, patch: Patch, index: SourceIndex,
+                workspace_root: str | Path | None = None) -> Path:
+    """Copy the project into a fresh workspace and write the edited files.
+
+    An edited file whose copy no longer has the indexed digest changed on
+    disk since indexing; the workspace is removed and the patch rejected.
+    """
+    texts = patched_texts(patch, index)
+    workspace = Path(tempfile.mkdtemp(prefix="repair-ws-",
+                                      dir=workspace_root))
+    shutil.copytree(project_root, workspace, dirs_exist_ok=True)
+    for rel, text in texts.items():
+        path = workspace / rel
+        if not path.is_file() or text_digest(
+                path.read_text(encoding="utf-8")) != index.files[rel].digest:
+            shutil.rmtree(workspace, ignore_errors=True)
+            raise PatchApplicationError(f"file changed since indexing: {rel}")
+        path.write_text(text, encoding="utf-8")
     return workspace
 
 

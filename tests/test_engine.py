@@ -174,3 +174,26 @@ def test_baseline_disagreement_is_fatal(mini_index, tmp_path, mini_coverage):
     engine.harness.command = "python3 -c \"import os;open(os.environ['RESULTS_PATH'],'w').write('')\""
     with pytest.raises(RuntimeError, match="no failing tests"):
         engine._ensure_baseline()
+
+
+def test_plausible_patch_is_fed_back_without_its_report(mini_index,
+                                                        mini_coverage,
+                                                        tmp_path):
+    class FixBackend:
+        def __init__(self):
+            self.feedback = []
+
+        def complete(self, request):
+            self.feedback.append(prompt_section(request.prompt, "feedback"))
+            return patch_response("getRms", "guessErrors", "getCovariances")
+
+    backend = FixBackend()
+    engine = make_engine(mini_index, mini_coverage, backend, tmp_path,
+                         attempts=2, cap=1)
+    state = engine.repair_bug(ochiai_rank(mini_coverage))
+    assert [(r.phase, r.verdict) for r in state.attempt_log][:2] == [
+        ("sim-A", "pass-all"), ("sim-A", "pass-all")]
+    second = backend.feedback[1]
+    assert "PREVIOUS PATCH:" in second
+    assert "OUTCOME: passed all tests (plausible)" in second
+    assert "TEST " not in second

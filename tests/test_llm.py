@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from siblingfix.llm import (BackendError, CompletionRequest, Patch, PatchEdit,
                             PatchParseError, RemoteChatBackend,
-                            ScriptedBackend, combine, complete, parse_patch,
+                            ScriptedBackend, combine, parse_patch,
                             render_patch)
 
 
@@ -110,7 +110,7 @@ def test_scripted_backend(tmp_path):
     (tmp_path / "loc1_attempt1.txt").write_text("hello", encoding="utf-8")
     backend = ScriptedBackend(tmp_path)
     req = CompletionRequest(prompt="p", location_id="loc1", attempt=1)
-    assert complete(req, backend) == "hello"
+    assert backend.complete(req) == "hello"
     with pytest.raises(BackendError):
         backend.complete(CompletionRequest(prompt="p", location_id="loc1",
                                            attempt=2))

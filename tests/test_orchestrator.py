@@ -4,8 +4,11 @@ import pytest
 
 from conftest import DESCRIPTOR, EXPECTED_DIFF, FIXTURES
 from siblingfix.cli import main, parse_duration
+from siblingfix.llm import Patch, PatchEdit
 from siblingfix.orchestrator import (DescriptorError, load_descriptor,
-                                     make_backend, make_provider, run)
+                                     make_backend, make_provider, patch_to_diff,
+                                     run)
+from siblingfix.source_index import index_source
 
 
 def test_load_descriptor_defaults():
@@ -75,6 +78,19 @@ def test_run_directory_artifacts(tmp_path):
     assert [p.name for p in responses] == ["src_Estimator_java_L4_attempt1.txt"]
     diff = (run_dir / "patches" / "plausible_1.diff").read_bytes()
     assert diff == EXPECTED_DIFF.read_bytes()
+
+
+def test_diff_lines_end_at_newline_only(tmp_path):
+    (tmp_path / "F.java").write_text(
+        "class F {\n  // page\x0cbreak\n  int f() {\n    return 1;\n  }\n}\n",
+        encoding="utf-8")
+    index = index_source(tmp_path, ["*.java"])
+    patch = Patch(edits=(PatchEdit("F.java", "f",
+                                   "  int f() {\n    return 2;\n  }"),))
+    assert patch_to_diff(patch, index) == (
+        "--- a/F.java\n+++ b/F.java\n@@ -1,6 +1,6 @@\n"
+        " class F {\n   // page\x0cbreak\n   int f() {\n"
+        "-    return 1;\n+    return 2;\n   }\n }\n")
 
 
 def test_report_schema(tmp_path):

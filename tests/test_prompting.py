@@ -5,8 +5,8 @@ from siblingfix.llm import Patch, PatchEdit
 from siblingfix.matching import MethodGroup
 from siblingfix.prompting import (ROLE_TEXT, SECTION_ORDER, SIBLING_MARKER,
                                   BugEvidence, FailingTest, FeedbackEntry,
-                                  PromptBudgetError, StackFrameInfo,
-                                  build_prompt, parse_sections)
+                                  PromptBudgetError, build_prompt,
+                                  parse_sections)
 from siblingfix.source_index import index_source
 from siblingfix.validation import StackFrame, TestReport, TestResult
 
@@ -15,14 +15,15 @@ def evidence():
     return BugEvidence(
         failing_tests=[FailingTest(
             "t_fail", "expected 1 but was 2",
-            [StackFrameInfo("T", "test_it", "T.java", 10),
-             StackFrameInfo("C", "work", "C.java", 42)])],
+            [StackFrame("T", "test_it", "T.java", 10),
+             StackFrame("C", "work", "C.java", 42)])],
         originally_failing_count=1)
 
 
-def one_group(index, file, line):
+def one_group(index, file, line, jaccard=None):
     method = index.enclosing_method(file, line)
-    return MethodGroup(method=method, file=file, sibling_lines={line})
+    return MethodGroup(method=method, file=file, sibling_lines={line},
+                       jaccard=jaccard)
 
 
 def test_all_eight_sections_in_order(mini_index):
@@ -126,17 +127,13 @@ def test_truncation_drops_ingredients_first(mini_index):
 
 
 def test_truncation_drops_lowest_jaccard_group(mini_index):
-    groups = [one_group(mini_index, "src/Estimator.java", 4),
-              one_group(mini_index, "src/Estimator.java", 10),
-              one_group(mini_index, "src/Estimator.java", 22)]
-    jac = {("src/Estimator.java", 4): 0.9,
-           ("src/Estimator.java", 10): 0.2,
-           ("src/Estimator.java", 22): 0.8}
-    full = build_prompt(groups, evidence(), [], [], mini_index,
-                        group_jaccard=jac)
+    groups = [one_group(mini_index, "src/Estimator.java", 4, jaccard=0.9),
+              one_group(mini_index, "src/Estimator.java", 10, jaccard=0.2),
+              one_group(mini_index, "src/Estimator.java", 22, jaccard=0.8)]
+    full = build_prompt(groups, evidence(), [], [], mini_index)
     budget = (len(full.text) // 4) - 30
     trimmed = build_prompt(groups, evidence(), [], [], mini_index,
-                           token_budget=budget, group_jaccard=jac)
+                           token_budget=budget)
     body = dict(parse_sections(trimmed.text))["buggy-methods"]
     assert "guessErrors" not in body  # lowest Jaccard dropped first
     assert "getRms" in body and "getCovariances" in body

@@ -1,17 +1,19 @@
 import hashlib
 import re
 import string
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siblingfix.llm import Patch, PatchEdit
 from siblingfix.source_index import (_CLASS_RE, _FIELD_NAME_RE, _SIGNATURE_NAME_RE,
-                                     KEYWORDS, ClassRef, FieldDecl, IndexError_,
-                                     MethodRef, SourceFile, Statement,
-                                     StaleRefError, _linewise_statements,
-                                     _signature_text, identifiers_in,
-                                     index_source, mask_code)
+                                     KEYWORDS, ClassRef, FieldDecl, MethodRef,
+                                     SourceFile, Statement, StaleRefError,
+                                     _linewise_statements, _signature_text,
+                                     identifiers_in, index_source, mask_code)
+from siblingfix.validation import patched_texts
 
 
 def write(tmp_path, name, text):
@@ -78,7 +80,7 @@ def test_enclosing_method_rules(tmp_path):
 def test_enclosing_method_unknown_file(tmp_path):
     write(tmp_path, "C.java", NESTED)
     index = index_source(tmp_path, ["*.java"])
-    with pytest.raises(IndexError_):
+    with pytest.raises(KeyError):
         index.enclosing_method("Missing.java", 1)
 
 
@@ -124,6 +126,28 @@ def test_one_line_method_body(tmp_path):
     index = index_source(tmp_path, ["*.java"])
     ref = index.methods_named("F.java", "g")[0]
     assert index.method_body(ref) == "int g(){ return 7; }"
+
+
+# Characters that str.splitlines() breaks at but the index does not.
+LINE_BREAK_LOOKALIKES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("char", LINE_BREAK_LOOKALIKES)
+def test_method_body_lines_end_at_newline_only(tmp_path, char):
+    write(tmp_path, "F.java",
+          f"class F {{\n  // page{char}break\n  int f() {{\n    return 1;\n  }}\n}}\n")
+    index = index_source(tmp_path, ["*.java"])
+    ref = index.methods_named("F.java", "f")[0]
+    assert (ref.body_start, ref.body_end) == (3, 5)
+    assert index.method_body(ref) == "  int f() {\n    return 1;\n  }"
+
+
+def test_linewise_lines_end_at_newline_only(tmp_path):
+    write(tmp_path, "Bad.java", "class Bad {\n  // a\x0cb\u2028c\n  int x;\n")
+    sf = index_source(tmp_path, ["*.java"]).files["Bad.java"]
+    assert sf.line_wise
+    assert [(s.start_line, s.text) for s in sf.statements] == [
+        (1, "class Bad {"), (2, "  // a\x0cb\u2028c"), (3, "  int x;")]
 
 
 def test_mask_code_preserves_length_and_newlines():
@@ -230,6 +254,8 @@ _STATEMENT = st.one_of(
     st.builds("// don't {0}\n{0} = 1;".format, _VAR),          # quotes in comments
     st.builds("/* say \"{0}\" */ {0} = 'q';".format, _VAR),
     st.builds("/*/ it's {0}; */ {0}++;".format, _VAR),
+    st.builds("// page\x0c{0}\n{0} = 2;".format, _VAR),        # splitlines() breaks
+    st.builds("/* {0}\u2028sep */ use({0});".format, _VAR),      # at these; "\n" does not
     st.builds("if ({0} > 0) {{\n use({0});\n }}".format, _VAR),
     st.builds("Runnable r = new Runnable() {{\n public void run() {{ use({}); }}\n}};"
               .format, _VAR),
@@ -441,7 +467,7 @@ def _ref_find_methods(path, text, masked, starts, classes, digest):
         methods.append(MethodRef(
             path, name, sig_line, min(sig_line, _ref_line_of(brace, starts)),
             _ref_line_of(close, starts), cls.name if cls else None, sig_text,
-            hashlib.sha1(sig_text.encode()).hexdigest()[:12], digest))
+            digest))
     return methods
 
 
@@ -494,3 +520,21 @@ def test_index_matches_character_loop(tmp_path_factory, text):
     ref = _ref_index_file("T.java", text)
     assert sf == ref
     assert [c.fields for c in sf.classes] == [c.fields for c in ref.classes]
+
+
+# -- patch rendering ------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(_FILE)
+def test_identity_patch_renders_indexed_text(tmp_path_factory, text):
+    """Replacing every method whose name is unique in its file with its own
+    indexed body leaves the file's text exactly as indexed."""
+    tmp = tmp_path_factory.mktemp("identity")
+    (tmp / "T.java").write_text(text, encoding="utf-8")
+    index = index_source(tmp, ["*.java"])
+    sf = index.files["T.java"]
+    names = Counter(m.name for m in sf.methods)
+    patch = Patch(edits=tuple(PatchEdit("T.java", m.name, index.method_body(m))
+                              for m in sf.methods if names[m.name] == 1))
+    expected = {"T.java": sf.text} if patch.edits else {}
+    assert patched_texts(patch, index) == expected

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import PROJECT, estimator_method
 from siblingfix.llm import Patch, PatchEdit
+from siblingfix.source_index import index_source
 from siblingfix.validation import (HarnessConfig, HarnessProtocolError,
                                    PatchApplicationError, StackFrame,
                                    TestReport, TestResult, align_traces,
@@ -47,6 +48,41 @@ def test_unresolvable_method_errors(mini_index, tmp_path):
     unknown_file = Patch(edits=(PatchEdit("src/Nope.java", "f", "x"),))
     with pytest.raises(PatchApplicationError):
         apply_patch(PROJECT, unknown_file, mini_index, workspace_root=tmp_path)
+
+
+def test_own_body_patch_is_identity_across_form_feed(tmp_path):
+    project = tmp_path / "project"
+    project.mkdir()
+    text = "class F {\n  // page\x0cbreak\n  int f() {\n    return 1;\n  }\n}\n"
+    (project / "F.java").write_text(text, encoding="utf-8")
+    index = index_source(project, ["*.java"])
+    ref = index.methods_named("F.java", "f")[0]
+    patch = Patch(edits=(PatchEdit("F.java", "f", index.method_body(ref)),))
+    ws = apply_patch(project, patch, index, workspace_root=tmp_path)
+    assert (ws / "F.java").read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("change", ["edit", "delete"])
+def test_file_changed_since_indexing_is_rejected(tmp_path, change):
+    project = tmp_path / "project"
+    project.mkdir()
+    source = project / "F.java"
+    source.write_text("class F {\n  int f() {\n    return 1;\n  }\n}\n",
+                      encoding="utf-8")
+    index = index_source(project, ["*.java"])
+    if change == "edit":
+        source.write_text("class F {\n  int g;\n  int f() {\n    return 1;\n"
+                          "  }\n}\n", encoding="utf-8")
+    else:
+        source.unlink()
+    workspaces = tmp_path / "workspaces"
+    workspaces.mkdir()
+    patch = Patch(edits=(PatchEdit("F.java", "f",
+                                   "  int f() {\n    return 2;\n  }"),))
+    with pytest.raises(PatchApplicationError,
+                       match="file changed since indexing: F.java"):
+        apply_patch(project, patch, index, workspace_root=workspaces)
+    assert list(workspaces.glob("repair-ws-*")) == []
 
 
 def harness_writing(tmp_path, records, sleep=0.0):
