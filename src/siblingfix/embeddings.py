@@ -11,14 +11,10 @@ import hashlib
 import json
 import logging
 import math
-import os
 import threading
-import time
-from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
+from .llm import RemoteClient
 from .matching import CandidateSibling, StatementContext, tokenize
 
 logger = logging.getLogger(__name__)
@@ -32,22 +28,12 @@ class EmbeddingError(Exception):
         self.indices = indices or []
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    dimension: int
-    components: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.dimension != len(self.components):
-            raise ValueError("dimension does not match component count")
-
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.components == b.components:
-        return 1.0 if any(a.components) else 0.0
-    dot = sum(x * y for x, y in zip(a.components, b.components))
-    na = math.sqrt(sum(x * x for x in a.components))
-    nb = math.sqrt(sum(x * x for x in b.components))
+def cosine(a: list[float], b: list[float]) -> float:
+    if a == b:
+        return 1.0 if any(a) else 0.0
+    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -77,43 +63,22 @@ class LocalHashProvider:
         return out
 
 
-class RemoteEmbeddingProvider:
+class RemoteEmbeddingProvider(RemoteClient):
     """POST {"input": texts, "model": name} -> {"data": [{"index", "embedding"}]}."""
 
     name = "remote"
+    timeout, error, what = 120, EmbeddingError, "embedding provider"
 
     def __init__(self, url: str, model: str, api_key_env: str = "EMBED_API_KEY",
-                 batch_size: int = 64, max_retries: int = 3,
-                 session: requests.Session | None = None,
-                 sleep=time.sleep):
-        self.url = url
-        self.model = model
-        self.api_key_env = api_key_env
+                 batch_size: int = 64, **kwargs):
+        super().__init__(url, model, api_key_env, **kwargs)
         self.batch_size = batch_size
-        self.max_retries = max_retries
-        self.session = session or requests.Session()
-        self._sleep = sleep
 
     def embed_batch(self, texts: list[str]) -> list[list[float]]:
-        headers = {}
-        key = os.environ.get(self.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        body = {"input": texts, "model": self.model}
-        last = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                resp = self.session.post(self.url, json=body, headers=headers,
-                                         timeout=120)
-                resp.raise_for_status()
-                data = resp.json()["data"]
-                return [row["embedding"]
-                        for row in sorted(data, key=lambda r: r["index"])]
-            except (requests.RequestException, KeyError, ValueError) as exc:
-                last = exc
-                if attempt < self.max_retries:
-                    self._sleep(2 ** attempt)
-        raise EmbeddingError(f"embedding provider failed after retries: {last}")
+        return self._post(
+            {"input": texts, "model": self.model},
+            lambda reply: [row["embedding"] for row in
+                           sorted(reply["data"], key=lambda r: r["index"])])
 
 
 class EmbeddingCache:
@@ -169,7 +134,7 @@ class EmbeddingCache:
 
 
 def embed(texts: list[str], provider,
-          cache: EmbeddingCache | None = None) -> list[EmbeddingVector]:
+          cache: EmbeddingCache | None = None) -> list[list[float]]:
     """One vector per input text, batched, cache-backed, order preserving."""
     results: list[list[float] | None] = [None] * len(texts)
     missing: list[int] = []
@@ -180,9 +145,8 @@ def embed(texts: list[str], provider,
                 results[i] = hit
                 continue
         missing.append(i)
-    batch_size = getattr(provider, "batch_size", 64)
-    for start in range(0, len(missing), batch_size):
-        indices = missing[start:start + batch_size]
+    for start in range(0, len(missing), provider.batch_size):
+        indices = missing[start:start + provider.batch_size]
         batch = [texts[i] for i in indices]
         try:
             vectors = provider.embed_batch(batch)
@@ -197,8 +161,7 @@ def embed(texts: list[str], provider,
             results[i] = vec
             if cache is not None:
                 cache.put(EmbeddingCache.key(provider, texts[i]), vec)
-    return [EmbeddingVector(dimension=len(v), components=tuple(v))
-            for v in results]
+    return results
 
 
 def embedding_match(target: StatementContext, candidates: list[CandidateSibling],
@@ -210,10 +173,9 @@ def embedding_match(target: StatementContext, candidates: list[CandidateSibling]
     if not candidates:
         return []
     texts = [target.rendered] + [c.context.rendered for c in candidates]
-    vectors = embed(texts, provider, cache)
-    target_vec = vectors[0]
+    target_vec, *vectors = embed(texts, provider, cache)
     kept = []
-    for cand, vec in zip(candidates, vectors[1:]):
+    for cand, vec in zip(candidates, vectors):
         sim = cosine(target_vec, vec)
         cand.embedding_similarity = sim
         if sim >= theta:

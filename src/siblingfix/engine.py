@@ -8,16 +8,19 @@ attempt, and an in-flight validation is allowed to finish.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .embeddings import EmbeddingCache, embedding_match
 from .ingredients import extract_fix_ingredients
 from .llm import (BackendError, CompletionRequest, Patch, PatchParseError,
-                  combine, parse_patch)
+                  attempt_file, combine, parse_patch)
 from .localization import CoverageMatrix, SuspiciousLocation
 from .matching import (CandidateSibling, StatementContext, TokenPool,
                        extract_context, group_by_method, jaccard_filter,
@@ -78,16 +81,16 @@ class _BudgetExhausted(Exception):
     pass
 
 
-class _NullRecorder:
-    def prompt(self, location_id: str, attempt: int, text: str) -> None:
-        pass
-
-    def response(self, location_id: str, attempt: int, text: str) -> None:
-        pass
+def _safe_name(file: str) -> str:
+    return "".join(c if c.isalnum() else "_" for c in file)
 
 
-def location_id(file: str, line: int) -> str:
-    safe = "".join(c if c.isalnum() else "_" for c in file)
+def location_id(file: str, line: int, shared: frozenset[str] = frozenset()) -> str:
+    """`<safe path>_L<line>`, with the path's SHA-1 prefix if `shared`
+    (safe paths of more than one indexed path) holds the safe path."""
+    safe = _safe_name(file)
+    if safe in shared:
+        safe += "_" + hashlib.sha1(file.encode()).hexdigest()[:8]
     return f"{safe}_L{line}"
 
 
@@ -99,7 +102,8 @@ class RepairEngine:
     def __init__(self, project_root: str, index: SourceIndex,
                  coverage: CoverageMatrix, backend, provider,
                  harness_command: str, config: RepairConfig,
-                 cache: EmbeddingCache | None = None, recorder=None,
+                 cache: EmbeddingCache | None = None,
+                 run_dir: str | Path | None = None,
                  workspace_root: str | None = None):
         self.project_root = project_root
         self.index = index
@@ -108,7 +112,12 @@ class RepairEngine:
         self.provider = provider
         self.config = config
         self.cache = cache
-        self.recorder = recorder or _NullRecorder()
+        self.run_dir = Path(run_dir) if run_dir else None
+        if self.run_dir:
+            for sub in ("prompts", "responses"):
+                (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
+        names = Counter(map(_safe_name, index.files))
+        self._shared_names = frozenset(n for n, c in names.items() if c > 1)
         self.workspace_root = workspace_root
         self.harness = HarnessConfig(
             command=harness_command, timeout=config.test_timeout,
@@ -126,6 +135,11 @@ class RepairEngine:
     def _check_budget(self) -> None:
         if time.monotonic() >= self._deadline:
             raise _BudgetExhausted()
+
+    def _save(self, sub: str, loc_id: str, attempt: int, text: str) -> None:
+        if self.run_dir:
+            (self.run_dir / sub / attempt_file(loc_id, attempt)).write_text(
+                text, encoding="utf-8")
 
     def _next_attempt(self, loc_id: str) -> int:
         self._attempt_counters[loc_id] = self._attempt_counters.get(loc_id, 0) + 1
@@ -204,14 +218,14 @@ class RepairEngine:
             record("prompt-error")
             return "prompt-error", FeedbackEntry(
                 patch=None, note=f"prompt construction failed: {exc}")
-        self.recorder.prompt(loc_id, attempt_no, bundle.text)
+        self._save("prompts", loc_id, attempt_no, bundle.text)
         self.prompt_chars += len(bundle.text)
         self.requests += 1
         response = self.backend.complete(CompletionRequest(
             prompt=bundle.text, temperature=self.config.temperature,
-            max_tokens=self.config.max_tokens, seed=attempt_no,
-            location_id=loc_id, attempt=attempt_no))
-        self.recorder.response(loc_id, attempt_no, response)
+            max_tokens=self.config.max_tokens, location_id=loc_id,
+            attempt=attempt_no))
+        self._save("responses", loc_id, attempt_no, response)
         try:
             patch = parse_patch(response)
         except PatchParseError as exc:
@@ -332,7 +346,7 @@ class RepairEngine:
                 if stmt is None:
                     logger.info("no statement at %s:%d", loc.file, loc.line)
                     continue
-                loc_id = location_id(loc.file, loc.line)
+                loc_id = location_id(loc.file, loc.line, self._shared_names)
                 target = extract_context(self.index, stmt)
                 token_cands = token_match(target, pool, limit=self.config.k)
                 cands = embedding_match(target, token_cands, self.config.theta,

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .matching import MethodGroup, sparse_cosine, tfidf_vectors, tokenize
+from .matching import MethodGroup, tfidf_similarities, tokenize
 from .source_index import ClassRef, SourceIndex, Statement, identifiers_in
 
 logger = logging.getLogger(__name__)
@@ -125,18 +125,10 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
             decls = []
             for key in sorted(classes):
                 decls.extend(_class_declarations(classes[key]))
-            line_tokens = tokenize(stmt.text)
-            docs = [line_tokens] + [tokenize(d.signature_text) for d in decls]
-            vectors = tfidf_vectors(docs)
-            scored = [
-                (sparse_cosine(vectors[0], vec),
-                 FixIngredient(d.kind, d.signature_text, d.declaring_class,
-                               d.source_file, sparse_cosine(vectors[0], vec),
-                               d.line))
-                for vec, d in zip(vectors[1:], decls)
-            ]
-            scored.sort(key=lambda item: (-item[0], item[1].source_file,
-                                          item[1].line))
-            for _, ing in scored[:n]:
+            sims = tfidf_similarities(tokenize(stmt.text),
+                                      [tokenize(d.signature_text) for d in decls])
+            scored = sorted((replace(d, rank_score=s) for s, d in zip(sims, decls)),
+                            key=lambda d: (-d.rank_score, d.source_file, d.line))
+            for ing in scored[:n]:
                 add(ing)
     return list(result.values())

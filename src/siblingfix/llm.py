@@ -8,7 +8,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import requests
@@ -66,7 +66,6 @@ class CompletionRequest:
     prompt: str
     temperature: float = 0.7
     max_tokens: int = 4096
-    seed: int = 0
     location_id: str = ""
     attempt: int = 1
 
@@ -75,8 +74,13 @@ class CompletionRequest:
             raise ValueError("temperature must be >= 0")
 
 
+def attempt_file(location_id: str, attempt: int) -> str:
+    """Name of an attempt's prompt, response and scripted-response files."""
+    return f"{location_id}_attempt{attempt}.txt"
+
+
 class ScriptedBackend:
-    """Deterministic backend reading `<location-id>_attempt<k>.txt` files."""
+    """Deterministic backend reading `attempt_file` files from a directory."""
 
     def __init__(self, directory: str | Path, on_missing: str = "error"):
         if on_missing not in ("error", "empty"):
@@ -85,7 +89,7 @@ class ScriptedBackend:
         self.on_missing = on_missing
 
     def complete(self, request: CompletionRequest) -> str:
-        path = self.directory / f"{request.location_id}_attempt{request.attempt}.txt"
+        path = self.directory / attempt_file(request.location_id, request.attempt)
         if not path.exists():
             if self.on_missing == "empty":
                 return ""
@@ -93,10 +97,12 @@ class ScriptedBackend:
         return path.read_text(encoding="utf-8")
 
 
-class RemoteChatBackend:
-    """Chat-completion POST with bearer auth and exponential-backoff retries."""
+class RemoteClient:
+    """Bearer-auth JSON POST with exponential-backoff retries. Subclasses
+    set the request `timeout`, the `error` raised once retries run out, and
+    `what` they request, for log and error messages."""
 
-    def __init__(self, url: str, model: str, api_key_env: str = "LLM_API_KEY",
+    def __init__(self, url: str, model: str, api_key_env: str,
                  max_retries: int = 3, session: requests.Session | None = None,
                  sleep=time.sleep):
         self.url = url
@@ -106,31 +112,45 @@ class RemoteChatBackend:
         self.session = session or requests.Session()
         self._sleep = sleep
 
-    def complete(self, request: CompletionRequest) -> str:
-        headers = {}
+    def _post(self, body: dict, read):
+        """`read(reply JSON)` of the first reply that `read` accepts."""
         key = os.environ.get(self.api_key_env)
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
+        headers = {"Authorization": f"Bearer {key}"} if key else {}
+        last = None
+        for attempt in range(self.max_retries + 1):
+            try:
+                resp = self.session.post(self.url, json=body, headers=headers,
+                                         timeout=self.timeout)
+                resp.raise_for_status()
+                return read(resp.json())
+            except (requests.RequestException, KeyError, IndexError,
+                    TypeError, ValueError) as exc:
+                last = exc
+                logger.warning("%s attempt %d failed: %s", self.what,
+                               attempt + 1, exc)
+                if attempt < self.max_retries:
+                    self._sleep(2 ** attempt)
+        raise self.error(f"{self.what} failed after retries: {last}")
+
+
+class RemoteChatBackend(RemoteClient):
+    """Chat-completion POST; the reply's first choice is the response."""
+
+    timeout, error, what = 300, BackendError, "completion"
+
+    def __init__(self, url: str, model: str, api_key_env: str = "LLM_API_KEY",
+                 **kwargs):
+        super().__init__(url, model, api_key_env, **kwargs)
+
+    def complete(self, request: CompletionRequest) -> str:
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        last = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                resp = self.session.post(self.url, json=body, headers=headers,
-                                         timeout=300)
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError,
-                    ValueError) as exc:
-                last = exc
-                logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
-                if attempt < self.max_retries:
-                    self._sleep(2 ** attempt)
-        raise BackendError(f"completion failed after retries: {last}")
+        return self._post(
+            body, lambda reply: reply["choices"][0]["message"]["content"])
 
 
 def parse_patch(response: str) -> Patch:

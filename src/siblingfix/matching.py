@@ -42,8 +42,12 @@ def tfidf_vectors(docs: list[list[str]]) -> list[dict[str, float]]:
     return vectors
 
 
-def sparse_cosine(a: dict[str, float], b: dict[str, float]) -> float:
-    return _cosine(a, _norm(a), b, _norm(b))
+def tfidf_similarities(query: list[str], docs: list[list[str]]) -> list[float]:
+    """TF-IDF cosine of each doc against the query, over the corpus of the
+    query plus the docs."""
+    vectors = tfidf_vectors([query] + docs)
+    q, qn = vectors[0], _norm(vectors[0])
+    return [_cosine(q, qn, v, _norm(v)) for v in vectors[1:]]
 
 
 def _norm(v: dict[str, float]) -> float:
@@ -55,7 +59,7 @@ def _cosine(a: dict[str, float], na: float, b: dict[str, float],
     """Cosine from precomputed norms. The dot product walks the smaller
     vector, and `a` when both have the same length, so swapping equal-length
     arguments may change the last bits. `TokenPool.score` passes the target
-    first, as `_score` does, to get the same floats."""
+    first, as `tfidf_similarities` does, to get the same floats."""
     if len(b) < len(a):
         a, b = b, a
     dot = sum(v * b.get(t, 0.0) for t, v in a.items())
@@ -191,11 +195,9 @@ def _score(target: StatementContext, pool: list[StatementContext]
     """Cosine against the target of every pool context but the target's
     own, over the corpus of the target plus those contexts."""
     candidates = [ctx for ctx in pool if ctx.key != target.key]
-    docs = [tokenize(target.rendered)] + [tokenize(c.rendered) for c in candidates]
-    vectors = tfidf_vectors(docs)
-    target_vec = vectors[0]
-    return [(sparse_cosine(target_vec, vec), ctx)
-            for vec, ctx in zip(vectors[1:], candidates)]
+    return list(zip(tfidf_similarities(tokenize(target.rendered),
+                                       [tokenize(c.rendered) for c in candidates]),
+                    candidates))
 
 
 def token_match(target: StatementContext,

@@ -141,24 +141,6 @@ def make_provider(spec: dict):
     raise DescriptorError(f"unknown provider type: {kind!r}")
 
 
-class RunRecorder:
-    """Persists every prompt and raw response under the run directory."""
-
-    def __init__(self, run_dir: Path):
-        self.prompts = run_dir / "prompts"
-        self.responses = run_dir / "responses"
-        self.prompts.mkdir(parents=True, exist_ok=True)
-        self.responses.mkdir(parents=True, exist_ok=True)
-
-    def prompt(self, location_id: str, attempt: int, text: str) -> None:
-        (self.prompts / f"{location_id}_attempt{attempt}.txt").write_text(
-            text, encoding="utf-8")
-
-    def response(self, location_id: str, attempt: int, text: str) -> None:
-        (self.responses / f"{location_id}_attempt{attempt}.txt").write_text(
-            text, encoding="utf-8")
-
-
 # Diff lines end at "\n" only, as the index counts them.
 _LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")
 
@@ -237,14 +219,13 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         return 2, {"error": str(exc)}, None
 
     run_dir = _make_run_dir(Path(out_dir))
-    recorder = RunRecorder(run_dir)
-    cache = EmbeddingCache(desc.cache_path) if desc.cache_path else EmbeddingCache()
+    cache = EmbeddingCache(desc.cache_path)
     start = time.monotonic()
     engine = RepairEngine(
         project_root=str(desc.project_root), index=index, coverage=coverage,
         backend=backend, provider=provider,
         harness_command=desc.harness_command, config=desc.config,
-        cache=cache, recorder=recorder)
+        cache=cache, run_dir=run_dir)
     state = engine.repair_bug(suspicious)
     elapsed = time.monotonic() - start
     cache.flush()

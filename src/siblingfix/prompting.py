@@ -23,6 +23,7 @@ _MARKER = "### SECTION: {name}"
 _MARKER_RE = re.compile(r"^### SECTION: ([a-z-]+)$", re.MULTILINE)
 
 SIBLING_MARKER = "// SIBLING"
+EVIDENCE_FRAMES = 5  # frames shown per originally failing test
 
 ROLE_TEXT = "You are an Automated Program Repair Tool."
 
@@ -116,12 +117,15 @@ def _render_group(group: MethodGroup, index: SourceIndex) -> str:
     return header + "\n" + "\n".join(rendered)
 
 
-def _render_evidence(evidence: BugEvidence, max_frames: int) -> str:
+def _render_frame(f: StackFrame) -> str:
+    return f"    at {f.unit}.{f.method} ({f.file}:{f.line})"
+
+
+def _render_evidence(evidence: BugEvidence) -> str:
     parts = [f"Originally failing tests: {evidence.originally_failing_count}"]
     for t in evidence.failing_tests:
         parts.append(f"FAILING TEST {t.test_id}: {t.message}")
-        for f in t.frames[:max_frames]:
-            parts.append(f"    at {f.unit}.{f.method} ({f.file}:{f.line})")
+        parts.extend(map(_render_frame, t.frames[:EVIDENCE_FRAMES]))
     return "\n".join(parts)
 
 
@@ -144,8 +148,7 @@ def _render_feedback(feedback: list[FeedbackEntry], include_frames: bool) -> str
             parts.append(f"TEST {r.test}: {r.status}"
                          + (f" - {r.message}" if r.message else ""))
             if include_frames:
-                for f in r.frames:
-                    parts.append(f"    at {f.unit}.{f.method} ({f.file}:{f.line})")
+                parts.extend(map(_render_frame, r.frames))
     return "\n".join(parts)
 
 
@@ -158,14 +161,14 @@ def _render_ingredients(ingredients: list[FixIngredient]) -> str:
 
 
 def _assemble(groups, evidence, feedback, ingredients, index,
-              max_frames: int, feedback_frames: bool) -> PromptBundle:
+              feedback_frames: bool) -> PromptBundle:
     sections = [
         ("role", ROLE_TEXT),
         ("task", TASK_TEXT),
         ("reasoning-steps", REASONING_TEXT),
         ("patch-definitions", DEFINITIONS_TEXT),
         ("buggy-methods", "\n\n".join(_render_group(g, index) for g in groups)),
-        ("test-results", _render_evidence(evidence, max_frames)),
+        ("test-results", _render_evidence(evidence)),
         ("feedback", _render_feedback(feedback, feedback_frames)),
         ("ingredients", _render_ingredients(ingredients)),
     ]
@@ -184,34 +187,29 @@ def build_prompt(groups: list[MethodGroup], evidence: BugEvidence,
                  ) -> PromptBundle:
     """Render the eight-section repair prompt within the token budget.
 
-    Over budget, truncation order: ingredients (lowest score first), then
-    feedback stack traces, then whole groups lowest-Jaccard-first; groups
-    without a Jaccard score are kept longest.
+    Over budget, each pass cuts the lowest-scored ingredient, else the
+    feedback stack traces, else the lowest-Jaccard group (groups without
+    a Jaccard score are kept longest), else raises PromptBudgetError.
     """
     if not groups:
         raise ValueError("build_prompt requires at least one method group")
     groups = list(groups)
     ingredients = sorted(ingredients, key=lambda i: -i.rank_score)
     feedback_frames = True
-    bundle = _assemble(groups, evidence, feedback, ingredients, index,
-                       max_frames=5, feedback_frames=feedback_frames)
-    while estimate_tokens(bundle.text) > token_budget and ingredients:
-        ingredients = ingredients[:-1]
+    while True:
         bundle = _assemble(groups, evidence, feedback, ingredients, index,
-                           5, feedback_frames)
-    if estimate_tokens(bundle.text) > token_budget and feedback_frames:
-        feedback_frames = False
-        bundle = _assemble(groups, evidence, feedback, ingredients, index,
-                           5, feedback_frames)
-    while estimate_tokens(bundle.text) > token_budget and len(groups) > 1:
-        drop = min(range(len(groups)),
-                   key=lambda i: (float("inf") if groups[i].jaccard is None
-                                  else groups[i].jaccard))
-        groups.pop(drop)
-        bundle = _assemble(groups, evidence, feedback, ingredients, index,
-                           5, feedback_frames)
-    if estimate_tokens(bundle.text) > token_budget:
-        raise PromptBudgetError(
-            f"prompt needs ~{estimate_tokens(bundle.text)} tokens, "
-            f"budget is {token_budget}")
-    return bundle
+                           feedback_frames)
+        if estimate_tokens(bundle.text) <= token_budget:
+            return bundle
+        if ingredients:
+            ingredients.pop()
+        elif feedback_frames:
+            feedback_frames = False
+        elif len(groups) > 1:
+            groups.pop(min(range(len(groups)),
+                           key=lambda i: (float("inf") if groups[i].jaccard is None
+                                          else groups[i].jaccard)))
+        else:
+            raise PromptBudgetError(
+                f"prompt needs ~{estimate_tokens(bundle.text)} tokens, "
+                f"budget is {token_budget}")

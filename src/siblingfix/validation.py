@@ -93,7 +93,7 @@ class HarnessConfig:
 def patched_texts(patch: Patch, index: SourceIndex) -> dict[str, str]:
     """The text of each edited file with the patch applied, rendered from
     the indexed text. Lines are split on "\n" only, as the index counts them."""
-    spans: dict[str, list[tuple[int, int, str]]] = {}
+    spans: dict[str, list[tuple[int, int, str, str]]] = {}
     for edit in patch.edits:
         if edit.file not in index.files:
             raise PatchApplicationError(f"file not indexed: {edit.file}")
@@ -106,12 +106,20 @@ def patched_texts(patch: Patch, index: SourceIndex) -> dict[str, str]:
                 f"ambiguous method (overloads): {edit.file}:{edit.method}")
         ref = matches[0]
         spans.setdefault(edit.file, []).append(
-            (ref.body_start, ref.body_end, edit.body))
+            (ref.body_start, ref.body_end, edit.method, edit.body))
     texts = {}
     for rel, edits in spans.items():
         lines = index.files[rel].text.split("\n")
+        # An edit giving its lines their own text changes nothing; any other
+        # overlap, such as a method and one nested in it, is refused.
+        edits = sorted((start, end, method, body) for start, end, method, body in edits
+                       if body != "\n".join(lines[start - 1:end]))
+        for (_, end, outer, _), (start, _, inner, _) in zip(edits, edits[1:]):
+            if start <= end:
+                raise PatchApplicationError(
+                    f"overlapping edits: {rel}:{outer} and {rel}:{inner}")
         # Apply bottom-up so earlier spans stay valid.
-        for start, end, body in sorted(edits, reverse=True):
+        for start, end, _, body in reversed(edits):
             lines[start - 1:end] = body.split("\n")
         texts[rel] = "\n".join(lines)
     return texts
@@ -190,20 +198,22 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
     return TestReport(results=results, wall_time=wall, harness_exit=exit_code)
 
 
-def _frames_equal(a: StackFrame, b: StackFrame) -> bool:
-    if (a.unit, a.method, a.file) != (b.unit, b.method, b.file):
-        return False
-    # Unknown line (0) compares equal to anything.
-    return a.line == b.line or a.line == 0 or b.line == 0
+def _divergence(before: list[StackFrame], after: list[StackFrame]) -> int:
+    """Length of the common prefix of two traces; line 0 matches any line."""
+    d = 0
+    for b, a in zip(before, after):
+        if ((b.unit, b.method, b.file) != (a.unit, a.method, a.file)
+                or b.line and a.line and b.line != a.line):
+            break
+        d += 1
+    return d
 
 
 def align_traces(before: list[StackFrame], after: list[StackFrame]) -> str:
     """'identical', 'progressed', or 'other' per the frame-walk rules."""
     if not before:
         return "other"
-    d = 0
-    while d < len(before) and d < len(after) and _frames_equal(before[d], after[d]):
-        d += 1
+    d = _divergence(before, after)
     if d == len(before) and d == len(after):
         return "identical"
     if d >= len(before) or d >= len(after):
@@ -244,10 +254,7 @@ def classify(baseline: TestReport, patched: TestReport) -> PatchVerdict:
         if patched_result.status == "pass":
             continue
         if align_traces(r.frames, patched_result.frames) == "progressed":
-            d = 0
-            while (d < len(r.frames) and d < len(patched_result.frames)
-                   and _frames_equal(r.frames[d], patched_result.frames[d])):
-                d += 1
+            d = _divergence(r.frames, patched_result.frames)
             progress = TraceProgress(test=test, divergence_index=d,
                                      before=r.frames[d],
                                      after=patched_result.frames[d])

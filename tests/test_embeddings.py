@@ -3,9 +3,8 @@ import math
 import pytest
 
 from siblingfix.embeddings import (EmbeddingCache, EmbeddingError,
-                                   EmbeddingVector, LocalHashProvider,
-                                   RemoteEmbeddingProvider, cosine, embed,
-                                   embedding_match)
+                                   LocalHashProvider, RemoteEmbeddingProvider,
+                                   cosine, embed, embedding_match)
 from siblingfix.matching import CandidateSibling, StatementContext
 from siblingfix.source_index import Statement
 
@@ -24,8 +23,8 @@ def test_local_provider_deterministic():
     provider = LocalHashProvider(dimension=32)
     a, b = embed(["int x = compute();", "int x = compute();"], provider)
     assert a == b
-    assert a.dimension == 32
-    assert math.isclose(math.sqrt(sum(c * c for c in a.components)), 1.0,
+    assert len(a) == 32
+    assert math.isclose(math.sqrt(sum(c * c for c in a)), 1.0,
                         abs_tol=1e-12)
 
 
@@ -45,17 +44,12 @@ def test_wrong_count_is_protocol_error():
     assert err.value.indices == [0, 1, 2]
 
 
-def test_vector_dimension_validated():
-    with pytest.raises(ValueError):
-        EmbeddingVector(dimension=3, components=(1.0,))
-
-
 def test_cosine_identical_and_zero():
-    v = EmbeddingVector(2, (0.6, 0.8))
+    v = [0.6, 0.8]
     assert cosine(v, v) == 1.0
-    zero = EmbeddingVector(2, (0.0, 0.0))
+    zero = [0.0, 0.0]
     assert cosine(zero, zero) == 0.0
-    assert cosine(v, EmbeddingVector(2, (-0.6, -0.8))) == pytest.approx(-1.0)
+    assert cosine(v, [-0.6, -0.8]) == pytest.approx(-1.0)
 
 
 def ctx(text, file, line):
@@ -141,7 +135,7 @@ def test_corrupt_cache_entry_recomputed():
     cache._data[key] = "garbage"
     (vec,) = embed(["x"], provider, cache)
     assert provider.calls == 1
-    assert vec.dimension == provider.dimension
+    assert len(vec) == provider.dimension
 
 
 def test_corrupt_store_ignored(tmp_path):
@@ -169,9 +163,11 @@ class FakeSession:
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = 0
+        self.kwargs = []
 
     def post(self, *args, **kwargs):
         self.calls += 1
+        self.kwargs.append(kwargs)
         return self.responses.pop(0)
 
 
@@ -193,3 +189,28 @@ def test_remote_provider_exhausts_retries():
     with pytest.raises(EmbeddingError):
         provider.embed_batch(["a"])
     assert session.calls == 4
+
+
+def test_remote_provider_sends_bearer_key_and_backs_off(monkeypatch):
+    monkeypatch.setenv("EMBED_API_KEY", "embed-secret")
+    sleeps = []
+    session = FakeSession([FakeResponse(fail=True)] * 4)
+    provider = RemoteEmbeddingProvider("http://x", "m", session=session,
+                                       sleep=sleeps.append)
+    with pytest.raises(EmbeddingError):
+        provider.embed_batch(["a"])
+    assert sleeps == [1, 2, 4]
+    assert {kw["headers"]["Authorization"] for kw in session.kwargs} == {
+        "Bearer embed-secret"}
+    assert {kw["timeout"] for kw in session.kwargs} == {120}
+
+
+def test_remote_provider_retries_malformed_reply():
+    sleeps = []
+    session = FakeSession([FakeResponse({"data": [None]})] * 4)
+    provider = RemoteEmbeddingProvider("http://x", "m", session=session,
+                                       sleep=sleeps.append)
+    with pytest.raises(EmbeddingError):
+        provider.embed_batch(["a"])
+    assert session.calls == 4
+    assert sleeps == [1, 2, 4]

@@ -1,12 +1,15 @@
+import hashlib
 import re
 
 import pytest
 
 from conftest import RESPONSES, PROJECT, RuleBackend, patch_response, prompt_section
 from siblingfix import (EmbeddingCache, LocalHashProvider, RepairConfig,
-                        RepairEngine, ochiai_rank, parse_patch)
+                        RepairEngine, SuspiciousLocation, index_source,
+                        ochiai_rank, parse_patch)
 from siblingfix.engine import location_id
 from siblingfix.llm import ScriptedBackend
+from siblingfix.localization import CoverageMatrix
 
 
 def make_engine(mini_index, mini_coverage, backend, tmp_path, **cfg):
@@ -20,6 +23,46 @@ def make_engine(mini_index, mini_coverage, backend, tmp_path, **cfg):
 
 def test_location_id():
     assert location_id("src/Estimator.java", 4) == "src_Estimator_java_L4"
+
+
+def test_colliding_paths_get_their_own_location_ids(tmp_path):
+    """`src/A.java` and `src_A.java` have one safe name. Each gets the path's
+    SHA-1 prefix, so their attempt counters and prompt and response files
+    stay apart; `B.java`, which shares its safe name with no path, keeps
+    the plain id."""
+    project = tmp_path / "project"
+    (project / "src").mkdir(parents=True)
+    paths = ["src/A.java", "src_A.java", "B.java"]
+    for i, rel in enumerate(paths):
+        (project / rel).write_text(
+            f"class C{i} {{\n    int f() {{\n        return total + 1;\n    }}\n}}\n",
+            encoding="utf-8")
+    (project / "harness.py").write_text(
+        "import json, os\n"
+        "with open(os.environ['RESULTS_PATH'], 'w') as fh:\n"
+        "    json.dump({'test': 't', 'status': 'fail'}, fh)\n", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    engine = RepairEngine(
+        project_root=str(project), index=index_source(project, ["**/*.java"]),
+        coverage=CoverageMatrix(tests=[("t", "fail")],
+                                covered={"t": {(rel, 3) for rel in paths}}),
+        backend=ProseBackend(), provider=LocalHashProvider(),
+        cache=EmbeddingCache(), harness_command="python3 harness.py",
+        config=RepairConfig(attempts=1), run_dir=run_dir,
+        workspace_root=str(tmp_path))
+    state = engine.repair_bug([SuspiciousLocation(rel, 3, 1.0, i)
+                               for i, rel in enumerate(paths, 1)])
+    assert state.stopped == "exhausted"
+    sha = {rel: hashlib.sha1(rel.encode()).hexdigest()[:8] for rel in paths}
+    ids = [f"src_A_java_{sha['src/A.java']}_L3", f"src_A_java_{sha['src_A.java']}_L3",
+           "B_java_L3"]
+    assert list(state.candidate_counts) == ids
+    for loc in ids:
+        attempts = [r.attempt for r in state.attempt_log if r.location == loc]
+        assert attempts == list(range(1, len(attempts) + 1)) and attempts
+    names = {f"{r.location}_attempt{r.attempt}.txt" for r in state.attempt_log}
+    assert {p.name for p in (run_dir / "prompts").iterdir()} == names
+    assert {p.name for p in (run_dir / "responses").iterdir()} == names
 
 
 def test_config_validation():

@@ -141,9 +141,11 @@ class FakeSession:
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = 0
+        self.kwargs = []
 
     def post(self, *args, **kwargs):
         self.calls += 1
+        self.kwargs.append(kwargs)
         return self.responses.pop(0)
 
 
@@ -158,6 +160,35 @@ def test_remote_backend_retries_then_succeeds():
 
 def test_remote_backend_exhausts_retries():
     session = FakeSession([FakeResponse(fail=True)] * 4)
+    backend = RemoteChatBackend("http://x", "model", session=session,
+                                sleep=lambda s: None)
+    with pytest.raises(BackendError):
+        backend.complete(CompletionRequest(prompt="p"))
+    assert session.calls == 4
+
+
+def test_remote_backend_sends_bearer_key_and_backs_off(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "chat-secret")
+    sleeps = []
+    session = FakeSession([FakeResponse(fail=True)] * 4)
+    backend = RemoteChatBackend("http://x", "model", session=session,
+                                sleep=sleeps.append)
+    with pytest.raises(BackendError):
+        backend.complete(CompletionRequest(prompt="p"))
+    assert sleeps == [1, 2, 4]
+    assert {kw["headers"]["Authorization"] for kw in session.kwargs} == {
+        "Bearer chat-secret"}
+    assert {kw["timeout"] for kw in session.kwargs} == {300}
+    monkeypatch.delenv("LLM_API_KEY")
+    ok = FakeResponse({"choices": [{"message": {"content": "patched"}}]})
+    session = FakeSession([ok])
+    RemoteChatBackend("http://x", "model", session=session).complete(
+        CompletionRequest(prompt="p"))
+    assert session.kwargs[0]["headers"] == {}
+
+
+def test_remote_backend_retries_malformed_reply():
+    session = FakeSession([FakeResponse({"choices": [None]})] * 4)
     backend = RemoteChatBackend("http://x", "model", session=session,
                                 sleep=lambda s: None)
     with pytest.raises(BackendError):

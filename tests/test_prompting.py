@@ -139,6 +139,37 @@ def test_truncation_drops_lowest_jaccard_group(mini_index):
     assert "getRms" in body and "getCovariances" in body
 
 
+def test_truncation_drops_feedback_frames_before_groups(mini_index):
+    groups = [one_group(mini_index, "src/Estimator.java", 4, jaccard=0.9),
+              one_group(mini_index, "src/Estimator.java", 10, jaccard=0.2)]
+    patch = Patch(edits=(PatchEdit("src/Estimator.java", "getRms", "body"),))
+
+    def feedback(frames):
+        return [FeedbackEntry(patch=patch, report=TestReport(results=[
+            TestResult("t_fail", "fail", "still broken", frames)]))]
+
+    frames = [StackFrame("T", "test_it", "T.java", 10),
+              StackFrame("C", "work", "C.java", 42)]
+    full = build_prompt(groups, evidence(), feedback(frames), [], mini_index)
+    frameless = build_prompt(groups, evidence(), feedback([]), [], mini_index)
+    assert "    at C.work (C.java:42)" in dict(parse_sections(full.text))["feedback"]
+
+    trimmed = build_prompt(groups, evidence(), feedback(frames), [], mini_index,
+                           token_budget=len(full.text) // 4 - 1)
+    assert trimmed.text == frameless.text  # frames gone, every group kept
+    sections = dict(parse_sections(trimmed.text))
+    assert "TEST t_fail: fail - still broken" in sections["feedback"]
+    assert "    at " not in sections["feedback"]
+    assert "    at C.work (C.java:42)" in sections["test-results"]
+
+    tighter = build_prompt(groups, evidence(), feedback(frames), [], mini_index,
+                           token_budget=len(frameless.text) // 4 - 1)
+    sections = dict(parse_sections(tighter.text))
+    assert "    at " not in sections["feedback"]
+    assert "getRms" in sections["buggy-methods"]
+    assert "guessErrors" not in sections["buggy-methods"]
+
+
 def test_over_budget_after_all_truncation(mini_index):
     group = one_group(mini_index, "src/Estimator.java", 4)
     with pytest.raises(PromptBudgetError):

@@ -10,7 +10,8 @@ from siblingfix.source_index import index_source
 from siblingfix.validation import (HarnessConfig, HarnessProtocolError,
                                    PatchApplicationError, StackFrame,
                                    TestReport, TestResult, align_traces,
-                                   apply_patch, classify, run_tests)
+                                   apply_patch, classify, patched_texts,
+                                   run_tests)
 
 
 def tree_equal(a: Path, b: Path) -> bool:
@@ -60,6 +61,40 @@ def test_own_body_patch_is_identity_across_form_feed(tmp_path):
     patch = Patch(edits=(PatchEdit("F.java", "f", index.method_body(ref)),))
     ws = apply_patch(project, patch, index, workspace_root=tmp_path)
     assert (ws / "F.java").read_text(encoding="utf-8") == text
+
+
+NESTED = """class Outer {
+    void outer() {
+        Runnable r = new Runnable() {
+            public void run() {
+                step();
+            }
+        };
+        r.run();
+    }
+}
+"""
+
+
+def test_overlapping_edits_are_refused(tmp_path):
+    """`run` lies inside `outer`, so splicing a new `run` and then a new
+    `outer` would leave the old tail of `outer` behind: a stray `}`."""
+    (tmp_path / "Outer.java").write_text(NESTED, encoding="utf-8")
+    index = index_source(tmp_path, ["*.java"])
+    outer = PatchEdit("Outer.java", "outer", "    void outer() {\n        go();\n    }")
+    run = PatchEdit("Outer.java", "run", "            public void run() {\n"
+                    "                step();\n                step();\n            }")
+    with pytest.raises(PatchApplicationError,
+                       match="overlapping edits: Outer.java:outer and Outer.java:run"):
+        patched_texts(Patch(edits=(outer, run)), index)
+    for edit in (outer, run):
+        text = patched_texts(Patch(edits=(edit,)), index)["Outer.java"]
+        assert text.count("{") == text.count("}")
+    # A nested edit that keeps its method's own text changes nothing.
+    own_run = index.method_body(index.methods_named("Outer.java", "run")[0])
+    noop = PatchEdit("Outer.java", "run", own_run)
+    assert patched_texts(Patch(edits=(outer, noop)), index) == \
+        patched_texts(Patch(edits=(outer,)), index)
 
 
 @pytest.mark.parametrize("change", ["edit", "delete"])
