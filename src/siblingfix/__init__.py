@@ -15,7 +15,7 @@ from .localization import (CoverageMatrix, SuspiciousLocation, apply_spfl,
                            load_coverage, ochiai_rank)
 from .matching import (CandidateSibling, StatementContext, extract_context,
                        group_by_method, jaccard_filter, token_match, tokenize)
-from .prompting import BugEvidence, FeedbackEntry, PromptBundle, build_prompt
+from .prompting import FeedbackEntry, PromptBundle, build_prompt
 from .source_index import (MethodRef, SourceIndex, Statement, identifiers_in,
                            index_source)
 from .validation import (HarnessConfig, PatchVerdict, StackFrame, TestReport,
@@ -34,7 +34,7 @@ __all__ = [
     "ochiai_rank",
     "CandidateSibling", "StatementContext", "extract_context",
     "group_by_method", "jaccard_filter", "token_match", "tokenize",
-    "BugEvidence", "FeedbackEntry", "PromptBundle", "build_prompt",
+    "FeedbackEntry", "PromptBundle", "build_prompt",
     "MethodRef", "SourceIndex", "Statement", "identifiers_in", "index_source",
     "HarnessConfig", "PatchVerdict", "StackFrame", "TestReport", "TestResult",
     "align_traces", "apply_patch", "classify", "run_tests",

@@ -11,16 +11,15 @@ import hashlib
 import json
 import logging
 import math
-import threading
 from pathlib import Path
 
-from .llm import RemoteClient
+from .llm import BackendError, RemoteClient
 from .matching import CandidateSibling, StatementContext, tokenize
 
 logger = logging.getLogger(__name__)
 
 
-class EmbeddingError(Exception):
+class EmbeddingError(BackendError):
     """Provider failure; carries the indices of the failed batch."""
 
     def __init__(self, message: str, indices: list[int] | None = None):
@@ -37,6 +36,12 @@ def cosine(a: list[float], b: list[float]) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
+
+
+def _is_vector(value) -> bool:
+    """A list of numbers: what a provider reply and the store must hold."""
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) for x in value)
 
 
 class LocalHashProvider:
@@ -75,29 +80,32 @@ class RemoteEmbeddingProvider(RemoteClient):
         self.batch_size = batch_size
 
     def embed_batch(self, texts: list[str]) -> list[list[float]]:
-        return self._post(
-            {"input": texts, "model": self.model},
-            lambda reply: [row["embedding"] for row in
-                           sorted(reply["data"], key=lambda r: r["index"])])
+        def read(reply):
+            rows = sorted(reply["data"], key=lambda r: r["index"])
+            vectors = [row["embedding"] for row in rows]
+            if not all(map(_is_vector, vectors)):
+                raise ValueError("malformed embedding vector in reply")
+            return vectors
+        return self._post({"input": texts, "model": self.model}, read)
 
 
 class EmbeddingCache:
     """Content-hash keyed cache, optionally persisted as one JSON file.
 
-    Keys are scoped by provider name and model. Corrupt entries (or a
-    corrupt store) are dropped and recomputed transparently.
+    Keys are scoped by provider name and model. A corrupt store, or a
+    stored entry that is not a vector, is dropped on load and recomputed.
     """
 
     def __init__(self, store_path: str | Path | None = None):
         self.store_path = Path(store_path) if store_path else None
-        self._lock = threading.Lock()
         self._data: dict[str, list[float]] = {}
         self._dirty = False
         if self.store_path and self.store_path.exists():
             try:
                 loaded = json.loads(self.store_path.read_text(encoding="utf-8"))
                 if isinstance(loaded, dict):
-                    self._data = loaded
+                    self._data = {k: v for k, v in loaded.items()
+                                  if _is_vector(v)}
             except (ValueError, OSError):
                 logger.warning("corrupt embedding cache ignored: %s", self.store_path)
 
@@ -107,30 +115,19 @@ class EmbeddingCache:
         return hashlib.sha256(raw.encode()).hexdigest()
 
     def get(self, key: str) -> list[float] | None:
-        with self._lock:
-            value = self._data.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, list) or not all(
-                isinstance(x, (int, float)) for x in value):
-            with self._lock:
-                self._data.pop(key, None)  # corrupt entry, recompute
-            return None
-        return value
+        return self._data.get(key)
 
     def put(self, key: str, vector: list[float]) -> None:
-        with self._lock:
-            self._data[key] = list(vector)
-            self._dirty = True
+        self._data[key] = list(vector)
+        self._dirty = True
 
     def flush(self) -> None:
         if not self.store_path or not self._dirty:
             return
-        with self._lock:
-            tmp = self.store_path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(self._data), encoding="utf-8")
-            tmp.replace(self.store_path)
-            self._dirty = False
+        tmp = self.store_path.with_suffix(".tmp")
+        tmp.write_text(json.dumps(self._data), encoding="utf-8")
+        tmp.replace(self.store_path)
+        self._dirty = False
 
 
 def embed(texts: list[str], provider,
@@ -168,8 +165,6 @@ def embedding_match(target: StatementContext, candidates: list[CandidateSibling]
                     theta: float, provider,
                     cache: EmbeddingCache | None = None) -> list[CandidateSibling]:
     """Retain candidates whose embedding cosine vs the target is >= theta."""
-    if not -1.0 <= theta <= 1.0:
-        raise ValueError("theta must be in [-1, 1]")
     if not candidates:
         return []
     texts = [target.rendered] + [c.context.rendered for c in candidates]

@@ -25,8 +25,7 @@ from .localization import CoverageMatrix, SuspiciousLocation
 from .matching import (CandidateSibling, StatementContext, TokenPool,
                        extract_context, group_by_method, jaccard_filter,
                        token_match)
-from .prompting import (BugEvidence, FailingTest, FeedbackEntry,
-                        PromptBudgetError, build_prompt)
+from .prompting import FeedbackEntry, PromptBudgetError, build_prompt
 from .source_index import SourceIndex
 from .validation import (HarnessConfig, PatchApplicationError, TestReport,
                          apply_patch, classify, run_tests)
@@ -55,6 +54,12 @@ class RepairConfig:
             raise ValueError("k and attempts must be >= 1, ingredients >= 0")
         if self.budget <= 0:
             raise ValueError("budget must be positive")
+        if not -1.0 <= self.theta <= 1.0:
+            raise ValueError("theta must be in [-1, 1]")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError("alpha must be in [0, 1]")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
 
 @dataclass
@@ -123,7 +128,6 @@ class RepairEngine:
             command=harness_command, timeout=config.test_timeout,
             expected_tests=[t for t, _ in coverage.tests])
         self.baseline: TestReport | None = None
-        self.evidence: BugEvidence | None = None
         self._attempt_counters: dict[str, int] = {}
         self._validation_cache: dict[str, TestReport] = {}
         self._deadline = math.inf  # armed by repair_bug from config.budget
@@ -164,13 +168,9 @@ class RepairEngine:
         if self.baseline is not None:
             return
         self.baseline = self._validate(Patch(edits=()))
-        failing = [FailingTest(r.test, r.message, list(r.frames))
-                   for r in self.baseline.failing]
-        if not failing:
+        if not self.baseline.failing:
             raise RuntimeError("baseline run has no failing tests; "
                                "coverage and harness disagree")
-        self.evidence = BugEvidence(failing_tests=failing,
-                                    originally_failing_count=len(failing))
 
     def _build_pool(self) -> list[StatementContext]:
         """Contexts for every statement exercised by any test."""
@@ -210,8 +210,9 @@ class RepairEngine:
                 verdict=verdict, patch_id=patch_id))
 
         try:
-            bundle = build_prompt(groups, self.evidence, fb, ingredients,
-                                  self.index, token_budget=self.config.token_budget)
+            bundle = build_prompt(groups, self.baseline.failing, fb,
+                                  ingredients, self.index,
+                                  token_budget=self.config.token_budget)
         except PromptBudgetError as exc:
             logger.warning("prompt over budget at %s attempt %d: %s",
                            loc_id, attempt_no, exc)

@@ -72,8 +72,6 @@ def _class_declarations(cls: ClassRef) -> list[FixIngredient]:
 def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
                             n: int) -> list[FixIngredient]:
     """Ingredients for every sibling line across the groups, deduplicated."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     result: dict[tuple, FixIngredient] = {}
 
     def add(ing: FixIngredient) -> None:

@@ -69,10 +69,6 @@ class CompletionRequest:
     location_id: str = ""
     attempt: int = 1
 
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-
 
 def attempt_file(location_id: str, attempt: int) -> str:
     """Name of an attempt's prompt, response and scripted-response files."""

@@ -8,13 +8,13 @@ method bodies are annotated with a `// SIBLING` marker comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ingredients import FixIngredient
 from .llm import OUTPUT_FORMAT_SPEC, Patch, render_patch
 from .matching import MethodGroup
 from .source_index import SourceIndex
-from .validation import StackFrame, TestReport
+from .validation import StackFrame, TestReport, TestResult
 
 SECTION_ORDER = ("role", "task", "reasoning-steps", "patch-definitions",
                  "buggy-methods", "test-results", "feedback", "ingredients")
@@ -52,23 +52,6 @@ progress in terms of test outcomes and execution."""
 
 class PromptBudgetError(Exception):
     """Prompt exceeds the token budget even after all truncation stages."""
-
-
-@dataclass
-class FailingTest:
-    test_id: str
-    message: str
-    frames: list[StackFrame] = field(default_factory=list)
-
-
-@dataclass
-class BugEvidence:
-    failing_tests: list[FailingTest]
-    originally_failing_count: int
-
-    def __post_init__(self):
-        if not self.failing_tests:
-            raise ValueError("bug evidence requires at least one failing test")
 
 
 @dataclass
@@ -121,10 +104,10 @@ def _render_frame(f: StackFrame) -> str:
     return f"    at {f.unit}.{f.method} ({f.file}:{f.line})"
 
 
-def _render_evidence(evidence: BugEvidence) -> str:
-    parts = [f"Originally failing tests: {evidence.originally_failing_count}"]
-    for t in evidence.failing_tests:
-        parts.append(f"FAILING TEST {t.test_id}: {t.message}")
+def _render_evidence(failing: list[TestResult]) -> str:
+    parts = [f"Originally failing tests: {len(failing)}"]
+    for t in failing:
+        parts.append(f"FAILING TEST {t.test}: {t.message}")
         parts.extend(map(_render_frame, t.frames[:EVIDENCE_FRAMES]))
     return "\n".join(parts)
 
@@ -160,7 +143,7 @@ def _render_ingredients(ingredients: list[FixIngredient]) -> str:
         for i in ingredients)
 
 
-def _assemble(groups, evidence, feedback, ingredients, index,
+def _assemble(groups, failing, feedback, ingredients, index,
               feedback_frames: bool) -> PromptBundle:
     sections = [
         ("role", ROLE_TEXT),
@@ -168,7 +151,7 @@ def _assemble(groups, evidence, feedback, ingredients, index,
         ("reasoning-steps", REASONING_TEXT),
         ("patch-definitions", DEFINITIONS_TEXT),
         ("buggy-methods", "\n\n".join(_render_group(g, index) for g in groups)),
-        ("test-results", _render_evidence(evidence)),
+        ("test-results", _render_evidence(failing)),
         ("feedback", _render_feedback(feedback, feedback_frames)),
         ("ingredients", _render_ingredients(ingredients)),
     ]
@@ -181,12 +164,13 @@ def estimate_tokens(text: str) -> int:
     return len(text) // 4
 
 
-def build_prompt(groups: list[MethodGroup], evidence: BugEvidence,
+def build_prompt(groups: list[MethodGroup], failing: list[TestResult],
                  feedback: list[FeedbackEntry], ingredients: list[FixIngredient],
                  index: SourceIndex, token_budget: int = 24000
                  ) -> PromptBundle:
     """Render the eight-section repair prompt within the token budget.
 
+    `failing` holds the baseline run's failing tests, shown as evidence.
     Over budget, each pass cuts the lowest-scored ingredient, else the
     feedback stack traces, else the lowest-Jaccard group (groups without
     a Jaccard score are kept longest), else raises PromptBudgetError.
@@ -197,7 +181,7 @@ def build_prompt(groups: list[MethodGroup], evidence: BugEvidence,
     ingredients = sorted(ingredients, key=lambda i: -i.rank_score)
     feedback_frames = True
     while True:
-        bundle = _assemble(groups, evidence, feedback, ingredients, index,
+        bundle = _assemble(groups, failing, feedback, ingredients, index,
                            feedback_frames)
         if estimate_tokens(bundle.text) <= token_budget:
             return bundle

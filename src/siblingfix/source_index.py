@@ -36,10 +36,6 @@ _IDENT_RE = re.compile(r"[A-Za-z_$][\w$]*")
 _CALL_OPEN_RE = re.compile(r"\s*\(")
 
 
-class StaleRefError(Exception):
-    """Raised when a MethodRef no longer matches the indexed file bytes."""
-
-
 @dataclass(frozen=True)
 class Identifier:
     kind: str  # variable | call | field-access
@@ -74,7 +70,6 @@ class MethodRef:
     body_end: int
     class_name: str | None
     signature_text: str
-    file_digest: str
 
     def contains(self, line: int) -> bool:
         return self.body_start <= line <= self.body_end
@@ -151,11 +146,7 @@ class SourceIndex:
         return _at(self.files[path].method_by_line, line)
 
     def method_body(self, ref: MethodRef) -> str:
-        sf = self.files[ref.file]
-        if sf.digest != ref.file_digest:
-            raise StaleRefError(
-                f"stale method ref {ref.file}:{ref.name}: file changed since indexing")
-        return _line_slice(sf.text, ref.body_start, ref.body_end)
+        return _line_slice(self.files[ref.file].text, ref.body_start, ref.body_end)
 
     def methods_named(self, path: str, name: str) -> list[MethodRef]:
         return [m for m in self.files[path].methods if m.name == name]
@@ -383,8 +374,7 @@ _BODY_OPEN_RE = re.compile(r"\s*(?:throws\s+[\w$.,\s]*)?\{")
 
 
 def _find_methods(path: str, text: str, masked: str, starts: list[int],
-                  pairs: dict[int, int], classes: list[ClassRef],
-                  digest: str) -> list[MethodRef]:
+                  pairs: dict[int, int], classes: list[ClassRef]) -> list[MethodRef]:
     methods: list[MethodRef] = []
     class_by_line = _best_by_line(classes, lambda c: (c.body_start, c.body_end),
                                   lambda c: c.body_end - c.body_start)
@@ -417,7 +407,6 @@ def _find_methods(path: str, text: str, masked: str, starts: list[int],
             body_start=body_start, body_end=body_end,
             class_name=cls.name if cls else None,
             signature_text=sig_text,
-            file_digest=digest,
         ))
     return methods
 
@@ -467,7 +456,7 @@ def _index_file(root: Path, rel: str, warnings: list[str]) -> SourceFile | None:
     pairs = _bracket_pairs(masked)
     statements = _segment_statements(rel, text, masked, starts, literals)
     classes = _find_classes(rel, masked, starts, pairs)
-    methods = _find_methods(rel, text, masked, starts, pairs, classes, digest)
+    methods = _find_methods(rel, text, masked, starts, pairs, classes)
     by_class: dict[str | None, list[MethodRef]] = {}
     for m in methods:
         by_class.setdefault(m.class_name, []).append(m)

@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -154,15 +155,20 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
         results_path.unlink()
     start = time.monotonic()
     env = dict(os.environ, RESULTS_PATH=str(results_path))
-    try:
-        proc = subprocess.run(harness.command, shell=True, cwd=workspace,
-                              env=env, capture_output=True,
-                              timeout=harness.timeout)
-        exit_code = proc.returncode
-        timed_out = False
-    except subprocess.TimeoutExpired:
-        exit_code = -1
-        timed_out = True
+    # The harness leads its own process group, so a timeout also kills
+    # what it forked (build tools, JVMs) before the workspace is removed.
+    # Only the shell is reaped: a detached child may still hold the pipes.
+    with subprocess.Popen(harness.command, shell=True, cwd=workspace, env=env,
+                          start_new_session=True, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        try:
+            proc.communicate(timeout=harness.timeout)
+            timed_out = False
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            timed_out = True
+    exit_code = -1 if timed_out else proc.returncode
     wall = time.monotonic() - start
     if timed_out:
         results = [TestResult(t, "timeout", "harness timeout")

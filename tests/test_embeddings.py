@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from siblingfix.embeddings import (EmbeddingCache, EmbeddingError,
                                    LocalHashProvider, RemoteEmbeddingProvider,
                                    cosine, embed, embedding_match)
+from siblingfix.engine import RepairConfig
 from siblingfix.matching import CandidateSibling, StatementContext
 from siblingfix.source_index import Statement
 
@@ -101,8 +103,9 @@ def test_embedding_match_planted_vs_distractors():
 
 
 def test_embedding_match_bad_theta():
+    # The theta embedding_match receives is checked once, in the config.
     with pytest.raises(ValueError):
-        embedding_match(ctx("a", "t", 1), [], 1.5, LocalHashProvider())
+        RepairConfig(theta=1.5)
 
 
 def test_cache_hits_bypass_provider(tmp_path):
@@ -128,14 +131,19 @@ def test_cache_is_provider_scoped():
     assert a.calls == 1 and b.calls == 1  # different model key, no false hit
 
 
-def test_corrupt_cache_entry_recomputed():
+def test_corrupt_cache_entry_recomputed(tmp_path):
     provider = CountingProvider()
-    cache = EmbeddingCache()
-    key = EmbeddingCache.key(provider, "x")
-    cache._data[key] = "garbage"
-    (vec,) = embed(["x"], provider, cache)
+    good = provider.embed_batch(["y"])[0]
+    provider.calls = 0
+    store = tmp_path / "cache.json"
+    store.write_text(json.dumps({EmbeddingCache.key(provider, "x"): "garbage",
+                                 EmbeddingCache.key(provider, "y"): good}))
+    cache = EmbeddingCache(store)
+    assert list(cache._data) == [EmbeddingCache.key(provider, "y")]
+    (vec, hit) = embed(["x", "y"], provider, cache)
     assert provider.calls == 1
     assert len(vec) == provider.dimension
+    assert hit == good
 
 
 def test_corrupt_store_ignored(tmp_path):
@@ -206,11 +214,13 @@ def test_remote_provider_sends_bearer_key_and_backs_off(monkeypatch):
 
 
 def test_remote_provider_retries_malformed_reply():
-    sleeps = []
-    session = FakeSession([FakeResponse({"data": [None]})] * 4)
-    provider = RemoteEmbeddingProvider("http://x", "m", session=session,
-                                       sleep=sleeps.append)
-    with pytest.raises(EmbeddingError):
-        provider.embed_batch(["a"])
-    assert session.calls == 4
-    assert sleeps == [1, 2, 4]
+    for reply in ({"data": [None]},
+                  {"data": [{"index": 0, "embedding": "x"}]}):
+        sleeps = []
+        session = FakeSession([FakeResponse(reply)] * 4)
+        provider = RemoteEmbeddingProvider("http://x", "m", session=session,
+                                           sleep=sleeps.append)
+        with pytest.raises(EmbeddingError):
+            provider.embed_batch(["a"])
+        assert session.calls == 4
+        assert sleeps == [1, 2, 4]

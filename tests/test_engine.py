@@ -7,6 +7,7 @@ from conftest import RESPONSES, PROJECT, RuleBackend, patch_response, prompt_sec
 from siblingfix import (EmbeddingCache, LocalHashProvider, RepairConfig,
                         RepairEngine, SuspiciousLocation, index_source,
                         ochiai_rank, parse_patch)
+from siblingfix.embeddings import EmbeddingError
 from siblingfix.engine import location_id
 from siblingfix.llm import ScriptedBackend
 from siblingfix.localization import CoverageMatrix
@@ -70,6 +71,8 @@ def test_config_validation():
         RepairConfig(attempts=0)
     with pytest.raises(ValueError):
         RepairConfig(budget=0)
+    with pytest.raises(ValueError):
+        RepairConfig(alpha=7)
 
 
 def test_early_exit_after_first_plausible(mini_index, mini_coverage, tmp_path):
@@ -217,6 +220,22 @@ def test_baseline_disagreement_is_fatal(mini_index, tmp_path, mini_coverage):
     engine.harness.command = "python3 -c \"import os;open(os.environ['RESULTS_PATH'],'w').write('')\""
     with pytest.raises(RuntimeError, match="no failing tests"):
         engine._ensure_baseline()
+
+
+def test_failing_embedding_provider_stops_the_run(mini_index, mini_coverage,
+                                                  tmp_path):
+    class DownProvider:
+        name, model, batch_size = "down", "d", 8
+
+        def embed_batch(self, texts):
+            raise EmbeddingError("embedding provider failed after retries")
+
+    engine = make_engine(mini_index, mini_coverage, ProseBackend(), tmp_path)
+    engine.provider = DownProvider()
+    state = engine.repair_bug(ochiai_rank(mini_coverage))
+    assert state.stopped == "backend-error"
+    assert state.error == "embedding provider failed after retries"
+    assert state.attempt_log == []
 
 
 def test_plausible_patch_is_fed_back_without_its_report(mini_index,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siblingfix.engine import RepairConfig
 from siblingfix.llm import (BackendError, CompletionRequest, Patch, PatchEdit,
                             PatchParseError, RemoteChatBackend,
                             ScriptedBackend, combine, parse_patch,
@@ -120,8 +121,9 @@ def test_scripted_backend(tmp_path):
 
 
 def test_temperature_validated():
+    # The sampling temperature is checked once, where the config is built.
     with pytest.raises(ValueError):
-        CompletionRequest(prompt="p", temperature=-0.1)
+        RepairConfig(temperature=-0.1)
 
 
 class FakeResponse:

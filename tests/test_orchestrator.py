@@ -57,6 +57,26 @@ def test_missing_coverage_is_exit_2(tmp_path):
     assert "error" in report
 
 
+@pytest.mark.parametrize("bad", [{"theta": 1.5}, {"alpha": 7},
+                                 {"temperature": -0.5}],
+                         ids=["theta", "alpha", "temperature"])
+def test_bad_config_value_is_exit_2_before_any_harness_run(tmp_path, bad):
+    data = json.loads(DESCRIPTOR.read_text())
+    data["project_root"] = str(FIXTURES / "project")
+    data["coverage"] = str(FIXTURES / "coverage.jsonl")
+    data["backend"]["directory"] = str(FIXTURES / "responses")
+    marker = tmp_path / "harness-ran"
+    data["harness"]["command"] = f"touch '{marker}'; python3 harness.py"
+    data["config"].update(bad)
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps(data))
+    code, report, run_dir = run(desc, out_dir=tmp_path / "runs")
+    assert code == 2
+    assert run_dir is None and not (tmp_path / "runs").exists()
+    assert "bad config value" in report["error"]
+    assert not marker.exists()
+
+
 def test_make_backend_and_provider():
     backend = make_backend({"type": "scripted", "directory": str(FIXTURES)})
     assert backend.on_missing == "error"

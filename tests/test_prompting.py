@@ -4,20 +4,17 @@ from siblingfix.ingredients import FixIngredient
 from siblingfix.llm import Patch, PatchEdit
 from siblingfix.matching import MethodGroup
 from siblingfix.prompting import (ROLE_TEXT, SECTION_ORDER, SIBLING_MARKER,
-                                  BugEvidence, FailingTest, FeedbackEntry,
-                                  PromptBudgetError, build_prompt,
-                                  parse_sections)
+                                  FeedbackEntry, PromptBudgetError,
+                                  build_prompt, parse_sections)
 from siblingfix.source_index import index_source
 from siblingfix.validation import StackFrame, TestReport, TestResult
 
 
 def evidence():
-    return BugEvidence(
-        failing_tests=[FailingTest(
-            "t_fail", "expected 1 but was 2",
-            [StackFrame("T", "test_it", "T.java", 10),
-             StackFrame("C", "work", "C.java", 42)])],
-        originally_failing_count=1)
+    return [TestResult(
+        "t_fail", "fail", "expected 1 but was 2",
+        [StackFrame("T", "test_it", "T.java", 10),
+         StackFrame("C", "work", "C.java", 42)])]
 
 
 def one_group(index, file, line, jaccard=None):
@@ -99,11 +96,6 @@ def test_marker_count_matches_sibling_lines(tmp_path):
 def test_requires_a_group(mini_index):
     with pytest.raises(ValueError):
         build_prompt([], evidence(), [], [], mini_index)
-
-
-def test_evidence_requires_failing_test():
-    with pytest.raises(ValueError):
-        BugEvidence(failing_tests=[], originally_failing_count=0)
 
 
 def ingredient(i, score):

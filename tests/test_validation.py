@@ -1,5 +1,6 @@
 import filecmp
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,23 @@ def test_run_tests_timeout(tmp_path):
     report = run_tests(tmp_path, harness)
     assert all(r.status == "timeout" for r in report.results)
     assert {r.test for r in report.results} == {"t1", "t2"}
+
+
+def test_run_tests_timeout_kills_the_process_group(tmp_path):
+    harness = HarnessConfig(command="(sleep 1; touch late) & sleep 30",
+                            timeout=0.3, expected_tests=["t1"])
+    start = time.monotonic()
+    report = run_tests(tmp_path, harness)
+    assert time.monotonic() - start < 5
+    assert [r.status for r in report.results] == ["timeout"]
+    time.sleep(1.5)
+    assert not (tmp_path / "late").exists()
+    # A child outside the group that keeps the output pipes open does not
+    # hold the run past its timeout.
+    harness.command = "setsid sleep 3 & sleep 30"
+    start = time.monotonic()
+    run_tests(tmp_path, harness)
+    assert time.monotonic() - start < 2
 
 
 def test_run_tests_missing_results_file(tmp_path):
