@@ -27,8 +27,9 @@ from .matching import (CandidateSibling, StatementContext, TokenPool,
                        token_match)
 from .prompting import FeedbackEntry, PromptBudgetError, build_prompt
 from .source_index import SourceIndex
-from .validation import (HarnessConfig, PatchApplicationError, TestReport,
-                         apply_patch, classify, run_tests)
+from .validation import (HarnessConfig, HarnessProtocolError,
+                         PatchApplicationError, TestReport, apply_patch,
+                         classify, run_tests)
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +68,8 @@ class AttemptRecord:
     location: str
     phase: str    # sim-A | sim-B | iter-A | iter-B
     attempt: int
-    verdict: str  # pass-all | promising | no-progress | parse-error |
-                  # apply-error | prompt-error
+    verdict: str  # pass-all | promising | no-progress | prompt-error |
+                  # parse-error | apply-error | harness-error
     patch_id: str | None = None
 
 
@@ -78,8 +79,11 @@ class RepairState:
     promising: list[Patch] = field(default_factory=list)
     attempt_log: list[AttemptRecord] = field(default_factory=list)
     candidate_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    stopped: str = "exhausted"  # plausible | budget | exhausted | backend-error
+    stopped: str = "exhausted"  # plausible | budget | exhausted |
+                                # backend-error | error
     error: str | None = None
+    requests: int = 0       # LLM requests sent
+    prompt_chars: int = 0   # characters over all prompts sent
 
 
 class _BudgetExhausted(Exception):
@@ -99,8 +103,13 @@ def location_id(file: str, line: int, shared: frozenset[str] = frozenset()) -> s
     return f"{safe}_L{line}"
 
 
-_VERDICT_NAMES = {"PassAll": "pass-all", "Promising": "promising",
-                  "NoProgress": "no-progress"}
+# Failures that end an attempt before a verdict: (verdict, feedback note).
+_ATTEMPT_FAILURES = {
+    PromptBudgetError: ("prompt-error", "prompt construction failed"),
+    PatchParseError: ("parse-error", "output format error"),
+    PatchApplicationError: ("apply-error", "patch application failed"),
+    HarnessProtocolError: ("harness-error", "harness protocol error"),
+}
 
 
 class RepairEngine:
@@ -131,8 +140,6 @@ class RepairEngine:
         self._attempt_counters: dict[str, int] = {}
         self._validation_cache: dict[str, TestReport] = {}
         self._deadline = math.inf  # armed by repair_bug from config.budget
-        self.requests = 0
-        self.prompt_chars = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -173,15 +180,15 @@ class RepairEngine:
                                "coverage and harness disagree")
 
     def _build_pool(self) -> list[StatementContext]:
-        """Contexts for every statement exercised by any test."""
-        stmts = {}
-        for file, line in sorted(self.coverage.all_locations()):
-            if file not in self.index.files:
-                continue
-            stmt = self.index.statement_at(file, line)
-            if stmt is not None:
-                stmts[(stmt.file, stmt.start_line)] = stmt
-        return [extract_context(self.index, stmts[k]) for k in sorted(stmts)]
+        """Contexts for every statement exercised by any test, in
+        (file, start line) order."""
+        stmts = dict.fromkeys(
+            self.index.statement_at(file, line)
+            for file, line in sorted(self.coverage.all_locations())
+            if file in self.index.files)
+        stmts.pop(None, None)
+        return [extract_context(self.index, s)
+                for s in sorted(stmts, key=lambda s: (s.file, s.start_line))]
 
     @staticmethod
     def _dedupe(patches: list[Patch]) -> list[Patch]:
@@ -198,54 +205,41 @@ class RepairEngine:
         """One prompt/generate/validate cycle.
 
         Returns the verdict and the feedback for the next attempt, whose
-        patch is the validated one. Prompt, parse, and application failures
-        still consume the attempt; their feedback carries only a note.
+        patch is the validated one. A failure before a verdict still
+        consumes the attempt; its feedback carries only a note.
         """
         self._check_budget()
         attempt_no = self._next_attempt(loc_id)
-
-        def record(verdict: str, patch_id: str | None = None):
-            state.attempt_log.append(AttemptRecord(
-                location=loc_id, phase=phase, attempt=attempt_no,
-                verdict=verdict, patch_id=patch_id))
-
+        patch = None
         try:
             bundle = build_prompt(groups, self.baseline.failing, fb,
                                   ingredients, self.index,
                                   token_budget=self.config.token_budget)
-        except PromptBudgetError as exc:
-            logger.warning("prompt over budget at %s attempt %d: %s",
-                           loc_id, attempt_no, exc)
-            record("prompt-error")
-            return "prompt-error", FeedbackEntry(
-                patch=None, note=f"prompt construction failed: {exc}")
-        self._save("prompts", loc_id, attempt_no, bundle.text)
-        self.prompt_chars += len(bundle.text)
-        self.requests += 1
-        response = self.backend.complete(CompletionRequest(
-            prompt=bundle.text, temperature=self.config.temperature,
-            max_tokens=self.config.max_tokens, location_id=loc_id,
-            attempt=attempt_no))
-        self._save("responses", loc_id, attempt_no, response)
-        try:
+            self._save("prompts", loc_id, attempt_no, bundle.text)
+            state.prompt_chars += len(bundle.text)
+            state.requests += 1
+            response = self.backend.complete(CompletionRequest(
+                prompt=bundle.text, temperature=self.config.temperature,
+                max_tokens=self.config.max_tokens, location_id=loc_id,
+                attempt=attempt_no))
+            self._save("responses", loc_id, attempt_no, response)
             patch = parse_patch(response)
-        except PatchParseError as exc:
-            record("parse-error")
-            return "parse-error", FeedbackEntry(
-                patch=None, note=f"output format error: {exc}")
-        if seed is not None:
-            patch = combine(patch, seed)
-        try:
+            if seed is not None:
+                patch = combine(patch, seed)
             report = self._validate(patch)
-        except PatchApplicationError as exc:
-            record("apply-error", patch.id)
-            return "apply-error", FeedbackEntry(
-                patch=None, note=f"patch application failed: {exc}")
-        verdict = classify(self.baseline, report).kind
-        record(_VERDICT_NAMES[verdict], patch.id)
-        # A plausible patch is fed back without its (all-pass) report.
-        return verdict, FeedbackEntry(
-            patch=patch, report=None if verdict == "PassAll" else report)
+            verdict = classify(self.baseline, report).kind
+            # A plausible patch is fed back without its (all-pass) report.
+            entry = FeedbackEntry(
+                patch=patch, report=None if verdict == "pass-all" else report)
+        except tuple(_ATTEMPT_FAILURES) as exc:
+            verdict, what = _ATTEMPT_FAILURES[type(exc)]
+            logger.debug("%s at %s attempt %d: %s", verdict, loc_id,
+                         attempt_no, exc)
+            entry = FeedbackEntry(patch=None, note=f"{what}: {exc}")
+        state.attempt_log.append(AttemptRecord(
+            location=loc_id, phase=phase, attempt=attempt_no, verdict=verdict,
+            patch_id=None if patch is None else patch.id))
+        return verdict, entry
 
     # -- Algorithm: one phase ---------------------------------------------
 
@@ -256,7 +250,7 @@ class RepairEngine:
 
         Phase A starts fresh. Phase B starts from the seed, a carried
         promising patch, and combines it into every generated patch.
-        Returns the patches to carry: each Promising patch, plus the seed
+        Returns the patches to carry: each promising patch, plus the seed
         after any seeded attempt that did not pass all, or when the seed
         itself no longer applies.
         """
@@ -276,10 +270,10 @@ class RepairEngine:
             verdict, entry = self._attempt(state, loc_id, phase, groups,
                                            ingredients, fb, seed)
             fb = [entry]
-            if verdict == "PassAll":
+            if verdict == "pass-all":
                 if all(p.id != entry.patch.id for p in state.plausible):
                     state.plausible.append(entry.patch)
-            elif verdict == "Promising":
+            elif verdict == "promising":
                 carry.append(entry.patch)
             elif seed is not None:
                 carry.append(seed)  # carry-forward rule
@@ -328,16 +322,15 @@ class RepairEngine:
 
     # -- Algorithm: main loop ---------------------------------------------
 
-    def repair_bug(self, suspicious: list[SuspiciousLocation]) -> RepairState:
-        state = RepairState()
+    def repair_bug(self, suspicious: list[SuspiciousLocation],
+                   state: RepairState | None = None) -> RepairState:
+        """Try each suspicious location until a plausible patch is found,
+        filling `state` in place if given, so an escaping exception keeps it."""
+        state = state if state is not None else RepairState()
         self._deadline = time.monotonic() + self.config.budget
         try:
             self._ensure_baseline()
-        except _BudgetExhausted:
-            state.stopped = "budget"
-            return state
-        pool = TokenPool(self._build_pool())
-        try:
+            pool = TokenPool(self._build_pool())
             for loc in suspicious[:self.config.cap]:
                 self._check_budget()
                 if loc.file not in self.index.files:
@@ -357,23 +350,21 @@ class RepairEngine:
                     "token_matched": len(token_cands),
                     "embedding_matched": len(cands),
                 }
-                # The suspicious statement itself is always in scope.
+                # The suspicious statement itself is always in scope; token
+                # matching has already left it out of `cands`.
                 candidates = [CandidateSibling(
                     context=target, token_similarity=1.0,
-                    embedding_similarity=1.0, jaccard_similarity=1.0)]
-                candidates += [c for c in cands if c.key != target.key]
+                    embedding_similarity=1.0, jaccard_similarity=1.0)] + cands
                 self.simultaneous_repair(candidates, target, state, loc_id)
                 if not state.plausible:
                     self.iterative_repair(candidates, state, loc_id)
                 if state.plausible:
                     break
+            state.stopped = "plausible" if state.plausible else "exhausted"
         except _BudgetExhausted:
             state.stopped = "budget"
-            return state
         except BackendError as exc:
             logger.error("backend fatal: %s", exc)
             state.stopped = "backend-error"
             state.error = str(exc)
-            return state
-        state.stopped = "plausible" if state.plausible else "exhausted"
         return state

@@ -155,10 +155,11 @@ def extract_context(index: SourceIndex, target: Statement) -> StatementContext:
 class TokenPool:
     """A run's sibling pool, tokenized once.
 
-    When the target is a pool member with the same rendered text, the
-    corpus of `token_match` (pool minus target, plus target) is exactly the
-    pool, so IDF, vectors and norms are the same for every such target and
-    are computed once, on first use. Other targets are scored per call.
+    When the target's statement is a pool member, whose context
+    `extract_context` made from the same index, the corpus of `token_match`
+    (pool minus target, plus target) is exactly the pool, so IDF, vectors
+    and norms are the same for every such target and are computed once, on
+    first use. Other targets are scored per call.
     """
 
     def __init__(self, contexts: list[StatementContext]):
@@ -173,16 +174,16 @@ class TokenPool:
         vocab: dict[str, str] = {}
         vectors = tfidf_vectors([[vocab.setdefault(t, t) for t in tokenize(c.rendered)]
                                  for c in self.contexts])
-        positions = {c.key: i for i, c in enumerate(self.contexts)}
+        positions = {c.target: i for i, c in enumerate(self.contexts)}
         if len(positions) < len(self.contexts):
-            positions = {}  # repeated keys: the corpus is not the pool
+            positions = {}  # repeated statements: the corpus is not the pool
         return vectors, [_norm(v) for v in vectors], positions
 
     def score(self, target: StatementContext
               ) -> list[tuple[float, StatementContext]]:
         vectors, norms, positions = self._tfidf
-        pos = positions.get(target.key)
-        if pos is None or self.contexts[pos].rendered != target.rendered:
+        pos = positions.get(target.target)
+        if pos is None:
             return _score(target, self.contexts)
         tv, tn = vectors[pos], norms[pos]
         return [(_cosine(tv, tn, v, n), c)
@@ -194,7 +195,7 @@ def _score(target: StatementContext, pool: list[StatementContext]
            ) -> list[tuple[float, StatementContext]]:
     """Cosine against the target of every pool context but the target's
     own, over the corpus of the target plus those contexts."""
-    candidates = [ctx for ctx in pool if ctx.key != target.key]
+    candidates = [ctx for ctx in pool if ctx.target != target.target]
     return list(zip(tfidf_similarities(tokenize(target.rendered),
                                        [tokenize(c.rendered) for c in candidates]),
                     candidates))

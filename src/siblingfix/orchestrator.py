@@ -11,8 +11,8 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import json
-import logging
 import re
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,9 +23,7 @@ from .llm import Patch, RemoteChatBackend, ScriptedBackend
 from .localization import (CoverageError, SuspiciousLocation, apply_spfl,
                            load_coverage, ochiai_rank)
 from .source_index import SourceIndex, index_source
-from .validation import patched_texts
-
-logger = logging.getLogger(__name__)
+from .validation import HarnessProtocolError, patched_texts
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -177,15 +175,14 @@ def _suspicious_list(desc: ProjectDescriptor, coverage) -> list[SuspiciousLocati
     return ranked
 
 
-def build_report(desc: ProjectDescriptor, config: RepairConfig,
-                 suspicious: list[SuspiciousLocation], state: RepairState,
-                 diffs: list[str], elapsed: float, requests: int,
-                 prompt_tokens: int) -> dict:
+def build_report(desc: ProjectDescriptor, suspicious: list[SuspiciousLocation],
+                 state: RepairState, diffs: list[str], elapsed: float) -> dict:
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "mode": desc.mode,
-        "config": dataclasses.asdict(config),
-        "suspicious": [dataclasses.asdict(s) for s in suspicious[:config.cap]],
+        "config": dataclasses.asdict(desc.config),
+        "suspicious": [dataclasses.asdict(s)
+                       for s in suspicious[:desc.config.cap]],
         "candidate_counts": state.candidate_counts,
         "attempt_log": [dataclasses.asdict(a) for a in state.attempt_log],
         "plausible": [{"id": p.id, "provenance": p.provenance,
@@ -198,14 +195,19 @@ def build_report(desc: ProjectDescriptor, config: RepairConfig,
         "stopped": state.stopped,
         "error": state.error,
         "timings": {"elapsed_seconds": round(elapsed, 3)},
-        "counts": {"llm_requests": requests,
-                   "prompt_tokens_estimate": prompt_tokens // 4},
+        "counts": {"llm_requests": state.requests,
+                   "prompt_tokens_estimate": state.prompt_chars // 4},
     }
 
 
 def run(descriptor_path: str | Path, overrides: dict | None = None,
         out_dir: str | Path = "runs") -> tuple[int, dict, Path | None]:
-    """Execute a repair run. Returns (exit status, report, run directory)."""
+    """Execute a repair run. Returns (exit status, report, run directory).
+
+    Once the run directory exists, report.json and the embedding cache are
+    written on every path, with `stopped: "error"` if an exception ended the
+    run. A harness protocol error, which only the baseline lets through, is
+    an input error (exit 2); any other exception propagates."""
     try:
         desc = load_descriptor(descriptor_path, overrides)
         index = index_source(desc.project_root, desc.include)
@@ -214,35 +216,35 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         backend = make_backend(desc.backend_spec)
         provider = make_provider(desc.provider_spec)
     except (DescriptorError, CoverageError, FileNotFoundError) as exc:
-        logger.error("invalid descriptor: %s", exc)
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 2, {"error": str(exc)}, None
 
     run_dir = _make_run_dir(Path(out_dir))
     cache = EmbeddingCache(desc.cache_path)
+    state = RepairState()
     start = time.monotonic()
-    engine = RepairEngine(
-        project_root=str(desc.project_root), index=index, coverage=coverage,
-        backend=backend, provider=provider,
-        harness_command=desc.harness_command, config=desc.config,
-        cache=cache, run_dir=run_dir)
-    state = engine.repair_bug(suspicious)
-    elapsed = time.monotonic() - start
-    cache.flush()
-
-    diffs = [patch_to_diff(p, index) for p in state.plausible]
-    patches_dir = run_dir / "patches"
-    patches_dir.mkdir(exist_ok=True)
-    for i, diff in enumerate(diffs, 1):
-        (patches_dir / f"plausible_{i}.diff").write_text(diff, encoding="utf-8")
-    report = build_report(desc, desc.config, suspicious, state, diffs,
-                          elapsed, engine.requests, engine.prompt_chars)
-    (run_dir / "report.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    if state.plausible:
-        exit_code = 0
-    elif state.stopped == "backend-error":
-        exit_code = 3
-    else:
-        exit_code = 1
+    try:
+        RepairEngine(
+            project_root=str(desc.project_root), index=index,
+            coverage=coverage, backend=backend, provider=provider,
+            harness_command=desc.harness_command, config=desc.config,
+            cache=cache, run_dir=run_dir).repair_bug(suspicious, state)
+    except BaseException as exc:
+        state.stopped, state.error = "error", f"{type(exc).__name__}: {exc}"
+        if not isinstance(exc, HarnessProtocolError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+    finally:
+        elapsed = time.monotonic() - start
+        cache.flush()
+        diffs = [patch_to_diff(p, index) for p in state.plausible]
+        patches_dir = run_dir / "patches"
+        patches_dir.mkdir(exist_ok=True)
+        for i, diff in enumerate(diffs, 1):
+            (patches_dir / f"plausible_{i}.diff").write_text(diff, encoding="utf-8")
+        report = build_report(desc, suspicious, state, diffs, elapsed)
+        (run_dir / "report.json").write_text(
+            json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    exit_code = 0 if state.plausible else {"backend-error": 3,
+                                            "error": 2}.get(state.stopped, 1)
     return exit_code, report, run_dir

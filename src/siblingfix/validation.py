@@ -3,12 +3,13 @@
 Patches are applied in an isolated copy of the project; the subject's test
 command communicates results through a JSON-lines file named by the
 RESULTS_PATH environment variable. Verdicts follow the positive criterion:
-PassAll beats Promising beats NoProgress, where Promising needs a newly
+pass-all beats promising beats no-progress, where promising needs a newly
 passing test or stack-trace progress.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -16,6 +17,7 @@ import shutil
 import signal
 import subprocess
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,7 +80,7 @@ class TraceProgress:
 
 @dataclass
 class PatchVerdict:
-    kind: str  # PassAll | Promising | NoProgress
+    kind: str  # pass-all | promising | no-progress
     newly_passing: list[str] = field(default_factory=list)
     trace_progress: TraceProgress | None = None
     regressions: list[str] = field(default_factory=list)
@@ -151,23 +153,26 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
     """Run the harness command; its RESULTS_PATH file is authoritative."""
     workspace = Path(workspace)
     results_path = workspace / ".repair-results.jsonl"
-    if results_path.exists():
-        results_path.unlink()
+    results_path.unlink(missing_ok=True)
     start = time.monotonic()
     env = dict(os.environ, RESULTS_PATH=str(results_path))
     # The harness leads its own process group, so a timeout also kills
     # what it forked (build tools, JVMs) before the workspace is removed.
-    # Only the shell is reaped: a detached child may still hold the pipes.
-    with subprocess.Popen(harness.command, shell=True, cwd=workspace, env=env,
-                          start_new_session=True, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE) as proc:
-        try:
-            proc.communicate(timeout=harness.timeout)
-            timed_out = False
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-            timed_out = True
+    # Its stdout and stderr go to .repair-harness.log, not a pipe, and only
+    # the shell is waited on: a detached child cannot hold the run. A thread
+    # blocks in the wait; `Popen.wait(timeout)` would poll, sleeping up to 50 ms.
+    with (workspace / ".repair-harness.log").open("wb") as log, \
+            subprocess.Popen(harness.command, shell=True, cwd=workspace,
+                             env=env, start_new_session=True, stdout=log,
+                             stderr=subprocess.STDOUT) as proc:
+        waiter = threading.Thread(target=proc.wait, daemon=True)
+        waiter.start()
+        waiter.join(harness.timeout)
+        timed_out = waiter.is_alive()
+        if timed_out:
+            with contextlib.suppress(ProcessLookupError):  # it just exited
+                os.killpg(proc.pid, signal.SIGKILL)
+            waiter.join()
     exit_code = -1 if timed_out else proc.returncode
     wall = time.monotonic() - start
     if timed_out:
@@ -235,7 +240,7 @@ def align_traces(before: list[StackFrame], after: list[StackFrame]) -> str:
 
 
 def classify(baseline: TestReport, patched: TestReport) -> PatchVerdict:
-    """PassAll, Promising (newly passing test or trace progress), or NoProgress."""
+    """pass-all, promising (newly passing test or trace progress), or no-progress."""
     base = baseline.by_id()
     after = patched.by_id()
     all_pass = (bool(patched.results)
@@ -247,23 +252,18 @@ def classify(baseline: TestReport, patched: TestReport) -> PatchVerdict:
     regressions = sorted(
         t for t, r in base.items()
         if r.status == "pass" and t in after and after[t].status != "pass")
-    if all_pass:
-        return PatchVerdict(kind="PassAll", newly_passing=newly_passing,
-                            regressions=regressions)
-    if newly_passing:
-        return PatchVerdict(kind="Promising", newly_passing=newly_passing,
-                            regressions=regressions)
-    for test, r in base.items():
-        if r.status == "pass" or test not in after:
-            continue
-        patched_result = after[test]
-        if patched_result.status == "pass":
-            continue
-        if align_traces(r.frames, patched_result.frames) == "progressed":
-            d = _divergence(r.frames, patched_result.frames)
-            progress = TraceProgress(test=test, divergence_index=d,
-                                     before=r.frames[d],
-                                     after=patched_result.frames[d])
-            return PatchVerdict(kind="Promising", trace_progress=progress,
-                                regressions=regressions)
-    return PatchVerdict(kind="NoProgress", regressions=regressions)
+    progress = None
+    if not newly_passing:
+        for test, r in base.items():
+            p = after.get(test)
+            if (r.status != "pass" and p is not None and p.status != "pass"
+                    and align_traces(r.frames, p.frames) == "progressed"):
+                d = _divergence(r.frames, p.frames)
+                progress = TraceProgress(test=test, divergence_index=d,
+                                         before=r.frames[d], after=p.frames[d])
+                break
+    kind = ("pass-all" if all_pass
+            else "promising" if newly_passing or progress is not None
+            else "no-progress")
+    return PatchVerdict(kind=kind, newly_passing=newly_passing,
+                        trace_progress=progress, regressions=regressions)

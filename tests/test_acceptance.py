@@ -211,50 +211,50 @@ VERDICT_TABLE = [
     # (name, baseline, patched, expected kind)
     ("newly passing",
      _rep(_r("t1", "fail"), _r("t2", "fail")),
-     _rep(_r("t1", "pass"), _r("t2", "fail")), "Promising"),
+     _rep(_r("t1", "pass"), _r("t2", "fail")), "promising"),
     ("all passing",
      _rep(_r("t1", "fail"), _r("t2", "pass")),
-     _rep(_r("t1", "pass"), _r("t2", "pass")), "PassAll"),
+     _rep(_r("t1", "pass"), _r("t2", "pass")), "pass-all"),
     ("same-method deeper line",
      _rep(_r("t1", "fail", [_T, _f("work", 95)])),
-     _rep(_r("t1", "fail", [_T, _f("work", 120)])), "Promising"),
+     _rep(_r("t1", "fail", [_T, _f("work", 120)])), "promising"),
     ("cross-method divergence, identical prefix",
      _rep(_r("t1", "fail", [_T, _f("stageOne", 10)])),
-     _rep(_r("t1", "fail", [_T, _f("stageTwo", 4)])), "Promising"),
+     _rep(_r("t1", "fail", [_T, _f("stageTwo", 4)])), "promising"),
     ("identical traces",
      _rep(_r("t1", "fail", [_T, _f("work", 10)])),
-     _rep(_r("t1", "fail", [_T, _f("work", 10)])), "NoProgress"),
+     _rep(_r("t1", "fail", [_T, _f("work", 10)])), "no-progress"),
     ("same-method shallower line",
      _rep(_r("t1", "fail", [_T, _f("work", 120)])),
-     _rep(_r("t1", "fail", [_T, _f("work", 95)])), "NoProgress"),
+     _rep(_r("t1", "fail", [_T, _f("work", 95)])), "no-progress"),
     ("regression only",
      _rep(_r("t1", "fail", [_T, _f("work", 10)]), _r("t2", "pass")),
      _rep(_r("t1", "fail", [_T, _f("work", 10)]), _r("t2", "fail")),
-     "NoProgress"),
+     "no-progress"),
     ("divergence at the test frame itself",
      _rep(_r("t1", "fail", [_f("test_a", 3, unit="T", file="T.java")])),
      _rep(_r("t1", "fail", [_f("test_b", 3, unit="T", file="T.java")])),
-     "NoProgress"),
+     "no-progress"),
     ("newly passing beats a regression",
      _rep(_r("t1", "fail"), _r("t2", "pass"), _r("t3", "fail")),
-     _rep(_r("t1", "pass"), _r("t2", "fail"), _r("t3", "fail")), "Promising"),
+     _rep(_r("t1", "pass"), _r("t2", "fail"), _r("t3", "fail")), "promising"),
     ("empty baseline trace",
      _rep(_r("t1", "fail", [])),
-     _rep(_r("t1", "fail", [_T])), "NoProgress"),
+     _rep(_r("t1", "fail", [_T])), "no-progress"),
     ("unknown line compares equal",
      _rep(_r("t1", "fail", [_T, _f("work", 0)])),
-     _rep(_r("t1", "fail", [_T, _f("work", 55)])), "NoProgress"),
+     _rep(_r("t1", "fail", [_T, _f("work", 55)])), "no-progress"),
     ("same frames, different message",
      _rep(_r("t1", "fail", [_T, _f("work", 10)], message="assert A")),
      _rep(_r("t1", "fail", [_T, _f("work", 10)], message="assert B")),
-     "NoProgress"),
+     "no-progress"),
     ("strict-prefix trace is not progress",
      _rep(_r("t1", "fail", [_T, _f("work", 10)])),
      _rep(_r("t1", "fail", [_T, _f("work", 10), _f("inner", 2)])),
-     "NoProgress"),
-    ("vanished failing test is not PassAll",
+     "no-progress"),
+    ("vanished failing test is not pass-all",
      _rep(_r("t1", "fail"), _r("t2", "pass")),
-     _rep(_r("t2", "pass")), "NoProgress"),
+     _rep(_r("t2", "pass")), "no-progress"),
 ]
 
 
@@ -263,7 +263,7 @@ def test_acceptance_promising_verdict_table():
     for name, baseline, patched, expected in VERDICT_TABLE:
         verdict = classify(baseline, patched)
         assert verdict.kind == expected, f"case {name!r}: got {verdict.kind}"
-        if expected == "Promising":
+        if expected == "promising":
             assert verdict.newly_passing or verdict.trace_progress
 
 
@@ -346,7 +346,7 @@ def test_acceptance_iterative_carry_over(mini_index, mini_coverage, tmp_path):
     promising = [p for p in log if p[1] == "promising"]
     assert len(promising) == 2
     # The carried patch survived a no-progress combined attempt (the
-    # carry-forward rule) and seeded the final PassAll combination.
+    # carry-forward rule) and seeded the final pass-all combination.
     carried_id = promising[-1][2]
     assert ("iter-B", "no-progress") in [p[:2] for p in log]
     assert log[-1][:2] == ("iter-B", "pass-all")

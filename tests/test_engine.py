@@ -100,7 +100,7 @@ def test_plausible_revalidates_from_pristine(mini_index, mini_coverage, tmp_path
     fresh._ensure_baseline()
     report = fresh._validate(patch)
     from siblingfix.validation import classify
-    assert classify(fresh.baseline, report).kind == "PassAll"
+    assert classify(fresh.baseline, report).kind == "pass-all"
 
 
 class ProseBackend:
@@ -238,17 +238,20 @@ def test_failing_embedding_provider_stops_the_run(mini_index, mini_coverage,
     assert state.attempt_log == []
 
 
+class FixBackend:
+    """Always answers with the full fix; keeps each prompt's feedback."""
+
+    def __init__(self):
+        self.feedback = []
+
+    def complete(self, request):
+        self.feedback.append(prompt_section(request.prompt, "feedback"))
+        return patch_response("getRms", "guessErrors", "getCovariances")
+
+
 def test_plausible_patch_is_fed_back_without_its_report(mini_index,
                                                         mini_coverage,
                                                         tmp_path):
-    class FixBackend:
-        def __init__(self):
-            self.feedback = []
-
-        def complete(self, request):
-            self.feedback.append(prompt_section(request.prompt, "feedback"))
-            return patch_response("getRms", "guessErrors", "getCovariances")
-
     backend = FixBackend()
     engine = make_engine(mini_index, mini_coverage, backend, tmp_path,
                          attempts=2, cap=1)
@@ -259,3 +262,24 @@ def test_plausible_patch_is_fed_back_without_its_report(mini_index,
     assert "PREVIOUS PATCH:" in second
     assert "OUTCOME: passed all tests (plausible)" in second
     assert "TEST " not in second
+
+
+def test_harness_protocol_error_on_a_candidate_is_fed_back(mini_index,
+                                                            mini_coverage,
+                                                            tmp_path):
+    """A harness that writes a malformed results line once the fix is in
+    gives `harness-error` attempts; the run goes on, and the next prompt
+    carries the error."""
+    backend = FixBackend()
+    engine = make_engine(mini_index, mini_coverage, backend, tmp_path,
+                         attempts=2, cap=1)
+    engine.harness.command = (
+        "if grep -q getUnboundParameters src/Estimator.java; "
+        "then echo garbage > \"$RESULTS_PATH\"; else python3 harness.py; fi")
+    state = engine.repair_bug(ochiai_rank(mini_coverage))
+    assert state.stopped == "exhausted" and state.plausible == []
+    assert [(r.phase, r.verdict) for r in state.attempt_log][:2] == [
+        ("sim-A", "harness-error"), ("sim-A", "harness-error")]
+    assert all(r.patch_id for r in state.attempt_log)
+    assert "ATTEMPT OUTCOME: harness protocol error: " in backend.feedback[1]
+    assert ".repair-results.jsonl:1: " in backend.feedback[1]

@@ -263,9 +263,9 @@ def test_token_pool_uncovered_target_falls_back(mini_index, mini_coverage,
     from siblingfix.matching import TokenPool
     pool = _covered_pool(mini_index, mini_coverage)
     tokens = TokenPool(pool)
-    covered = {c.key for c in pool}
+    covered = {c.target for c in pool}
     uncovered = [s for sf in mini_index.files.values() for s in sf.statements
-                 if (s.file, s.start_line) not in covered]
+                 if s not in covered]
     assert uncovered
     calls = []
 
@@ -279,18 +279,37 @@ def test_token_pool_uncovered_target_falls_back(mini_index, mini_coverage,
         assert _ranked(token_match(target, tokens, limit=100)) == \
             _ranked(token_match(target, pool, limit=100))
     assert len(calls) == 2 * len(uncovered)
-    # A member key whose rendered text differs is not the pool's corpus.
+    # A statement at a member's key whose text differs is not the pool's
+    # corpus.
     member = pool[0]
     other = ctx(member.rendered + " extra", *member.key)
     calls.clear()
     assert _ranked(token_match(other, tokens)) == _ranked(token_match(other, pool))
     assert len(calls) == 2
-    # A pool that repeats a key never takes the shared vectors.
-    repeated = pool + [ctx("other text", *member.key)]
+    # A pool that repeats a statement never takes the shared vectors.
+    repeated = pool + [pool[0]]
     calls.clear()
     assert _ranked(token_match(member, TokenPool(repeated))) == \
         _ranked(token_match(member, repeated))
     assert len(calls) == 2
+
+
+def test_pool_keeps_statements_that_share_a_start_line(tmp_path):
+    """Two covered statements starting on one line both enter the pool,
+    and neither is a token match of itself."""
+    from siblingfix.localization import CoverageMatrix
+    (tmp_path / "S.java").write_text(
+        "class S {\n  int f(int b) {\n    int a = b + 1; foo(a,\n        b);\n"
+        "    return a;\n  }\n}\n", encoding="utf-8")
+    index = index_source(tmp_path, ["*.java"])
+    coverage = CoverageMatrix(tests=[("t", "fail")],
+                              covered={"t": {("S.java", n) for n in (3, 4, 5)}})
+    pool = _covered_pool(index, coverage)
+    assert [c.target.text for c in pool] == [
+        "int a = b + 1;", "foo(a,\n        b);", "return a;"]
+    for member in pool:
+        matched = [c.context.target for c in token_match(member, pool)]
+        assert member.target not in matched and len(matched) == 2
 
 
 # -- _assigns pattern cache ---------------------------------------------

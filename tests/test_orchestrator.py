@@ -3,6 +3,7 @@ import json
 import pytest
 
 from conftest import DESCRIPTOR, EXPECTED_DIFF, FIXTURES
+from siblingfix import orchestrator
 from siblingfix.cli import main, parse_duration
 from siblingfix.llm import Patch, PatchEdit
 from siblingfix.orchestrator import (DescriptorError, load_descriptor,
@@ -200,3 +201,66 @@ def test_cli_invalid_descriptor(tmp_path):
     code = main(["run", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "runs")])
     assert code == 2
+
+
+def test_cli_input_error_is_reported_once_on_stderr(tmp_path, capsys):
+    code = main(["run", str(DESCRIPTOR), "--theta", "1.5",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: bad config value: theta must be in [-1, 1]\n"
+
+
+def write_descriptor(tmp_path, **changes):
+    """The miniproject descriptor with absolute paths, a cache under
+    tmp_path, and the given top-level keys replaced."""
+    data = json.loads(DESCRIPTOR.read_text())
+    data["project_root"] = str(FIXTURES / "project")
+    data["coverage"] = str(FIXTURES / "coverage.jsonl")
+    data["backend"]["directory"] = str(FIXTURES / "responses")
+    data["cache"] = str(tmp_path / "embeddings.json")
+    data.update(changes)
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps(data))
+    return desc
+
+
+def test_baseline_harness_protocol_error_is_exit_2_with_report(tmp_path,
+                                                                capsys):
+    desc = write_descriptor(
+        tmp_path, harness={"command": 'echo garbage > "$RESULTS_PATH"'})
+    code, report, run_dir = run(desc, out_dir=tmp_path / "runs")
+    assert code == 2
+    assert json.loads((run_dir / "report.json").read_text()) == report
+    assert report["stopped"] == "error"
+    assert report["error"].startswith("HarnessProtocolError: ")
+    assert ".repair-results.jsonl:1: " in report["error"]
+    assert report["attempt_log"] == [] and report["plausible"] == []
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
+                                                            monkeypatch):
+    class CrashingBackend:
+        requests = 0
+
+        def complete(self, request):
+            self.requests += 1
+            if self.requests > 1:
+                raise RuntimeError("backend crashed")
+            return "no patch here"
+
+    monkeypatch.setattr(orchestrator, "make_backend",
+                        lambda spec: CrashingBackend())
+    desc = write_descriptor(tmp_path)
+    with pytest.raises(RuntimeError, match="backend crashed"):
+        run(desc, out_dir=tmp_path / "runs")
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["stopped"] == "error"
+    assert report["error"] == "RuntimeError: backend crashed"
+    assert [(a["phase"], a["verdict"]) for a in report["attempt_log"]] == [
+        ("sim-A", "parse-error")]
+    assert report["counts"]["llm_requests"] == 2
+    assert (tmp_path / "embeddings.json").is_file()

@@ -174,12 +174,27 @@ def test_run_tests_timeout_kills_the_process_group(tmp_path):
     assert [r.status for r in report.results] == ["timeout"]
     time.sleep(1.5)
     assert not (tmp_path / "late").exists()
-    # A child outside the group that keeps the output pipes open does not
-    # hold the run past its timeout.
+    # A child outside the group does not hold the run past its timeout.
     harness.command = "setsid sleep 3 & sleep 30"
     start = time.monotonic()
     run_tests(tmp_path, harness)
     assert time.monotonic() - start < 2
+
+
+def test_run_tests_waits_on_the_shell_alone(tmp_path):
+    """A detached child that outlives the harness, as a build daemon may,
+    does not hold the run; the harness's output goes to its log file."""
+    harness = HarnessConfig(
+        command="echo '{\"test\": \"t1\", \"status\": \"pass\"}' "
+                "> \"$RESULTS_PATH\"; echo out; echo err >&2; "
+                "setsid sleep 3 & exit 0",
+        timeout=0.5, expected_tests=["t1"])
+    start = time.monotonic()
+    report = run_tests(tmp_path, harness)
+    assert time.monotonic() - start < 2
+    assert [(r.test, r.status) for r in report.results] == [("t1", "pass")]
+    assert report.harness_exit == 0
+    assert (tmp_path / ".repair-harness.log").read_text() == "out\nerr\n"
 
 
 def test_run_tests_missing_results_file(tmp_path):
@@ -267,14 +282,14 @@ def res(test, status, frames=(), message=""):
 def test_classify_pass_all():
     baseline = report(res("t1", "fail"), res("t2", "pass"))
     patched = report(res("t1", "pass"), res("t2", "pass"))
-    assert classify(baseline, patched).kind == "PassAll"
+    assert classify(baseline, patched).kind == "pass-all"
 
 
 def test_classify_newly_passing_promising():
     baseline = report(res("t1", "fail"), res("t2", "fail"))
     patched = report(res("t1", "pass"), res("t2", "fail"))
     verdict = classify(baseline, patched)
-    assert verdict.kind == "Promising"
+    assert verdict.kind == "promising"
     assert verdict.newly_passing == ["t1"]
 
 
@@ -282,7 +297,7 @@ def test_classify_trace_progress_promising():
     baseline = report(res("t1", "fail", [TEST_FRAME, frame(line=10)]))
     patched = report(res("t1", "fail", [TEST_FRAME, frame(line=22)]))
     verdict = classify(baseline, patched)
-    assert verdict.kind == "Promising"
+    assert verdict.kind == "promising"
     assert verdict.trace_progress.test == "t1"
     assert verdict.trace_progress.divergence_index == 1
 
@@ -291,21 +306,21 @@ def test_classify_self_comparison_no_progress():
     baseline = report(res("t1", "fail", [TEST_FRAME, frame(line=10)]),
                       res("t2", "pass"))
     verdict = classify(baseline, baseline)
-    assert verdict.kind == "NoProgress"
+    assert verdict.kind == "no-progress"
 
 
 def test_classify_regressions_recorded_not_vetoing():
     baseline = report(res("t1", "fail"), res("t2", "pass"))
     patched = report(res("t1", "pass"), res("t2", "fail"))
     verdict = classify(baseline, patched)
-    assert verdict.kind == "Promising"
+    assert verdict.kind == "promising"
     assert verdict.regressions == ["t2"]
 
 
 def test_classify_missing_test_blocks_pass_all():
     baseline = report(res("t1", "fail"), res("t2", "pass"))
     patched = report(res("t2", "pass"))  # t1 vanished from the results
-    assert classify(baseline, patched).kind == "NoProgress"
+    assert classify(baseline, patched).kind == "no-progress"
 
 
 def test_results_file_is_authoritative(tmp_path):
