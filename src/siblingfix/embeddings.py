@@ -28,11 +28,20 @@ class EmbeddingError(BackendError):
 
 
 def cosine(a: list[float], b: list[float]) -> float:
+    return _cosine(a, _norm(a), b)
+
+
+def _norm(v: list[float]) -> float:
+    return math.sqrt(sum(x * x for x in v))
+
+
+def _cosine(a: list[float], na: float, b: list[float]) -> float:
+    """`cosine(a, b)` given `a`'s norm, so one vector's norm is computed
+    once against many."""
     if a == b:
         return 1.0 if any(a) else 0.0
     dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
+    nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -61,7 +70,7 @@ class LocalHashProvider:
             for token in tokenize(text):
                 digest = hashlib.md5(token.encode()).hexdigest()
                 vec[int(digest, 16) % self.dimension] += 1.0
-            norm = math.sqrt(sum(x * x for x in vec))
+            norm = _norm(vec)
             if norm > 0.0:
                 vec = [x / norm for x in vec]
             out.append(vec)
@@ -169,9 +178,10 @@ def embedding_match(target: StatementContext, candidates: list[CandidateSibling]
         return []
     texts = [target.rendered] + [c.context.rendered for c in candidates]
     target_vec, *vectors = embed(texts, provider, cache)
+    target_norm = _norm(target_vec)
     kept = []
     for cand, vec in zip(candidates, vectors):
-        sim = cosine(target_vec, vec)
+        sim = _cosine(target_vec, target_norm, vec)
         cand.embedding_similarity = sim
         if sim >= theta:
             kept.append(cand)

@@ -24,7 +24,7 @@ from .llm import (BackendError, CompletionRequest, Patch, PatchParseError,
 from .localization import CoverageMatrix, SuspiciousLocation
 from .matching import (CandidateSibling, StatementContext, TokenPool,
                        extract_context, group_by_method, jaccard_filter,
-                       token_match)
+                       statement_contexts, token_match)
 from .prompting import FeedbackEntry, PromptBudgetError, build_prompt
 from .source_index import SourceIndex
 from .validation import (HarnessConfig, HarnessProtocolError,
@@ -187,8 +187,8 @@ class RepairEngine:
             for file, line in sorted(self.coverage.all_locations())
             if file in self.index.files)
         stmts.pop(None, None)
-        return [extract_context(self.index, s)
-                for s in sorted(stmts, key=lambda s: (s.file, s.start_line))]
+        return statement_contexts(
+            self.index, sorted(stmts, key=lambda s: (s.file, s.start_line)))
 
     @staticmethod
     def _dedupe(patches: list[Patch]) -> list[Patch]:

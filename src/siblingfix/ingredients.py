@@ -79,11 +79,7 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
         result.setdefault(key, ing)
 
     for group in groups:
-        for line in sorted(group.sibling_lines):
-            stmt = index.statement_at(group.file, line)
-            if stmt is None:
-                logger.debug("no statement at %s:%d, skipped", group.file, line)
-                continue
+        for stmt in sorted(group.siblings, key=lambda s: s.start_line):
             idents = identifiers_in(stmt)
             refs = [i for i in idents if i.kind in ("call", "field-access")]
             classes: dict[str, ClassRef] = {}
@@ -115,7 +111,7 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
                     resolved = _classes_declaring(index, ref.name)
                 if not resolved:
                     logger.debug("unresolvable reference %s at %s:%d",
-                                 ref.name, group.file, line)
+                                 ref.name, stmt.file, stmt.start_line)
                 for cls in resolved:
                     classes[f"{cls.file}:{cls.name}"] = cls
             if n == 0 or not classes:

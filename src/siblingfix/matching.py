@@ -23,9 +23,16 @@ def tokenize(text: str) -> list[str]:
     """Lowercase tokens, camel-case and underscore split, order preserved."""
     tokens: list[str] = []
     for word in _WORD_RE.findall(text):
-        for part in word.split("_"):
-            tokens.extend(p.lower() for p in _PIECE_RE.findall(part))
+        tokens.extend(_split_word(word))
     return tokens
+
+
+@lru_cache(maxsize=1 << 16)
+def _split_word(word: str) -> tuple[str, ...]:
+    """The tokens of one word. A run's words are its project's words, so
+    most repeat and each distinct one is split once."""
+    return tuple(p.lower() for part in word.split("_")
+                 for p in _PIECE_RE.findall(part))
 
 
 def tfidf_vectors(docs: list[list[str]]) -> list[dict[str, float]]:
@@ -98,58 +105,75 @@ class CandidateSibling:
 class MethodGroup:
     method: MethodRef | None
     file: str
-    sibling_lines: set[int] = field(default_factory=set)
+    siblings: list[Statement] = field(default_factory=list)
     jaccard: float | None = None  # best Jaccard of its candidates, if scored
 
 
 _ASSIGN_OPS = r"(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"
+# The names a statement assigns (`x = ...`, `a[i] += ...`, `n++`) or
+# declares without an initializer (`int x;`, `String s)`, `T v:`). A word
+# character never starts either suffix, so each match is a whole word.
+_ASSIGNED_RE = re.compile(
+    rf"(?<![\w.$])([A-Za-z_$][\w$]*)(?=\s*(?:\[[^\]]*\])?\s*{_ASSIGN_OPS})")
+_DECLARED_RE = re.compile(r"[\w>\]]\s+([A-Za-z_$][\w$]*)(?=\s*(?:[;,=)]|:))")
 
 
-@lru_cache(maxsize=4096)
-def _assign_patterns(name: str) -> tuple[re.Pattern, re.Pattern]:
-    n = re.escape(name)
-    return (re.compile(rf"(?<![\w.$]){n}\s*(?:\[[^\]]*\])?\s*{_ASSIGN_OPS}"),
-            # Declaration without initializer: a type-ish token then the name.
-            re.compile(rf"[\w>\]]\s+{n}\s*(?:[;,=)]|:)"))
+def defined_names(stmt: Statement) -> set[str]:
+    """Heuristic: the names the statement assigns or declares."""
+    return {*_ASSIGNED_RE.findall(stmt.masked), *_DECLARED_RE.findall(stmt.masked)}
 
 
-def _assigns(stmt: Statement, name: str) -> bool:
-    """Heuristic: does the statement assign or declare `name`?"""
-    assign, declare = _assign_patterns(name)
-    return bool(assign.search(stmt.masked) or declare.search(stmt.masked))
+def scope_contexts(scope: list[Statement]) -> list[StatementContext]:
+    """Reaching-definition context of each statement of a scope, in order.
+
+    One forward pass keeps, for each name, the position of the last
+    statement so far that assigns or declares it. A statement's context is
+    the definitions reaching the variables it uses, in scope order, then
+    the statement itself; if it uses variables but none resolves, the
+    statement just before it stands in. Statements are told apart by
+    position, so equal statements on one line are distinct.
+    """
+    last: dict[str, int] = {}
+    contexts = []
+    for pos, stmt in enumerate(scope):
+        variables = [i.name for i in identifiers_in(stmt) if i.kind == "variable"]
+        chosen = sorted({last[n] for n in variables if n in last})
+        if variables and not chosen and pos:
+            chosen = [pos - 1]
+        contexts.append(StatementContext(
+            target=stmt, context=tuple(scope[i] for i in chosen) + (stmt,)))
+        last.update(dict.fromkeys(defined_names(stmt), pos))
+    return contexts
+
+
+def statement_contexts(index: SourceIndex, statements: list[Statement]
+                       ) -> list[StatementContext]:
+    """Context of each statement, in order, with one `scope_contexts` pass
+    per scope. A statement's scope is its enclosing method's statements, or
+    its file's when no method encloses it. A statement its scope does not
+    hold (one that runs past the end of its method) is placed after it."""
+    by_scope: dict[tuple, list[int]] = {}
+    for i, s in enumerate(statements):
+        method = index.enclosing_method(s.file, s.start_line)
+        by_scope.setdefault((s.file, method), []).append(i)
+    out: list[StatementContext | None] = [None] * len(statements)
+    for (file, method), members in by_scope.items():
+        scope = (index.statements_in_method(method) if method is not None
+                 else index.files[file].statements)
+        position = {id(s): p for p, s in enumerate(scope)}
+        contexts = scope_contexts(scope)
+        for i in members:
+            stmt = statements[i]
+            pos = position.get(id(stmt))
+            out[i] = (contexts[pos] if pos is not None
+                      else scope_contexts(scope + [stmt])[-1])
+    return out
 
 
 def extract_context(index: SourceIndex, target: Statement) -> StatementContext:
-    """Reaching-definition context of the target statement.
-
-    For each variable used in the target, the nearest preceding statement in
-    the enclosing method (or file) that assigns or declares it is included;
-    if the target uses variables but none can be resolved, the statement
-    immediately before the target is used instead. A target using no
-    variables gets no extra context. The target itself is always included.
-    """
-    method = index.enclosing_method(target.file, target.start_line)
-    if method is not None:
-        scope = index.statements_in_method(method)
-    else:
-        scope = list(index.files[target.file].statements)
-    try:
-        pos = scope.index(target)
-    except ValueError:
-        pos = len(scope)
-    preceding = scope[:pos]
-    variables = [i.name for i in identifiers_in(target) if i.kind == "variable"]
-    chosen: list[Statement] = []
-    for name in dict.fromkeys(variables):
-        for stmt in reversed(preceding):
-            if _assigns(stmt, name):
-                if stmt not in chosen:
-                    chosen.append(stmt)
-                break
-    if variables and not chosen and preceding:
-        chosen.append(preceding[-1])
-    ordered = [s for s in scope if s in chosen or s is target]
-    return StatementContext(target=target, context=tuple(ordered))
+    """Reaching-definition context of the target statement (see
+    `scope_contexts`)."""
+    return statement_contexts(index, [target])[0]
 
 
 class TokenPool:
@@ -253,7 +277,7 @@ def group_by_method(candidates: list[CandidateSibling],
         else:
             key = (stmt.file, -1, "")
             group = groups.setdefault(key, MethodGroup(method=None, file=stmt.file))
-        group.sibling_lines.add(stmt.start_line)
+        group.siblings.append(stmt)
         if cand.jaccard_similarity is not None:
             group.jaccard = max(group.jaccard or 0.0, cand.jaccard_similarity)
     return [groups[k] for k in sorted(groups)]

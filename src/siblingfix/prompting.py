@@ -91,9 +91,10 @@ def _render_group(group: MethodGroup, index: SourceIndex) -> str:
         start = 1
         header = f"// file: {group.file}  (top-level)"
     lines = body.split("\n")
+    marked = {s.start_line for s in group.siblings}
     rendered = []
     for offset, line in enumerate(lines):
-        if start + offset in group.sibling_lines:
+        if start + offset in marked:
             rendered.append(f"{line}  {SIBLING_MARKER}")
         else:
             rendered.append(line)

@@ -31,7 +31,10 @@ KEYWORDS = frozenset(
 )
 
 _CLASS_RE = re.compile(r"\b(?:class|interface|enum|struct)\s+([A-Za-z_]\w*)")
-_SIGNATURE_NAME_RE = re.compile(r"([A-Za-z_][\w$]*)\s*\(")
+# A name before '(': the rest of a [\w$] run from its first [A-Za-z_], tried
+# only where a run starts, so a word is not rescanned from each position.
+_SIGNATURE_NAME_RE = re.compile(
+    r"(?<![\w$])(?:[^\W_A-Za-z]|\$)*([A-Za-z_][\w$]*)\s*\(")
 _IDENT_RE = re.compile(r"[A-Za-z_$][\w$]*")
 _CALL_OPEN_RE = re.compile(r"\s*\(")
 
@@ -382,8 +385,9 @@ def _find_methods(path: str, text: str, masked: str, starts: list[int],
         name = m.group(1)
         if name in KEYWORDS:
             continue
+        start = m.start(1)
         # A call on a receiver (x.foo(...)) is not a declaration.
-        if _after_dot(masked, m.start()):
+        if _after_dot(masked, start):
             continue
         close_paren = pairs.get(m.end() - 1)
         if close_paren is None:
@@ -396,12 +400,12 @@ def _find_methods(path: str, text: str, masked: str, starts: list[int],
         close = pairs.get(brace)
         if close is None:
             continue
-        sig_line = _line_of(m.start(), starts)
+        sig_line = _line_of(start, starts)
         body_end = _line_of(close, starts)
         brace_line = _line_of(brace, starts)
         body_start = min(sig_line, brace_line)
         cls = _at(class_by_line, sig_line)
-        sig_text = _signature_text(masked, text, m.start(), close_paren)
+        sig_text = _signature_text(masked, text, start, close_paren)
         methods.append(MethodRef(
             file=path, name=name, signature_line=sig_line,
             body_start=body_start, body_end=body_end,

@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siblingfix.embeddings import (EmbeddingCache, EmbeddingError,
                                    LocalHashProvider, RemoteEmbeddingProvider,
@@ -106,6 +108,52 @@ def test_embedding_match_bad_theta():
     # The theta embedding_match receives is checked once, in the config.
     with pytest.raises(ValueError):
         RepairConfig(theta=1.5)
+
+
+class FixedProvider:
+    """Embeds each text as the vector given for it."""
+    name, model, batch_size = "fixed", "f", 8
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed_batch(self, texts):
+        return [self.vectors[t] for t in texts]
+
+
+_COMPONENT = st.sampled_from([0.0, 0.5, -1.0, 3.0]) | st.floats(-10, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.lists(_COMPONENT, min_size=d, max_size=d),
+    st.lists(st.one_of(st.just(None), st.just([0.0] * d),
+                       st.lists(_COMPONENT, min_size=d, max_size=d)),
+             max_size=8))))
+def test_embedding_match_similarities_equal_cosine(case):
+    """Each candidate's similarity is exactly `cosine(target, vector)`, and
+    that is the plain formula's float; a None stands for a vector equal to
+    the target's."""
+    target_vec, rows = case
+    rows = [target_vec if r is None else r for r in rows]
+    vectors = {"t": target_vec, **{f"c{i}": r for i, r in enumerate(rows)}}
+    candidates = cands(*[(f"c{i}", "c.java", i + 1) for i in range(len(rows))])
+    embedding_match(ctx("t", "t.java", 1), candidates, -1.0,
+                    FixedProvider(vectors))
+    want = [_ref_cosine(target_vec, r) for r in rows]
+    assert [c.embedding_similarity for c in candidates] == want
+    assert [cosine(target_vec, r) for r in rows] == want
+
+
+def _ref_cosine(a, b):
+    if a == b:
+        return 1.0 if any(a) else 0.0
+    dot = sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
 
 
 def test_cache_hits_bypass_provider(tmp_path):

@@ -7,7 +7,8 @@ from siblingfix.matching import MethodGroup, tokenize
 
 def groups_for_line(index, file, line):
     method = index.enclosing_method(file, line)
-    return [MethodGroup(method=method, file=file, sibling_lines={line})]
+    return [MethodGroup(method=method, file=file,
+                        siblings=[index.statement_at(file, line)])]
 
 
 def test_referenced_declaration_surfaces_related_accessor(mini_index):
@@ -123,3 +124,24 @@ def test_class_name_receiver_resolves_by_member_name(tmp_path):
         ("Util", "static int sum(int a, int b)"),
         ("Util", "static int twice(int a)"),
     }
+
+
+def test_sibling_sharing_a_start_line_gets_its_own_ingredients(tmp_path):
+    """A sibling is harvested from its own statement, not from whichever
+    statement a lookup by its start line returns."""
+    from siblingfix.matching import (CandidateSibling, StatementContext,
+                                     group_by_method)
+    from siblingfix.source_index import index_source
+    (tmp_path / "S.java").write_text(
+        "class S {\n  int f(int b) {\n    int a = b + 1; foo(a,\n        b);\n"
+        "    return a;\n  }\n  void foo(int x, int y) {\n  }\n}\n",
+        encoding="utf-8")
+    index = index_source(tmp_path, ["*.java"])
+    call = next(s for s in index.files["S.java"].statements
+                if s.text.startswith("foo("))
+    assert call.start_line == 3 and index.statement_at("S.java", 3) is not call
+    groups = group_by_method(
+        [CandidateSibling(StatementContext(target=call, context=(call,)))], index)
+    out = extract_fix_ingredients(groups, index, n=5)
+    assert {i.signature_text for i in out} == {"void foo(int x, int y)",
+                                               "int f(int b)"}

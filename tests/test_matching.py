@@ -3,10 +3,12 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siblingfix.matching import (StatementContext, extract_context,
-                                 group_by_method, jaccard, jaccard_filter,
+from siblingfix.matching import (StatementContext, defined_names,
+                                 extract_context, group_by_method, jaccard,
+                                 jaccard_filter, statement_contexts,
                                  token_match, tokenize)
 from siblingfix.source_index import Statement, identifiers_in, index_source
+from strategies import FILE
 
 
 def test_tokenize_camel_case():
@@ -160,9 +162,9 @@ def test_group_by_method(mini_index):
     groups = group_by_method(cands, mini_index)
     assert len(groups) == 2
     assert groups[0].method.name == "getRms"
-    assert groups[0].sibling_lines == {4, 5}
+    assert [s.start_line for s in groups[0].siblings] == [4, 5]
     assert groups[1].method.name == "guessErrors"
-    assert groups[1].sibling_lines == {10}
+    assert [s.start_line for s in groups[1].siblings] == [10]
     assert group_by_method([], mini_index) == []
 
 
@@ -312,7 +314,7 @@ def test_pool_keeps_statements_that_share_a_start_line(tmp_path):
         assert member.target not in matched and len(matched) == 2
 
 
-# -- _assigns pattern cache ---------------------------------------------
+# -- reaching-definition contexts against the per-variable scan ---------
 
 def _assigns_uncached(stmt, name):
     """_assigns as it was: two regex searches compiled per call (the
@@ -327,9 +329,161 @@ def _assigns_uncached(stmt, name):
         rf"[\w>\]]\s+{re.escape(name)}\s*(?:[;,=)]|:)", masked))
 
 
-def test_extract_context_over_600_distinct_locals(tmp_path, monkeypatch):
-    """More distinct local names than the `re` module caches patterns for."""
+def _ref_extract_context(index, target):
+    """extract_context as it was: for each variable the target uses, a
+    backward scan of its scope for the nearest statement assigning it."""
+    method = index.enclosing_method(target.file, target.start_line)
+    if method is not None:
+        scope = index.statements_in_method(method)
+    else:
+        scope = list(index.files[target.file].statements)
+    try:
+        pos = scope.index(target)
+    except ValueError:
+        pos = len(scope)
+    preceding = scope[:pos]
+    variables = [i.name for i in identifiers_in(target) if i.kind == "variable"]
+    chosen = []
+    for name in dict.fromkeys(variables):
+        for stmt in reversed(preceding):
+            if _assigns_uncached(stmt, name):
+                if stmt not in chosen:
+                    chosen.append(stmt)
+                break
+    if variables and not chosen and preceding:
+        chosen.append(preceding[-1])
+    ordered = [s for s in scope if s in chosen or s is target]
+    return StatementContext(target=target, context=tuple(ordered))
+
+
+def _assert_contexts_match_reference(index):
+    stmts = [s for sf in index.files.values() for s in sf.statements]
+    want = [_ref_extract_context(index, s) for s in stmts]
+    assert statement_contexts(index, stmts) == want
+    assert [extract_context(index, s) for s in stmts] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(FILE)
+def test_contexts_match_reference_on_generated_files(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("contexts")
+    (tmp / "T.java").write_text(text, encoding="utf-8")
+    _assert_contexts_match_reference(index_source(tmp, ["*.java"]))
+
+
+_LOCAL = st.sampled_from(["a", "b", "total", "x1", "s", "$d", "arr"])
+_LONG_STATEMENT = st.one_of(
+    st.builds("int {} = {} + 1;".format, _LOCAL, _LOCAL),
+    st.builds("{} += {};".format, _LOCAL, _LOCAL),
+    st.builds("{}++;".format, _LOCAL),
+    st.builds("{}[i] = {};".format, _LOCAL, _LOCAL),
+    st.builds("String {};".format, _LOCAL),
+    st.builds("use({}.{}, {});".format, _LOCAL, _LOCAL, _LOCAL),
+    st.builds("{} = f({},\n      {});".format, _LOCAL, _LOCAL, _LOCAL),
+    st.builds("if ({} == {}) {{".format, _LOCAL, _LOCAL),
+    st.builds("for (T {} : {}) {{".format, _LOCAL, _LOCAL),
+    st.builds('note("{0} = 0"); // {0} = 1'.format, _LOCAL),
+    st.just("}"),
+    st.just("done();"),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_LONG_STATEMENT, min_size=20, max_size=120))
+def test_contexts_match_reference_on_long_methods(tmp_path_factory, body):
+    opened = sum(line.endswith("{") for line in body) - body.count("}")
+    text = ("class L {\n  int run(int a, int[] arr) {\n    "
+            + "\n    ".join(body) + "\n" + "  }\n" * max(opened, 0) + "  }\n}\n")
+    tmp = tmp_path_factory.mktemp("long")
+    (tmp / "L.java").write_text(text, encoding="utf-8")
+    _assert_contexts_match_reference(index_source(tmp, ["*.java"]))
+
+
+_PIECES = st.sampled_from(["a", "b1", "$c", "d$", "\u00e9", "9", ".", " ", "\t",
+                           "=", "==", "+=", "<<=", "++", "-", "[i]", "[", "]",
+                           "(", ")", ";", ",", ":", ">", "int"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(FILE | st.lists(_PIECES, max_size=16).map("".join))
+def test_defined_names_match_per_name_search(text):
+    """A name is defined by a statement exactly when the per-name search
+    says it is assigned or declared there, for every identifier of the text."""
+    from siblingfix.source_index import _IDENT_RE
+    stmt = Statement(file="T.java", start_line=1, end_line=1, text=text,
+                     kind="simple")
+    names = set(_IDENT_RE.findall(text))
+    defined = defined_names(stmt)
+    assert defined <= names
+    for name in names:
+        assert (name in defined) == _assigns_uncached(stmt, name), name
+
+
+def _chained_method(n):
+    body = ["class Chain {", "  int run() {", "    int v0 = 0;"]
+    body += [f"    int v{i} = v{i - 1} + {i};" for i in range(1, n)]
+    body += [f"    return v{n - 1};", "  }", "}", ""]
+    return "\n".join(body)
+
+
+def test_chained_method_takes_one_pass(tmp_path, monkeypatch):
+    """Each statement's uses are read once per scope, not once per target:
+    N chained definitions cost N `identifiers_in` calls."""
     from siblingfix import matching
+    n = 2000
+    index = make_index(tmp_path, _chained_method(n), "Chain.java")
+    method = index.enclosing_method("Chain.java", 3)
+    scope = index.statements_in_method(method)
+    assert len(scope) == n + 2  # header, n definitions, return
+    calls = []
+
+    def counted(stmt):
+        calls.append(stmt)
+        return identifiers_in(stmt)
+    monkeypatch.setattr(matching, "identifiers_in", counted)
+    contexts = statement_contexts(index, scope)
+    assert len(calls) == len(scope)
+    assert [c.text for c in contexts[5].context] == ["int v3 = v2 + 3;",
+                                                     "int v4 = v3 + 4;"]
+    assert [c.text for c in contexts[-1].context] == [
+        f"int v{n - 1} = v{n - 2} + {n - 1};", f"return v{n - 1};"]
+
+
+def test_equal_statements_on_one_line_are_told_apart(tmp_path):
+    """Two equal statements on one line are two positions: each sees the
+    other only as the definition that reaches it. The per-variable scan
+    matched by equality, so it gave the second `i++` the first one's
+    context and put both into the context of `use(i)`."""
+    index = make_index(tmp_path, "class E {\n  void f(int i) {\n    i++; i++;\n"
+                                 "    use(i);\n  }\n}\n", "E.java")
+    header, first, second, use = index.statements_in_method(
+        index.enclosing_method("E.java", 3))
+    assert first == second and first is not second
+    got = statement_contexts(index, [first, second, use])
+    assert [c.context for c in got] == [(header, first), (first, second),
+                                        (second, use)]
+    assert all(c.context[-1] is c.target for c in got)
+    assert got[2].context[0] is second
+    assert _ref_extract_context(index, use).context == (first, second, use)
+
+
+def test_statement_past_its_method_end_keeps_its_own_text(tmp_path):
+    """A statement that starts in a one-line method and ends after it is
+    not among the method's statements; it follows them in its context.
+    The per-variable scan left the target out of its own context."""
+    index = make_index(tmp_path, "class P {\n  void h() { a = 0; } int z\n"
+                                 "      = a;\n}\n", "P.java")
+    target = index.statement_at("P.java", 3)
+    assert target.text == "int z\n      = a;"
+    scope = index.statements_in_method(index.enclosing_method("P.java", 2))
+    assert target not in scope
+    assign = scope[-1]
+    assert extract_context(index, target).context == (assign, target)
+    assert _ref_extract_context(index, target).context == (assign,)
+
+
+def test_extract_context_over_600_distinct_locals(tmp_path):
+    """More distinct local names than the `re` module caches patterns for."""
     blocks, width = 21, 30  # 630 locals, each use reads 30 fresh ones
     body = ["class Many {", "    int run(int seed) {"]
     for b in range(blocks):
@@ -345,8 +499,6 @@ def test_extract_context_over_600_distinct_locals(tmp_path, monkeypatch):
                if "use(" in s.text or s.text.startswith("int v1")]
     assert len(targets) > blocks
     got = [extract_context(index, s) for s in targets]
-    monkeypatch.setattr(matching, "_assigns", _assigns_uncached)
-    want = [extract_context(index, s) for s in targets]
+    want = [_ref_extract_context(index, s) for s in targets]
     assert got == want
     assert all(len(c.context) > width for c in got if "use(" in c.target.text)
-    assert matching._assign_patterns.cache_info().currsize >= blocks * width

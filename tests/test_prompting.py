@@ -19,8 +19,8 @@ def evidence():
 
 def one_group(index, file, line, jaccard=None):
     method = index.enclosing_method(file, line)
-    return MethodGroup(method=method, file=file, sibling_lines={line},
-                       jaccard=jaccard)
+    return MethodGroup(method=method, file=file,
+                       siblings=[index.statement_at(file, line)], jaccard=jaccard)
 
 
 def test_all_eight_sections_in_order(mini_index):
@@ -86,8 +86,9 @@ def test_marker_count_matches_sibling_lines(tmp_path):
     groups = []
     for line in lines:
         method = index.enclosing_method("Wide.java", line)
-        groups.append(MethodGroup(method=method, file="Wide.java",
-                                  sibling_lines={line, line - 1}))
+        groups.append(MethodGroup(
+            method=method, file="Wide.java",
+            siblings=[index.statement_at("Wide.java", n) for n in (line, line - 1)]))
     bundle = build_prompt(groups, evidence(), [], [], index)
     assert bundle.sibling_marker_count == 26
     assert len(groups) == 13

@@ -4,7 +4,7 @@ import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siblingfix.llm import Patch, PatchEdit
@@ -14,6 +14,7 @@ from siblingfix.source_index import (_CLASS_RE, _FIELD_NAME_RE, _SIGNATURE_NAME_
                                      _linewise_statements, _signature_text,
                                      identifiers_in, index_source, mask_code)
 from siblingfix.validation import patched_texts
+from strategies import FILE
 
 
 def write(tmp_path, name, text):
@@ -237,58 +238,8 @@ def _scan_statements_in_method(sf, ref):
             if ref.body_start <= s.start_line and s.end_line <= ref.body_end]
 
 
-_VAR = st.sampled_from(["a", "b", "total", "x1", "s"])
-
-_STATEMENT = st.one_of(
-    st.builds("{0} = {0} + 1;".format, _VAR),
-    st.builds("use({});".format, _VAR),
-    st.builds("{0} = 1; {0}++; use({0});".format, _VAR),          # one line
-    st.builds("{0} = compute({0},\n    {0} + 2);".format, _VAR),  # multi-line
-    st.builds('{} = "a;{{b}}"; // c "d"'.format, _VAR),
-    st.just("/* block\n   comment */ int z = 0;"),
-    st.builds("// don't {0}\n{0} = 1;".format, _VAR),          # quotes in comments
-    st.builds("/* say \"{0}\" */ {0} = 'q';".format, _VAR),
-    st.builds("/*/ it's {0}; */ {0}++;".format, _VAR),
-    st.builds("// page\x0c{0}\n{0} = 2;".format, _VAR),        # splitlines() breaks
-    st.builds("/* {0}\u2028sep */ use({0});".format, _VAR),      # at these; "\n" does not
-    st.builds("if ({0} > 0) {{\n use({0});\n }}".format, _VAR),
-    st.builds("Runnable r = new Runnable() {{\n public void run() {{ use({}); }}\n}};"
-              .format, _VAR),
-)
-
-_METHOD = st.one_of(
-    st.builds(lambda n, body: f"void m{n}() {{\n" + "\n".join(body) + "\n}",
-              st.integers(0, 9), st.lists(_STATEMENT, max_size=4)),
-    st.builds("int g{0}() {{ return {0}; }}".format, st.integers(0, 9)),  # one-line
-    st.builds("void h{0}() {{ a = {0}; b = a; }}".format, st.integers(0, 9)),
-    st.builds("int p{0}() {{ return 0; }} int q{0}() {{ return 1; }}".format,
-              st.integers(0, 9)),                                   # same line
-    st.builds('void k{0}(@Named("a(") int a) throws E {{ use(f(a)); }}'.format,
-              st.integers(0, 9)),                                   # nested parens
-)
-
-
-def _class_strategy(depth):
-    member = _METHOD | st.builds("int f{} = 0;".format, st.integers(0, 9))
-    if depth:
-        member = member | st.deferred(lambda: _class_strategy(depth - 1))
-    return st.builds(lambda n, members: f"class N{n} {{\n" + "\n".join(members) + "\n}",
-                     st.integers(0, 9), st.lists(member, max_size=4))
-
-
-_FILE = st.builds(
-    lambda head, classes, tail, broken: "\n".join(head + classes + tail)
-    + ("\n}" if broken else "") + "\n",
-    st.lists(st.sampled_from(["package p;", "import q.R;", "int top = 1;"]),
-             max_size=3),
-    st.lists(_class_strategy(2), max_size=3),
-    st.lists(_STATEMENT, max_size=2),          # statements outside any class
-    st.sampled_from([False, False, True]),     # unbalanced: line-wise fallback
-)
-
-
 @settings(max_examples=150, deadline=None)
-@given(_FILE)
+@given(FILE)
 def test_lookup_tables_match_linear_scans(tmp_path_factory, text):
     tmp = tmp_path_factory.mktemp("tables")
     (tmp / "T.java").write_text(text, encoding="utf-8")
@@ -436,9 +387,13 @@ def _ref_find_classes(path, masked, starts):
     return classes
 
 
+# A name before '(', tried at every offset.
+_REF_SIGNATURE_NAME_RE = re.compile(r"([A-Za-z_][\w$]*)\s*\(")
+
+
 def _ref_find_methods(path, text, masked, starts, classes):
     methods = []
-    for m in _SIGNATURE_NAME_RE.finditer(masked):
+    for m in _REF_SIGNATURE_NAME_RE.finditer(masked):
         name = m.group(1)
         if name in KEYWORDS:
             continue
@@ -505,8 +460,23 @@ def test_mask_code_matches_character_loop(text):
     assert mask_code(text) == _ref_scan(text)[0]
 
 
+def _signature_names(pattern, text):
+    return [(m.group(1), m.start(1), m.end()) for m in pattern.finditer(text)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(_FILE | st.text(alphabet=_CODE_CHARS + "()=\t", max_size=120))
+@given(FILE | st.text(alphabet="aZ_9$\u00e9\u0663 \t\n(.=;", max_size=80))
+def test_signature_names_match_every_offset_search(text):
+    """Trying names only where a [\\w$] run starts finds what trying every
+    offset finds, also after a leading digit, '$' or non-ASCII letter."""
+    assert _signature_names(_SIGNATURE_NAME_RE, text) == \
+        _signature_names(_REF_SIGNATURE_NAME_RE, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(FILE | st.text(alphabet=_CODE_CHARS + "()=\t", max_size=120))
+# A name after '$' is read from its first letter, also after a '.'.
+@example(text="class C {\n  void f() { a.$b() { } }\n}\n")
 def test_index_matches_character_loop(tmp_path_factory, text):
     tmp = tmp_path_factory.mktemp("oracle")
     (tmp / "T.java").write_text(text, encoding="utf-8")
@@ -519,7 +489,7 @@ def test_index_matches_character_loop(tmp_path_factory, text):
 # -- patch rendering ------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
-@given(_FILE)
+@given(FILE)
 def test_identity_patch_renders_indexed_text(tmp_path_factory, text):
     """Replacing every method whose name is unique in its file with its own
     indexed body leaves the file's text exactly as indexed."""
