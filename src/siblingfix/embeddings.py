@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import math
+from operator import mul
 from pathlib import Path
 
 from .llm import BackendError, RemoteClient
@@ -32,7 +33,7 @@ def cosine(a: list[float], b: list[float]) -> float:
 
 
 def _norm(v: list[float]) -> float:
-    return math.sqrt(sum(x * x for x in v))
+    return math.sqrt(sum(map(mul, v, v)))
 
 
 def _cosine(a: list[float], na: float, b: list[float]) -> float:
@@ -40,7 +41,7 @@ def _cosine(a: list[float], na: float, b: list[float]) -> float:
     once against many."""
     if a == b:
         return 1.0 if any(a) else 0.0
-    dot = sum(x * y for x, y in zip(a, b))
+    dot = sum(map(mul, a, b))
     nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0

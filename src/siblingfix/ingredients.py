@@ -121,8 +121,8 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
                 decls.extend(_class_declarations(classes[key]))
             sims = tfidf_similarities(tokenize(stmt.text),
                                       [tokenize(d.signature_text) for d in decls])
-            scored = sorted((replace(d, rank_score=s) for s, d in zip(sims, decls)),
-                            key=lambda d: (-d.rank_score, d.source_file, d.line))
-            for ing in scored[:n]:
-                add(ing)
+            ranked = sorted(zip(sims, decls),
+                            key=lambda p: (-p[0], p[1].source_file, p[1].line))
+            for score, decl in ranked[:n]:
+                add(replace(decl, rank_score=score))
     return list(result.values())

@@ -7,11 +7,14 @@ lowercases everything. TF-IDF uses raw term counts and ln(N/df).
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import islice, repeat
+from operator import mul
 
 from .source_index import MethodRef, SourceIndex, Statement, identifiers_in
 
@@ -58,18 +61,20 @@ def tfidf_similarities(query: list[str], docs: list[list[str]]) -> list[float]:
 
 
 def _norm(v: dict[str, float]) -> float:
-    return math.sqrt(sum(x * x for x in v.values()))
+    values = v.values()
+    return math.sqrt(sum(map(mul, values, values)))
 
 
 def _cosine(a: dict[str, float], na: float, b: dict[str, float],
             nb: float) -> float:
     """Cosine from precomputed norms. The dot product walks the smaller
     vector, and `a` when both have the same length, so swapping equal-length
-    arguments may change the last bits. `TokenPool.score` passes the target
-    first, as `tfidf_similarities` does, to get the same floats."""
+    arguments may change the last bits. `TokenPool.ranked` sums the same
+    products in the same order, with the target as `a`, as
+    `tfidf_similarities` passes it, to get the same floats."""
     if len(b) < len(a):
         a, b = b, a
-    dot = sum(v * b.get(t, 0.0) for t, v in a.items())
+    dot = sum(map(mul, a.values(), map(b.get, a, repeat(0.0))))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -177,13 +182,15 @@ def extract_context(index: SourceIndex, target: Statement) -> StatementContext:
 
 
 class TokenPool:
-    """A run's sibling pool, tokenized once.
+    """A run's sibling pool, tokenized and indexed once.
 
     When the target's statement is a pool member, whose context
     `extract_context` made from the same index, the corpus of `token_match`
     (pool minus target, plus target) is exactly the pool, so IDF, vectors
     and norms are the same for every such target and are computed once, on
-    first use. Other targets are scored per call.
+    first use, with an inverted index: each token of non-zero weight maps
+    to the positions of the contexts that hold it and its weight in each.
+    Other targets are scored per call.
     """
 
     def __init__(self, contexts: list[StatementContext]):
@@ -201,18 +208,57 @@ class TokenPool:
         positions = {c.target: i for i, c in enumerate(self.contexts)}
         if len(positions) < len(self.contexts):
             positions = {}  # repeated statements: the corpus is not the pool
-        return vectors, [_norm(v) for v in vectors], positions
+        postings: dict[str, tuple[list[int], list[float]]] = {}
+        for i, v in enumerate(vectors):
+            for t, w in v.items():
+                if w:  # a token in every context weighs 0.0 in each
+                    if t not in postings:
+                        postings[t] = ([], [])
+                    docs, weights = postings[t]
+                    docs.append(i)
+                    weights.append(w)
+        keys = [c.key for c in self.contexts]
+        by_key = sorted(range(len(keys)), key=keys.__getitem__)
+        norms = [_norm(v) for v in vectors]
+        return vectors, norms, positions, postings, keys, by_key
 
-    def score(self, target: StatementContext
-              ) -> list[tuple[float, StatementContext]]:
-        vectors, norms, positions = self._tfidf
+    def ranked(self, target: StatementContext, limit: int
+               ) -> list[tuple[float, StatementContext]]:
+        """`token_match`'s top `limit` (similarity, context) pairs.
+
+        For a member target, the postings of its tokens list the contexts
+        that share a weighted token with it. For each, the products of the
+        shared weights, gathered in the target's token order, are the
+        non-zero terms `_cosine` sums when it walks the target, so `sum`
+        gives the same dot product. They are summed by `sum`, not as a
+        running total, because CPython 3.12's `sum` compensates rounding.
+        A context shorter than the target, which `_cosine` walks instead,
+        goes through `_cosine`. Every other context scores exactly 0.0.
+        """
+        vectors, norms, positions, postings, keys, by_key = self._tfidf
         pos = positions.get(target.target)
         if pos is None:
-            return _score(target, self.contexts)
+            return _top(_score(target, self.contexts), limit)
         tv, tn = vectors[pos], norms[pos]
-        return [(_cosine(tv, tn, v, n), c)
-                for i, (c, v, n) in enumerate(zip(self.contexts, vectors, norms))
-                if i != pos]
+        products: defaultdict[int, list[float]] = defaultdict(list)
+        for t, w in tv.items():
+            if t in postings:
+                docs, weights = postings[t]
+                for d, x in zip(docs, weights):
+                    products[d].append(w * x)
+        hits = []
+        for d, ps in products.items():
+            if d != pos:
+                v = vectors[d]
+                sim = (_cosine(tv, tn, v, norms[d]) if len(v) < len(tv)
+                       else sum(ps) / (tn * norms[d]))
+                hits.append((-sim, keys[d], d))
+        # A hit's sum of positive products is above 0.0, so the zero-score
+        # contexts follow every hit, in (file, line) order, as in `_top`.
+        best = [(-neg, d) for neg, _, d in heapq.nsmallest(limit, hits)]
+        zeros = (d for d in by_key if d not in products and d != pos)
+        best.extend(zip(repeat(0.0), islice(zeros, limit - len(best))))
+        return [(sim, self.contexts[d]) for sim, d in best]
 
 
 def _score(target: StatementContext, pool: list[StatementContext]
@@ -223,6 +269,14 @@ def _score(target: StatementContext, pool: list[StatementContext]
     return list(zip(tfidf_similarities(tokenize(target.rendered),
                                        [tokenize(c.rendered) for c in candidates]),
                     candidates))
+
+
+def _top(scored: list[tuple[float, StatementContext]], limit: int
+         ) -> list[tuple[float, StatementContext]]:
+    """The `limit` best pairs, by similarity, then (file, line), then
+    input order."""
+    scored.sort(key=lambda item: (-item[0], item[1].key))
+    return scored[:limit]
 
 
 def token_match(target: StatementContext,
@@ -236,10 +290,10 @@ def token_match(target: StatementContext,
     """
     if not pool:
         return []
-    scored = pool.score(target) if isinstance(pool, TokenPool) else _score(target, pool)
-    scored.sort(key=lambda item: (-item[0], item[1].key))
+    ranked = (pool.ranked(target, limit) if isinstance(pool, TokenPool)
+              else _top(_score(target, pool), limit))
     return [CandidateSibling(context=ctx, token_similarity=sim)
-            for sim, ctx in scored[:limit]]
+            for sim, ctx in ranked]
 
 
 def jaccard(a: set[str], b: set[str]) -> float:

@@ -198,7 +198,10 @@ def text_digest(text: str) -> str:
 _MASKED_RE = re.compile(r"""
       //[^\n]*                                      # line comment
     | /\*.*?(?:\*/|\Z)                              # block comment, to EOF if open
-    | (?P<literal> "(?:[^"\\]+|\\.)*(?:"|\\?\Z)     # string literal, to EOF if open
+    | (?P<literal> "{3}[ \t\f]*[\r\n]               # text block (JEP 378): after a
+                   (?:[^"\\]+|\\.|"(?!""))*         # line break, up to the next
+                   (?:"{3}|\\?\Z)                   # unescaped triple quote or EOF
+                 | "(?:[^"\\]+|\\.)*(?:"|\\?\Z)     # string literal, to EOF if open
                  | '(?:[^'\\]+|\\.)*(?:'|\\?\Z) )   # char literal, to EOF if open
 """, re.S | re.X)
 _NOT_NEWLINE_RE = re.compile(r"[^\n]")

@@ -2,8 +2,8 @@
 
 `FILE` builds whole files: nested and inner classes, one-line methods,
 several statements or methods on one line, multi-line statements, string
-and comment lookalikes, anonymous classes, statements outside any class,
-and files whose braces do not balance.
+and comment lookalikes, text blocks, anonymous classes, statements outside
+any class, and files whose braces do not balance.
 """
 
 from hypothesis import strategies as st
@@ -22,6 +22,7 @@ STATEMENT = st.one_of(
     st.builds("/*/ it's {0}; */ {0}++;".format, VAR),
     st.builds("// page\x0c{0}\n{0} = 2;".format, VAR),        # splitlines() breaks
     st.builds("/* {0}\u2028sep */ use({0});".format, VAR),      # at these; "\n" does not
+    st.builds('{} = """\n  say "hi" {{ ;\n  """;'.format, VAR),  # text block
     st.builds("if ({0} > 0) {{\n use({0});\n }}".format, VAR),
     st.builds("Runnable r = new Runnable() {{\n public void run() {{ use({}); }}\n}};"
               .format, VAR),

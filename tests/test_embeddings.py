@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from siblingfix.embeddings import (EmbeddingCache, EmbeddingError,
                                    LocalHashProvider, RemoteEmbeddingProvider,
-                                   cosine, embed, embedding_match)
+                                   _cosine, _norm, cosine, embed,
+                                   embedding_match)
 from siblingfix.engine import RepairConfig
 from siblingfix.matching import CandidateSibling, StatementContext
 from siblingfix.source_index import Statement
@@ -154,6 +155,22 @@ def _ref_cosine(a, b):
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
+
+
+def _ref_norm(v):
+    return math.sqrt(sum(x * x for x in v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 64).flatmap(lambda d: st.tuples(
+    st.lists(_COMPONENT | st.floats(-1e6, 1e6), min_size=d, max_size=d),
+    st.lists(_COMPONENT | st.floats(-1e6, 1e6), min_size=d, max_size=d))))
+def test_cosine_and_norm_equal_generator_formulas(case):
+    """Same products in the same order: the same floats as the generator
+    sums of the plain formula."""
+    a, b = case
+    assert float.hex(_norm(a)) == float.hex(_ref_norm(a))
+    assert float.hex(_cosine(a, _norm(a), b)) == float.hex(_ref_cosine(a, b))
 
 
 def test_cache_hits_bypass_provider(tmp_path):

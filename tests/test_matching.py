@@ -1,12 +1,15 @@
+import math
 import string
+import sys
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from siblingfix.matching import (StatementContext, defined_names,
-                                 extract_context, group_by_method, jaccard,
-                                 jaccard_filter, statement_contexts,
-                                 token_match, tokenize)
+from siblingfix.matching import (StatementContext, _cosine, _norm,
+                                 defined_names, extract_context,
+                                 group_by_method, jaccard, jaccard_filter,
+                                 statement_contexts, token_match, tokenize)
 from siblingfix.source_index import Statement, identifiers_in, index_source
 from strategies import FILE
 
@@ -312,6 +315,126 @@ def test_pool_keeps_statements_that_share_a_start_line(tmp_path):
     for member in pool:
         matched = [c.context.target for c in token_match(member, pool)]
         assert member.target not in matched and len(matched) == 2
+
+
+def _exact(cands):
+    return [(c.key, float.hex(c.token_similarity)) for c in cands]
+
+
+def _indexed_equals_per_call(pool, target, limit):
+    """The indexed ranking of a member target, with the per-call path
+    barred, against the per-call ranking of the pool as a list."""
+    from siblingfix import matching
+    from siblingfix.matching import TokenPool
+    want = token_match(target, list(pool), limit)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(matching, "_score", _no_fallback)
+        got = token_match(target, TokenPool(pool), limit)
+    assert _exact(got) == _exact(want)
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FILE, min_size=1, max_size=3))
+def test_token_pool_bit_identical_on_generated_files(tmp_path_factory, texts):
+    """For every member target and a limit of 1, 5 and more than the pool,
+    the indexed ranking has the per-call keys and floats, bit for bit."""
+    tmp = tmp_path_factory.mktemp("pool")
+    for i, text in enumerate(texts):
+        (tmp / f"F{i}.java").write_text(text, encoding="utf-8")
+    index = index_source(tmp, ["*.java"])
+    pool = statement_contexts(
+        index, [s for sf in index.files.values() for s in sf.statements])
+    # A pool that repeats a statement is scored per call (tested elsewhere).
+    assume(len({c.target for c in pool}) == len(pool))
+    for member in pool:
+        for limit in (1, 5, len(pool) + 3):
+            _indexed_equals_per_call(pool, member, limit)
+
+
+def test_token_pool_walks_a_shorter_context():
+    """A context with fewer distinct tokens than the target is scored by
+    walking the context, as the per-call cosine does; here walking the
+    target instead gives a different last bit (before CPython 3.12, whose
+    `sum` compensates rounding)."""
+    from siblingfix.matching import tfidf_vectors
+    texts = ["theta zeta eps alpha iota", "delta", "beta delta iota",
+             "delta delta eps", "eps eps iota eta eps theta"]
+    pool = [ctx(t, "s.java", i + 1) for i, t in enumerate(texts)]
+    target, shorter = tfidf_vectors([tokenize(t) for t in texts])[0::4]
+    assert len(shorter) < len(target)
+    walk_target = sum(w * shorter.get(t, 0.0) for t, w in target.items())
+    walk_shorter = sum(w * target.get(t, 0.0) for t, w in shorter.items())
+    if sys.version_info < (3, 12):
+        assert walk_target != walk_shorter
+    got = _indexed_equals_per_call(pool, pool[0], 10)
+    sim = {c.key: c.token_similarity for c in got}[("s.java", 5)]
+    assert sim == walk_shorter / (_norm(target) * _norm(shorter))
+
+
+def test_token_pool_skips_a_token_in_every_context():
+    """A token every context holds has idf 0: it has no postings, and a
+    context sharing only that token with the target scores exactly 0.0."""
+    from siblingfix.matching import TokenPool
+    texts = ["value = alpha + beta;", "value = gamma;", "use(value, alpha);",
+             "value++;", "print(value, beta, beta);"]
+    pool = [ctx(t, "v.java", i + 1) for i, t in enumerate(texts)]
+    postings = TokenPool(pool)._tfidf[3]
+    assert "value" not in postings and "alpha" in postings
+    for target in pool:
+        got = _indexed_equals_per_call(pool, target, 10)
+        assert len(got) == 4
+    got = _indexed_equals_per_call(pool, pool[1], 10)
+    assert {c.token_similarity for c in got} == {0.0}
+
+
+def test_token_pool_pads_with_zero_scores_in_key_order():
+    """Past the contexts that share a weighted token with the target, the
+    ranking continues with the zero-score ones in (file, line) order, and
+    stops at `limit`."""
+    pool = [ctx("alpha beta", "b.java", 7), ctx("gamma", "c.java", 2),
+            ctx("alpha", "z.java", 1), ctx("delta", "a.java", 9),
+            ctx("alpha beta gamma", "t.java", 4), ctx("eta", "a.java", 3),
+            ctx("beta", "b.java", 1)]
+    target = pool[4]
+    got = _indexed_equals_per_call(pool, target, 100)
+    assert [c.key for c in got] == [
+        ("c.java", 2), ("b.java", 7), ("b.java", 1), ("z.java", 1),
+        ("a.java", 3), ("a.java", 9)]
+    assert [c.token_similarity == 0.0 for c in got] == [False] * 4 + [True] * 2
+    for limit in range(1, 8):
+        short = _indexed_equals_per_call(pool, target, limit)
+        assert _exact(short) == _exact(got[:limit])
+
+
+def _ref_norm(v):
+    return math.sqrt(sum(x * x for x in v.values()))
+
+
+def _ref_cosine(a, na, b, nb):
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum(v * b.get(t, 0.0) for t, v in a.items())
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+_WEIGHTS = st.dictionaries(
+    st.sampled_from("abcdefghij"),
+    st.sampled_from([0.0, 1.0, math.log(2)]) | st.floats(0, 1e6), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WEIGHTS, _WEIGHTS)
+def test_cosine_and_norm_equal_generator_formulas(a, b):
+    """Same products in the same order: the same floats as the generator
+    sums, with either vector first."""
+    na, nb = _norm(a), _norm(b)
+    assert float.hex(na) == float.hex(_ref_norm(a))
+    assert float.hex(nb) == float.hex(_ref_norm(b))
+    assert float.hex(_cosine(a, na, b, nb)) == float.hex(_ref_cosine(a, na, b, nb))
+    assert float.hex(_cosine(b, nb, a, na)) == float.hex(_ref_cosine(b, nb, a, na))
 
 
 # -- reaching-definition contexts against the per-variable scan ---------

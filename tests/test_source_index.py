@@ -159,6 +159,31 @@ def test_mask_code_block_comment_needs_its_own_star():
     assert mask_code("/*/ a; */ b;") == " " * 10 + "b;"
 
 
+def test_mask_code_text_block_is_one_literal():
+    # JEP 378: `"""`, optional blanks, a line break, then up to the next
+    # unescaped `"""`; the quotes inside are text, not literal bounds.
+    text = '"""\n hello "quoted" { ;\n"""'
+    assert mask_code(text) == "   \n" + " " * 19 + "\n   "
+    assert mask_code('""" \t\r a \\""" b """ c') == " " * 20 + "c"
+    # Without the line break, `"""a"""` is three string literals.
+    assert mask_code('x("""a""");') == "x(" + " " * 7 + ");"
+
+
+def test_text_block_holds_no_code(tmp_path):
+    """Quotes and braces inside a text block are neither identifiers nor
+    brackets: the methods after it are still found."""
+    write(tmp_path, "T.java", 'class T {\n  String f() {\n    String s = """\n'
+                              '      say "quoted" { now\n      """;\n'
+                              '    return s;\n  }\n  int g() { return 1; }\n}\n')
+    index = index_source(tmp_path, ["*.java"])
+    sf = index.files["T.java"]
+    assert [(m.name, m.body_start, m.body_end) for m in sf.methods] == [
+        ("f", 2, 7), ("g", 8, 8)]
+    block = index.statement_at("T.java", 4)
+    assert (block.start_line, block.end_line) == (3, 5)
+    assert [i.name for i in identifiers_in(block)] == ["String", "s"]
+
+
 def test_quote_in_comment_does_not_open_statement(tmp_path):
     write(tmp_path, "A.java", "class A {\n    void f() {\n        // don't touch\n"
                               "        int x = 1;\n    }\n}\n")
@@ -270,9 +295,26 @@ def test_lookup_tables_stay_out_of_equality(tmp_path):
 # -- index against the character-loop indexer ---------------------------
 #
 # The reference functions below scan character by character, as the indexer
-# once did. They carry two fixes: "/*/" does not close a block comment, and
+# once did. They carry three fixes: "/*/" does not close a block comment,
 # only the opening quote of a string or char literal, not a quote inside a
-# comment, starts a statement.
+# comment, starts a statement, and a text block is one literal.
+
+def _ref_text_block_end(text, i):
+    """End offset of the text block opening at `i`, or None if none opens
+    there: three double quotes, then spaces, tabs or form feeds, then a line
+    terminator."""
+    if text[i:i + 3] != '"""':
+        return None
+    n = len(text)
+    j = i + 3
+    while j < n and text[j] in " \t\f":
+        j += 1
+    if j == n or text[j] not in "\r\n":
+        return None
+    while j < n and text[j:j + 3] != '"""':
+        j += 2 if text[j] == "\\" else 1
+    return min(j + 3, n)
+
 
 def _ref_scan(text):
     """Masked text, and the offsets where string/char literals open."""
@@ -281,6 +323,14 @@ def _ref_scan(text):
     i, n = 0, len(text)
     while i < n:
         c = text[i]
+        block_end = _ref_text_block_end(text, i)
+        if block_end is not None:
+            literals.add(i)
+            for k in range(i, block_end):
+                if text[k] != "\n":
+                    out[k] = " "
+            i = block_end
+            continue
         if c == "/" and i + 1 < n and text[i + 1] == "/":
             j = i
             while j < n and text[j] != "\n":
@@ -456,6 +506,8 @@ _CODE_CHARS = "ab\"'\\/*\n {};x"
 
 @settings(max_examples=500, deadline=None)
 @given(st.text(alphabet=_CODE_CHARS, max_size=60))
+@example(text='"""\t\f\r"\\"""{"""x')  # other blanks and line terminators
+@example(text='"""\n\\')  # open text block ending in a backslash
 def test_mask_code_matches_character_loop(text):
     assert mask_code(text) == _ref_scan(text)[0]
 
