@@ -15,7 +15,7 @@ from operator import mul
 from pathlib import Path
 
 from .llm import BackendError, RemoteClient
-from .matching import CandidateSibling, StatementContext, tokenize
+from .matching import CandidateSibling, StatementContext, float_sum, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ def cosine(a: list[float], b: list[float]) -> float:
 
 
 def _norm(v: list[float]) -> float:
-    return math.sqrt(sum(map(mul, v, v)))
+    return math.sqrt(float_sum(map(mul, v, v)))
 
 
 def _cosine(a: list[float], na: float, b: list[float]) -> float:
@@ -41,7 +41,7 @@ def _cosine(a: list[float], na: float, b: list[float]) -> float:
     once against many."""
     if a == b:
         return 1.0 if any(a) else 0.0
-    dot = sum(map(mul, a, b))
+    dot = float_sum(map(mul, a, b))
     nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0

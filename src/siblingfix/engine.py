@@ -157,7 +157,9 @@ class RepairEngine:
         return self._attempt_counters[loc_id]
 
     def _validate(self, patch: Patch) -> TestReport:
-        """Apply and test a patch, caching reports by patch content."""
+        """Apply and test a patch, caching reports by patch content. A run
+        that gave no results leaves its log's tail in `harness/<patch id>.txt`
+        of the run directory."""
         cached = self._validation_cache.get(patch.id)
         if cached is not None:
             return cached
@@ -168,6 +170,10 @@ class RepairEngine:
         finally:
             if not self.config.keep_workspaces:
                 shutil.rmtree(workspace, ignore_errors=True)
+        if report.log_tail and self.run_dir:
+            tails = self.run_dir / "harness"
+            tails.mkdir(exist_ok=True)
+            (tails / f"{patch.id}.txt").write_text(report.log_tail, encoding="utf-8")
         self._validation_cache[patch.id] = report
         return report
 

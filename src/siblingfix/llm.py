@@ -152,7 +152,10 @@ class RemoteChatBackend(RemoteClient):
 def parse_patch(response: str) -> Patch:
     """Extract PATCH blocks; the fenced content is the replacement body.
 
-    Duplicate (file, method) blocks: the last one wins, with a warning.
+    A block's opening and closing fences both come before the next marker
+    line, so a block missing its closing fence is a parse error, not a body
+    that runs into the next block. Duplicate (file, method) blocks: the last
+    one wins, with a warning.
     """
     markers = list(PATCH_MARKER_RE.finditer(response))
     if not markers:

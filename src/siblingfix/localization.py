@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -133,6 +133,7 @@ def apply_spfl(ranked: list[SuspiciousLocation],
         logger.warning("SPFL location %s:%d absent from ranking, inserting", *known)
         top = SuspiciousLocation(file=known[0], line=known[1], score=1.0, rank=1)
     # Score lifted to the list maximum so scores stay non-increasing with rank.
-    score = max([top.score] + [rest[0].score] if rest else [top.score])
-    reordered = [replace(top, score=score)] + rest
-    return [replace(loc, rank=i) for i, loc in enumerate(reordered, 1)]
+    score = max(top.score, rest[0].score) if rest else top.score
+    return [SuspiciousLocation(top.file, top.line, score, 1)] + [
+        SuspiciousLocation(loc.file, loc.line, loc.score, i)
+        for i, loc in enumerate(rest, 2)]

@@ -10,13 +10,13 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import islice, repeat
+from itertools import chain, repeat
 from operator import mul
 
-from .source_index import MethodRef, SourceIndex, Statement, identifiers_in
+from .source_index import MethodRef, SourceIndex, Statement, variables_in
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 _PIECE_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z][a-z]*|[a-z]+|[0-9]+")
@@ -38,43 +38,49 @@ def _split_word(word: str) -> tuple[str, ...]:
                  for p in _PIECE_RE.findall(part))
 
 
-def tfidf_vectors(docs: list[list[str]]) -> list[dict[str, float]]:
-    """Sparse TF-IDF vectors: tf = raw count, idf = ln(N/df)."""
-    n = len(docs)
+def tfidf_vectors(counts: list[Counter[str]]) -> list[dict[str, float]]:
+    """Sparse TF-IDF vectors from each doc's term counts: tf = raw count,
+    idf = ln(N/df). A vector's terms are in its counts' order."""
     df: Counter[str] = Counter()
-    for doc in docs:
-        df.update(set(doc))
-    idf = {t: math.log(n / c) for t, c in df.items()}
-    vectors = []
-    for doc in docs:
-        counts = Counter(doc)
-        vectors.append({t: c * idf[t] for t, c in counts.items()})
-    return vectors
+    for doc in counts:
+        df.update(doc.keys())
+    idf = {t: math.log(len(counts) / c) for t, c in df.items()}
+    return [{t: c * idf[t] for t, c in doc.items()} for doc in counts]
 
 
 def tfidf_similarities(query: list[str], docs: list[list[str]]) -> list[float]:
     """TF-IDF cosine of each doc against the query, over the corpus of the
     query plus the docs."""
-    vectors = tfidf_vectors([query] + docs)
+    vectors = tfidf_vectors([Counter(query), *map(Counter, docs)])
     q, qn = vectors[0], _norm(vectors[0])
     return [_cosine(q, qn, v, _norm(v)) for v in vectors[1:]]
 
 
+def float_sum(values) -> float:
+    """Floats added left to right. From CPython 3.12 `sum` compensates
+    rounding, which moved a fixture cosine of exactly 0.75 from just above
+    the default theta to just below it; one loop keeps similarities, and so
+    runs, the same floats on every version."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _norm(v: dict[str, float]) -> float:
     values = v.values()
-    return math.sqrt(sum(map(mul, values, values)))
+    return math.sqrt(float_sum(map(mul, values, values)))
 
 
 def _cosine(a: dict[str, float], na: float, b: dict[str, float],
             nb: float) -> float:
     """Cosine from precomputed norms. The dot product walks the smaller
     vector, and `a` when both have the same length, so swapping equal-length
-    arguments may change the last bits. `TokenPool.ranked` sums the same
-    products in the same order, with the target as `a`, as
-    `tfidf_similarities` passes it, to get the same floats."""
+    arguments may change the last bits: `tfidf_similarities` and
+    `TokenPool.ranked` both pass the query as `a`."""
     if len(b) < len(a):
         a, b = b, a
-    dot = sum(map(mul, a.values(), map(b.get, a, repeat(0.0))))
+    dot = float_sum(map(mul, a.values(), map(b.get, a, repeat(0.0))))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -125,7 +131,11 @@ _DECLARED_RE = re.compile(r"[\w>\]]\s+([A-Za-z_$][\w$]*)(?=\s*(?:[;,=)]|:))")
 
 def defined_names(stmt: Statement) -> set[str]:
     """Heuristic: the names the statement assigns or declares."""
-    return {*_ASSIGNED_RE.findall(stmt.masked), *_DECLARED_RE.findall(stmt.masked)}
+    masked = stmt.masked
+    # Every assignment operator holds "=", "++" or "--".
+    assigned = (_ASSIGNED_RE.findall(masked)
+                if "=" in masked or "++" in masked or "--" in masked else ())
+    return {*assigned, *_DECLARED_RE.findall(masked)}
 
 
 def scope_contexts(scope: list[Statement]) -> list[StatementContext]:
@@ -141,7 +151,7 @@ def scope_contexts(scope: list[Statement]) -> list[StatementContext]:
     last: dict[str, int] = {}
     contexts = []
     for pos, stmt in enumerate(scope):
-        variables = [i.name for i in identifiers_in(stmt) if i.kind == "variable"]
+        variables = variables_in(stmt)
         chosen = sorted({last[n] for n in variables if n in last})
         if variables and not chosen and pos:
             chosen = [pos - 1]
@@ -182,15 +192,13 @@ def extract_context(index: SourceIndex, target: Statement) -> StatementContext:
 
 
 class TokenPool:
-    """A run's sibling pool, tokenized and indexed once.
+    """A run's sibling pool, tokenized and weighted once.
 
     When the target's statement is a pool member, whose context
     `extract_context` made from the same index, the corpus of `token_match`
     (pool minus target, plus target) is exactly the pool, so IDF, vectors
     and norms are the same for every such target and are computed once, on
-    first use, with an inverted index: each token of non-zero weight maps
-    to the positions of the contexts that hold it and its weight in each.
-    Other targets are scored per call.
+    first use. Other targets are scored per call.
     """
 
     def __init__(self, contexts: list[StatementContext]):
@@ -201,64 +209,48 @@ class TokenPool:
 
     @cached_property
     def _tfidf(self):
-        # One string object per distinct token keeps the vectors compact.
+        # A context's tokens are its statements' tokens in order: `rendered`
+        # joins them with "\n", which no word spans. So each distinct
+        # statement is tokenized once, and one string object per distinct
+        # token keeps the vectors compact.
         vocab: dict[str, str] = {}
-        vectors = tfidf_vectors([[vocab.setdefault(t, t) for t in tokenize(c.rendered)]
+        memo: dict[int, list[str]] = {}
+
+        def tokens(stmt: Statement) -> list[str]:
+            got = memo.get(id(stmt))
+            if got is None:
+                got = memo[id(stmt)] = [vocab.setdefault(t, t)
+                                        for t in tokenize(stmt.text)]
+            return got
+
+        vectors = tfidf_vectors([Counter(chain.from_iterable(map(tokens, c.context)))
                                  for c in self.contexts])
         positions = {c.target: i for i, c in enumerate(self.contexts)}
         if len(positions) < len(self.contexts):
             positions = {}  # repeated statements: the corpus is not the pool
-        postings: dict[str, tuple[list[int], list[float]]] = {}
-        for i, v in enumerate(vectors):
-            for t, w in v.items():
-                if w:  # a token in every context weighs 0.0 in each
-                    if t not in postings:
-                        postings[t] = ([], [])
-                    docs, weights = postings[t]
-                    docs.append(i)
-                    weights.append(w)
         keys = [c.key for c in self.contexts]
-        by_key = sorted(range(len(keys)), key=keys.__getitem__)
-        norms = [_norm(v) for v in vectors]
-        return vectors, norms, positions, postings, keys, by_key
+        return vectors, [_norm(v) for v in vectors], positions, keys
 
     def ranked(self, target: StatementContext, limit: int
                ) -> list[tuple[float, StatementContext]]:
         """`token_match`'s top `limit` (similarity, context) pairs.
 
-        For a member target, the postings of its tokens list the contexts
-        that share a weighted token with it. For each, the products of the
-        shared weights, gathered in the target's token order, are the
-        non-zero terms `_cosine` sums when it walks the target, so `sum`
-        gives the same dot product. They are summed by `sum`, not as a
-        running total, because CPython 3.12's `sum` compensates rounding.
-        A context shorter than the target, which `_cosine` walks instead,
-        goes through `_cosine`. Every other context scores exactly 0.0.
+        A member target is scored against every other context by the
+        `_cosine` call `tfidf_similarities` makes, on the same vectors and
+        norms, so each similarity is the per-call float. `heapq.nsmallest`
+        over (-similarity, key, position) keeps what `_top`'s stable sort
+        keeps. A scan, not an inverted index: a target's tokens reach most
+        of the pool, so postings would prune little and cost more to build.
         """
-        vectors, norms, positions, postings, keys, by_key = self._tfidf
+        vectors, norms, positions, keys = self._tfidf
         pos = positions.get(target.target)
         if pos is None:
             return _top(_score(target, self.contexts), limit)
         tv, tn = vectors[pos], norms[pos]
-        products: defaultdict[int, list[float]] = defaultdict(list)
-        for t, w in tv.items():
-            if t in postings:
-                docs, weights = postings[t]
-                for d, x in zip(docs, weights):
-                    products[d].append(w * x)
-        hits = []
-        for d, ps in products.items():
-            if d != pos:
-                v = vectors[d]
-                sim = (_cosine(tv, tn, v, norms[d]) if len(v) < len(tv)
-                       else sum(ps) / (tn * norms[d]))
-                hits.append((-sim, keys[d], d))
-        # A hit's sum of positive products is above 0.0, so the zero-score
-        # contexts follow every hit, in (file, line) order, as in `_top`.
-        best = [(-neg, d) for neg, _, d in heapq.nsmallest(limit, hits)]
-        zeros = (d for d in by_key if d not in products and d != pos)
-        best.extend(zip(repeat(0.0), islice(zeros, limit - len(best))))
-        return [(sim, self.contexts[d]) for sim, d in best]
+        best = heapq.nsmallest(limit, (
+            (-_cosine(tv, tn, v, nv), key, d)
+            for d, (v, nv, key) in enumerate(zip(vectors, norms, keys)) if d != pos))
+        return [(-neg, self.contexts[d]) for neg, _, d in best]
 
 
 def _score(target: StatementContext, pool: list[StatementContext]

@@ -35,8 +35,10 @@ _CLASS_RE = re.compile(r"\b(?:class|interface|enum|struct)\s+([A-Za-z_]\w*)")
 # only where a run starts, so a word is not rescanned from each position.
 _SIGNATURE_NAME_RE = re.compile(
     r"(?<![\w$])(?:[^\W_A-Za-z]|\$)*([A-Za-z_][\w$]*)\s*\(")
-_IDENT_RE = re.compile(r"[A-Za-z_$][\w$]*")
-_CALL_OPEN_RE = re.compile(r"\s*\(")
+# An identifier with the '.' before it and the '(' after it, if any, so one
+# match classifies it: a paren means a call, a dot alone a field access,
+# neither a variable. Neither is part of a name, so taking it hides none.
+_NAME_USE_RE = re.compile(r"(\.\s*)?([A-Za-z_$][\w$]*)(\s*\()?")
 
 
 @dataclass(frozen=True)
@@ -494,17 +496,12 @@ def index_source(root: str | Path, include: list[str]) -> SourceIndex:
 
 def identifiers_in(statement: Statement) -> list[Identifier]:
     """Classify identifier tokens: call, field-access, or variable."""
-    masked = statement.masked
-    out = []
-    for m in _IDENT_RE.finditer(masked):
-        name = m.group(0)
-        if name in KEYWORDS:
-            continue
-        if _CALL_OPEN_RE.match(masked, m.end()):
-            out.append(Identifier("call", name))
-            continue
-        if _after_dot(masked, m.start()):
-            out.append(Identifier("field-access", name))
-        else:
-            out.append(Identifier("variable", name))
-    return out
+    return [Identifier("call" if paren else "field-access" if dot else "variable", name)
+            for dot, name, paren in _NAME_USE_RE.findall(statement.masked)
+            if name not in KEYWORDS]
+
+
+def variables_in(statement: Statement) -> list[str]:
+    """The names `identifiers_in` calls variables, in order."""
+    return [name for dot, name, paren in _NAME_USE_RE.findall(statement.masked)
+            if not dot and not paren and name not in KEYWORDS]

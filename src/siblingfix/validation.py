@@ -61,6 +61,7 @@ class TestReport:
     results: list[TestResult]
     wall_time: float = 0.0
     harness_exit: int = 0
+    log_tail: str = ""  # end of the harness's output, when it gave no results
 
     def by_id(self) -> dict[str, TestResult]:
         return {r.test: r for r in self.results}
@@ -149,10 +150,22 @@ def apply_patch(project_root: str | Path, patch: Patch, index: SourceIndex,
     return workspace
 
 
+_LOG_TAIL_BYTES = 4096
+
+
+def _tail(path: Path) -> str:
+    """The last `_LOG_TAIL_BYTES` of a file, decoded leniently."""
+    with path.open("rb") as fh:
+        fh.seek(max(0, fh.seek(0, os.SEEK_END) - _LOG_TAIL_BYTES))
+        return fh.read().decode("utf-8", errors="replace")
+
+
 def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
-    """Run the harness command; its RESULTS_PATH file is authoritative."""
+    """Run the harness command; its RESULTS_PATH file is authoritative.
+    A run that times out or writes no results keeps its log's tail."""
     workspace = Path(workspace)
     results_path = workspace / ".repair-results.jsonl"
+    log_path = workspace / ".repair-harness.log"
     results_path.unlink(missing_ok=True)
     start = time.monotonic()
     env = dict(os.environ, RESULTS_PATH=str(results_path))
@@ -161,7 +174,7 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
     # Its stdout and stderr go to .repair-harness.log, not a pipe, and only
     # the shell is waited on: a detached child cannot hold the run. A thread
     # blocks in the wait; `Popen.wait(timeout)` would poll, sleeping up to 50 ms.
-    with (workspace / ".repair-harness.log").open("wb") as log, \
+    with log_path.open("wb") as log, \
             subprocess.Popen(harness.command, shell=True, cwd=workspace,
                              env=env, start_new_session=True, stdout=log,
                              stderr=subprocess.STDOUT) as proc:
@@ -178,12 +191,14 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
     if timed_out:
         results = [TestResult(t, "timeout", "harness timeout")
                    for t in harness.expected_tests]
-        return TestReport(results=results, wall_time=wall, harness_exit=exit_code)
+        return TestReport(results=results, wall_time=wall, harness_exit=exit_code,
+                          log_tail=_tail(log_path))
     if not results_path.exists():
         logger.warning("harness produced no results file (exit %d)", exit_code)
         results = [TestResult(t, "error", "harness produced no results")
                    for t in harness.expected_tests]
-        return TestReport(results=results, wall_time=wall, harness_exit=exit_code)
+        return TestReport(results=results, wall_time=wall, harness_exit=exit_code,
+                          log_tail=_tail(log_path))
     results = []
     seen = set()
     for lineno, raw in enumerate(

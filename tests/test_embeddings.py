@@ -146,19 +146,39 @@ def test_embedding_match_similarities_equal_cosine(case):
     assert [cosine(target_vec, r) for r in rows] == want
 
 
+def _left_sum(values):
+    """Floats added left to right, as `sum` adds them before CPython 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _ref_cosine(a, b):
     if a == b:
         return 1.0 if any(a) else 0.0
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(x * x for x in b))
+    dot = _left_sum(x * y for x, y in zip(a, b))
+    na = math.sqrt(_left_sum(x * x for x in a))
+    nb = math.sqrt(_left_sum(x * x for x in b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
 
 
 def _ref_norm(v):
-    return math.sqrt(sum(x * x for x in v))
+    return math.sqrt(_left_sum(x * x for x in v))
+
+
+def test_fixture_cosine_at_theta_is_the_same_on_every_version():
+    """Exactly 0.75 in real arithmetic: left-to-right addition gives the
+    float just above the default theta on every CPython, so the fixture's
+    candidate sets do not depend on the version; CPython 3.12's `sum`
+    gave the float just below."""
+    a, b = LocalHashProvider().embed_batch([
+        "double getRms(EstimationProblem problem) {",
+        "double guessErrors(EstimationProblem problem) {"])
+    assert float.hex(cosine(a, b)) == "0x1.8000000000001p-1"
+    assert cosine(a, b) >= RepairConfig().theta
 
 
 @settings(max_examples=300, deadline=None)

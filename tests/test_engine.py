@@ -283,3 +283,28 @@ def test_harness_protocol_error_on_a_candidate_is_fed_back(mini_index,
     assert all(r.patch_id for r in state.attempt_log)
     assert "ATTEMPT OUTCOME: harness protocol error: " in backend.feedback[1]
     assert ".repair-results.jsonl:1: " in backend.feedback[1]
+
+
+def test_harness_log_tail_is_saved_under_the_patch_id(mini_index, mini_coverage,
+                                                      tmp_path):
+    """A candidate whose harness run writes no results leaves the log's
+    tail in `harness/<patch id>.txt`; the baseline, which gave results,
+    leaves none."""
+    run_dir = tmp_path / "run"
+    engine = RepairEngine(
+        project_root=str(PROJECT), index=mini_index, coverage=mini_coverage,
+        backend=FixBackend(), provider=LocalHashProvider(), cache=EmbeddingCache(),
+        harness_command=(
+            "if grep -q getUnboundParameters src/Estimator.java; "
+            "then echo 'Estimator.java:4: error: cannot find symbol' >&2; exit 1; "
+            "else python3 harness.py; fi"),
+        config=RepairConfig(attempts=1, cap=1), run_dir=run_dir,
+        workspace_root=str(tmp_path))
+    state = engine.repair_bug(ochiai_rank(mini_coverage))
+    ids = {r.patch_id for r in state.attempt_log}
+    assert ids and None not in ids
+    assert sorted(p.name for p in (run_dir / "harness").iterdir()) == \
+        sorted(f"{i}.txt" for i in ids)
+    for i in ids:
+        assert (run_dir / "harness" / f"{i}.txt").read_text(encoding="utf-8") == \
+            "Estimator.java:4: error: cannot find symbol\n"

@@ -1,12 +1,10 @@
-import string
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siblingfix.engine import RepairConfig
-from siblingfix.llm import (BackendError, CompletionRequest, Patch, PatchEdit,
-                            PatchParseError, RemoteChatBackend,
+from siblingfix.llm import (PATCH_MARKER_RE, BackendError, CompletionRequest,
+                            Patch, PatchEdit, PatchParseError, RemoteChatBackend,
                             ScriptedBackend, combine, parse_patch,
                             render_patch)
 
@@ -36,6 +34,26 @@ def test_parse_unterminated_fence():
     assert err.value.offset >= 0
 
 
+def test_block_without_fence_before_the_next_marker():
+    """A block's opening fence must come before the next marker line."""
+    text = ("=== PATCH file=A.java method=f ===\nno code here\n"
+            + block("B.java", "g", "void g() {}"))
+    with pytest.raises(PatchParseError, match="without opening fence") as err:
+        parse_patch(text)
+    assert err.value.offset == 0
+
+
+def test_unclosed_block_before_the_next_marker():
+    """A block's closing fence must come before the next marker line: a
+    missing one is a format error, not a body that runs into the next
+    block."""
+    text = ("=== PATCH file=A.java method=f ===\n```\nint f() {}\n"
+            + block("B.java", "g", "void g() {}"))
+    with pytest.raises(PatchParseError, match="unterminated code fence") as err:
+        parse_patch(text)
+    assert err.value.offset == text.index("```")
+
+
 def test_duplicate_block_last_wins():
     text = block("A.java", "f", "first") + "\n" + block("A.java", "f", "second")
     patch = parse_patch(text)
@@ -52,19 +70,31 @@ def test_render_parse_roundtrip():
     assert again.edits == patch.edits
 
 
-_BODY = st.text(
-    alphabet=string.ascii_letters + string.digits + " \n{}();=+-",
-    min_size=1, max_size=60)
+_NAME = st.from_regex(r"\S+", fullmatch=True)
+# Body lines: free text, and lookalikes of the format's own lines. A line
+# that starts with ``` would close the fence and a marker line would start
+# the next block, so none is either; no Java method body holds one.
+_LINE = st.one_of(
+    st.text(st.characters(blacklist_characters="\n"), max_size=20),
+    st.builds(" === PATCH file={} method={} ===".format, _NAME, _NAME),
+    st.sampled_from([" ```", "x```", "``", "`` `", "=== PATCH", "\r", ""]),
+).filter(lambda line: not line.startswith("```")
+         and not PATCH_MARKER_RE.match(line))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.lists(
-    st.tuples(st.sampled_from(["A.java", "b/C.java"]),
-              st.sampled_from(["f", "g", "h"]), _BODY),
-    min_size=1, max_size=3, unique_by=lambda t: (t[0], t[1])))
+    st.tuples(_NAME, _NAME, st.lists(_LINE, min_size=1, max_size=6).map("\n".join)),
+    min_size=1, max_size=4, unique_by=lambda t: (t[0], t[1])))
 def test_roundtrip_property(edits):
+    """`parse_patch(render_patch(p)) == p` for any names the marker line
+    reads back and any bodies with no fence or marker line."""
     patch = Patch(edits=tuple(PatchEdit(*e) for e in edits))
-    assert parse_patch(render_patch(patch)).edits == patch.edits
+    for e in patch.edits:
+        marker = PATCH_MARKER_RE.fullmatch(
+            f"=== PATCH file={e.file} method={e.method} ===")
+        assume(marker and marker.groups() == (e.file, e.method))
+    assert parse_patch(render_patch(patch)) == patch
 
 
 def test_patch_id_order_independent():

@@ -170,3 +170,44 @@ def test_spfl_is_permutation(n, pick):
     assert sorted((o.file, o.line) for o in out) == \
         sorted((r.file, r.line) for r in ranked)
     assert [o.rank for o in out] == list(range(1, n + 1))
+
+
+def _ref_apply_spfl(ranked, known):
+    """apply_spfl as it was: every location copied with dataclasses.replace."""
+    from dataclasses import replace
+    head = [loc for loc in ranked if (loc.file, loc.line) == known]
+    rest = [loc for loc in ranked if (loc.file, loc.line) != known]
+    if head:
+        if head[0].rank == 1:
+            return list(ranked)
+        top = head[0]
+    else:
+        top = SuspiciousLocation(file=known[0], line=known[1], score=1.0, rank=1)
+    score = max([top.score] + [rest[0].score] if rest else [top.score])
+    reordered = [replace(top, score=score)] + rest
+    return [replace(loc, rank=i) for i, loc in enumerate(reordered, 1)]
+
+
+_RANKING = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(0, 20),
+              st.floats(0.0, 1.0)),
+    max_size=12, unique_by=lambda t: t[:2]).map(
+    lambda rows: [SuspiciousLocation(f, line, score, rank)
+                  for rank, (f, line, score) in enumerate(
+                      sorted(rows, key=lambda r: -r[2]), 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RANKING, st.integers(0, 11), st.sampled_from(["present", "top", "absent"]))
+def test_spfl_equals_replace_based_reference(ranked, pick, case):
+    """Present, already at rank 1, or absent, the known location gets the
+    reference's list: equal fields, and fresh objects wherever it made them."""
+    if case == "absent" or not ranked:
+        known = ("zz", 99)
+    else:
+        loc = ranked[0 if case == "top" else pick % len(ranked)]
+        known = (loc.file, loc.line)
+    got = apply_spfl(ranked, known)
+    want = _ref_apply_spfl(ranked, known)
+    assert got == want
+    assert [g is r for g, r in zip(got, ranked)] == [w is r for w, r in zip(want, ranked)]

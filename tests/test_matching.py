@@ -1,16 +1,17 @@
 import math
+import re
 import string
-import sys
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from siblingfix.matching import (StatementContext, _cosine, _norm,
                                  defined_names, extract_context,
                                  group_by_method, jaccard, jaccard_filter,
                                  statement_contexts, token_match, tokenize)
-from siblingfix.source_index import Statement, identifiers_in, index_source
+from siblingfix.source_index import (Statement, identifiers_in, index_source,
+                                     variables_in)
 from strategies import FILE
 
 
@@ -352,35 +353,75 @@ def test_token_pool_bit_identical_on_generated_files(tmp_path_factory, texts):
             _indexed_equals_per_call(pool, member, limit)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FILE, min_size=1, max_size=3))
+def test_token_pool_tokens_equal_rendered_tokens(tmp_path_factory, texts):
+    """A context's tokens are its statements' tokens in order, since no
+    word spans the "\n" that `rendered` joins them with; so the pool's
+    vectors, built from per-statement tokens, have the terms, order and
+    weights of vectors built from each rendered context."""
+    from collections import Counter
+
+    from siblingfix.matching import TokenPool, tfidf_vectors
+    tmp = tmp_path_factory.mktemp("tokens")
+    for i, text in enumerate(texts):
+        (tmp / f"F{i}.java").write_text(text, encoding="utf-8")
+    index = index_source(tmp, ["*.java"])
+    pool = statement_contexts(
+        index, [s for sf in index.files.values() for s in sf.statements])
+    for c in pool:
+        assert [t for s in c.context for t in tokenize(s.text)] == tokenize(c.rendered)
+    want = tfidf_vectors([Counter(tokenize(c.rendered)) for c in pool])
+    got = TokenPool(pool)._tfidf[0]
+    assert [[(t, float.hex(w)) for t, w in v.items()] for v in got] == \
+        [[(t, float.hex(w)) for t, w in v.items()] for v in want]
+
+
+def test_token_pool_tokenizes_each_statement_once(tmp_path, monkeypatch):
+    """A statement in several contexts, as a definition and as a target,
+    is tokenized once per pool build."""
+    from siblingfix import matching
+    index = make_index(tmp_path, _chained_method(50), "Chain.java")
+    scope = index.statements_in_method(index.enclosing_method("Chain.java", 3))
+    pool = statement_contexts(index, scope)
+    assert sum(len(c.context) for c in pool) > len(scope)
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return tokenize(text)
+    monkeypatch.setattr(matching, "tokenize", counted)
+    matching.TokenPool(pool)._tfidf
+    assert sorted(texts) == sorted(s.text for s in scope)
+
+
 def test_token_pool_walks_a_shorter_context():
     """A context with fewer distinct tokens than the target is scored by
     walking the context, as the per-call cosine does; here walking the
-    target instead gives a different last bit (before CPython 3.12, whose
-    `sum` compensates rounding)."""
+    target instead gives a different last bit."""
+    from collections import Counter
+
     from siblingfix.matching import tfidf_vectors
     texts = ["theta zeta eps alpha iota", "delta", "beta delta iota",
              "delta delta eps", "eps eps iota eta eps theta"]
     pool = [ctx(t, "s.java", i + 1) for i, t in enumerate(texts)]
-    target, shorter = tfidf_vectors([tokenize(t) for t in texts])[0::4]
+    target, shorter = tfidf_vectors([Counter(tokenize(t)) for t in texts])[0::4]
     assert len(shorter) < len(target)
-    walk_target = sum(w * shorter.get(t, 0.0) for t, w in target.items())
-    walk_shorter = sum(w * target.get(t, 0.0) for t, w in shorter.items())
-    if sys.version_info < (3, 12):
-        assert walk_target != walk_shorter
+    walk_target = _left_sum(w * shorter.get(t, 0.0) for t, w in target.items())
+    walk_shorter = _left_sum(w * target.get(t, 0.0) for t, w in shorter.items())
+    assert walk_target != walk_shorter
     got = _indexed_equals_per_call(pool, pool[0], 10)
     sim = {c.key: c.token_similarity for c in got}[("s.java", 5)]
     assert sim == walk_shorter / (_norm(target) * _norm(shorter))
 
 
 def test_token_pool_skips_a_token_in_every_context():
-    """A token every context holds has idf 0: it has no postings, and a
-    context sharing only that token with the target scores exactly 0.0."""
+    """A token every context holds has idf 0, so a context sharing only
+    that token with the target scores exactly 0.0."""
     from siblingfix.matching import TokenPool
     texts = ["value = alpha + beta;", "value = gamma;", "use(value, alpha);",
              "value++;", "print(value, beta, beta);"]
     pool = [ctx(t, "v.java", i + 1) for i, t in enumerate(texts)]
-    postings = TokenPool(pool)._tfidf[3]
-    assert "value" not in postings and "alpha" in postings
     for target in pool:
         got = _indexed_equals_per_call(pool, target, 10)
         assert len(got) == 4
@@ -407,14 +448,31 @@ def test_token_pool_pads_with_zero_scores_in_key_order():
         assert _exact(short) == _exact(got[:limit])
 
 
+def _left_sum(values):
+    """Floats added left to right, as `sum` adds them before CPython 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_float_sum_adds_left_to_right():
+    """Left to right on every CPython: the `sum` of 3.12 and later, which
+    compensates rounding, gives 1.0000000000000002 here."""
+    from siblingfix.matching import float_sum
+    assert float_sum([1.0, 1e-16, 1e-16]) == 1.0
+    assert float_sum([]) == 0.0
+    assert float_sum(iter([0.5, 0.25])) == 0.75
+
+
 def _ref_norm(v):
-    return math.sqrt(sum(x * x for x in v.values()))
+    return math.sqrt(_left_sum(x * x for x in v.values()))
 
 
 def _ref_cosine(a, na, b, nb):
     if len(b) < len(a):
         a, b = b, a
-    dot = sum(v * b.get(t, 0.0) for t, v in a.items())
+    dot = _left_sum(v * b.get(t, 0.0) for t, v in a.items())
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -442,7 +500,6 @@ def test_cosine_and_norm_equal_generator_formulas(a, b):
 def _assigns_uncached(stmt, name):
     """_assigns as it was: two regex searches compiled per call (the
     statement's masked text is mask_code(stmt.text))."""
-    import re
     from siblingfix.matching import _ASSIGN_OPS
     masked = stmt.masked
     if re.search(rf"(?<![\w.$]){re.escape(name)}\s*(?:\[[^\]]*\])?\s*{_ASSIGN_OPS}",
@@ -529,13 +586,13 @@ _PIECES = st.sampled_from(["a", "b1", "$c", "d$", "\u00e9", "9", ".", " ", "\t",
 
 @settings(max_examples=300, deadline=None)
 @given(FILE | st.lists(_PIECES, max_size=16).map("".join))
+@example("i--;")  # "--" is the only sign of this assignment
 def test_defined_names_match_per_name_search(text):
     """A name is defined by a statement exactly when the per-name search
     says it is assigned or declared there, for every identifier of the text."""
-    from siblingfix.source_index import _IDENT_RE
     stmt = Statement(file="T.java", start_line=1, end_line=1, text=text,
                      kind="simple")
-    names = set(_IDENT_RE.findall(text))
+    names = set(re.findall(r"[A-Za-z_$][\w$]*", text))
     defined = defined_names(stmt)
     assert defined <= names
     for name in names:
@@ -551,7 +608,7 @@ def _chained_method(n):
 
 def test_chained_method_takes_one_pass(tmp_path, monkeypatch):
     """Each statement's uses are read once per scope, not once per target:
-    N chained definitions cost N `identifiers_in` calls."""
+    N chained definitions cost N `variables_in` calls."""
     from siblingfix import matching
     n = 2000
     index = make_index(tmp_path, _chained_method(n), "Chain.java")
@@ -562,8 +619,8 @@ def test_chained_method_takes_one_pass(tmp_path, monkeypatch):
 
     def counted(stmt):
         calls.append(stmt)
-        return identifiers_in(stmt)
-    monkeypatch.setattr(matching, "identifiers_in", counted)
+        return variables_in(stmt)
+    monkeypatch.setattr(matching, "variables_in", counted)
     contexts = statement_contexts(index, scope)
     assert len(calls) == len(scope)
     assert [c.text for c in contexts[5].context] == ["int v3 = v2 + 3;",

@@ -12,7 +12,8 @@ from siblingfix.source_index import (_CLASS_RE, _FIELD_NAME_RE, _SIGNATURE_NAME_
                                      KEYWORDS, ClassRef, FieldDecl, MethodRef,
                                      SourceFile, Statement,
                                      _linewise_statements, _signature_text,
-                                     identifiers_in, index_source, mask_code)
+                                     Identifier, identifiers_in, index_source,
+                                     mask_code, variables_in)
 from siblingfix.validation import patched_texts
 from strategies import FILE
 
@@ -554,3 +555,59 @@ def test_identity_patch_renders_indexed_text(tmp_path_factory, text):
                               for m in sf.methods if names[m.name] == 1))
     expected = {"T.java": sf.text} if patch.edits else {}
     assert patched_texts(patch, index) == expected
+
+
+# -- identifier classification against the per-token loop ---------------
+
+_REF_IDENT_RE = re.compile(r"[A-Za-z_$][\w$]*")
+_REF_CALL_OPEN_RE = re.compile(r"\s*\(")
+
+
+def _ref_identifiers_in(statement):
+    """identifiers_in as it was: each identifier looked at on its own, a
+    call when '(' follows, else a field access when '.' precedes."""
+    masked = statement.masked
+    out = []
+    for m in _REF_IDENT_RE.finditer(masked):
+        name = m.group(0)
+        if name in KEYWORDS:
+            continue
+        if _REF_CALL_OPEN_RE.match(masked, m.end()):
+            out.append(Identifier("call", name))
+            continue
+        k = m.start() - 1
+        while k >= 0 and masked[k].isspace():
+            k -= 1
+        kind = "field-access" if k >= 0 and masked[k] == "." else "variable"
+        out.append(Identifier(kind, name))
+    return out
+
+
+_ID_PIECES = st.sampled_from(
+    ["a", "b1", "$c", "d$", "\u00e9", "\u0663", "9", "9x", ".", " .", ". ", "\n",
+     "\t", "\u2028", "\u00a0", "(", " (", ")", ";", "=", "this", "new", "int",
+     "class", '"s.t("', "// c(", "/* .x */", "'('", "::", "..", "a.", ".("])
+
+
+def _assert_identifiers_match_reference(stmt):
+    want = _ref_identifiers_in(stmt)
+    assert identifiers_in(stmt) == want
+    assert variables_in(stmt) == [i.name for i in want if i.kind == "variable"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ID_PIECES, max_size=20).map("".join))
+@example("a .\n b (c) ;\n d\t(e . f)")
+@example("x.\u00a0y(z).w")
+def test_identifiers_match_per_token_loop(text):
+    _assert_identifiers_match_reference(stmt(text))
+
+
+@settings(max_examples=100, deadline=None)
+@given(FILE)
+def test_identifiers_match_per_token_loop_on_generated_files(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("ids")
+    write(tmp, "T.java", text)
+    for sf in index_source(tmp, ["*.java"]).files.values():
+        for s in sf.statements:
+            _assert_identifiers_match_reference(s)

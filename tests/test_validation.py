@@ -204,6 +204,40 @@ def test_run_tests_missing_results_file(tmp_path):
     assert [r.status for r in report.results] == ["error"]
 
 
+def test_run_tests_without_results_keeps_the_log_tail(tmp_path):
+    """A harness that fails before writing results, as a build that does
+    not compile does, leaves what it printed in the report."""
+    harness = HarnessConfig(
+        command="echo compiling; echo 'error: cannot find symbol' >&2; exit 1",
+        timeout=5.0, expected_tests=["t1"])
+    report = run_tests(tmp_path, harness)
+    assert [r.status for r in report.results] == ["error"]
+    assert report.harness_exit == 1
+    assert report.log_tail == "compiling\nerror: cannot find symbol\n"
+
+
+def test_run_tests_timeout_keeps_the_log_tail(tmp_path):
+    harness = HarnessConfig(command="echo started; echo waiting >&2; sleep 30",
+                            timeout=0.5, expected_tests=["t1"])
+    report = run_tests(tmp_path, harness)
+    assert [r.status for r in report.results] == ["timeout"]
+    assert report.log_tail == "started\nwaiting\n"
+
+
+def test_run_tests_log_tail_is_the_last_4_kib(tmp_path):
+    """Only the end of a long log is kept; a character cut in two by the
+    limit is replaced, not fatal. A run with results keeps no tail."""
+    harness = HarnessConfig(  # 10,005 bytes: the tail starts inside an 'é'
+        command="python3 -c \"print('\u00e9' * 5000, end=''); print('xEND')\"",
+        timeout=5.0, expected_tests=["t1"])
+    tail = run_tests(tmp_path, harness).log_tail
+    assert tail == "\ufffd" + "\u00e9" * 2045 + "xEND\n"
+    harness = harness_writing(tmp_path, [
+        {"test": "t1", "status": "fail", "message": "", "frames": []}])
+    harness.command = "echo noise; python3 h.py"
+    assert run_tests(tmp_path, harness).log_tail == ""
+
+
 def test_run_tests_duplicate_test_id(tmp_path):
     harness = harness_writing(tmp_path, [
         {"test": "t1", "status": "pass", "message": "", "frames": []},
