@@ -158,8 +158,8 @@ class RepairEngine:
 
     def _validate(self, patch: Patch) -> TestReport:
         """Apply and test a patch, caching reports by patch content. A run
-        that gave no results leaves its log's tail in `harness/<patch id>.txt`
-        of the run directory."""
+        that gave no results, or malformed ones, leaves its log's tail in
+        `harness/<patch id>.txt` of the run directory."""
         cached = self._validation_cache.get(patch.id)
         if cached is not None:
             return cached
@@ -167,15 +167,21 @@ class RepairEngine:
                                 workspace_root=self.workspace_root)
         try:
             report = run_tests(workspace, self.harness)
+        except HarnessProtocolError as exc:
+            self._save_log_tail(patch, exc.log_tail)
+            raise
         finally:
             if not self.config.keep_workspaces:
                 shutil.rmtree(workspace, ignore_errors=True)
-        if report.log_tail and self.run_dir:
-            tails = self.run_dir / "harness"
-            tails.mkdir(exist_ok=True)
-            (tails / f"{patch.id}.txt").write_text(report.log_tail, encoding="utf-8")
+        self._save_log_tail(patch, report.log_tail)
         self._validation_cache[patch.id] = report
         return report
+
+    def _save_log_tail(self, patch: Patch, tail: str) -> None:
+        if tail and self.run_dir:
+            tails = self.run_dir / "harness"
+            tails.mkdir(exist_ok=True)
+            (tails / f"{patch.id}.txt").write_text(tail, encoding="utf-8")
 
     def _ensure_baseline(self) -> None:
         if self.baseline is not None:

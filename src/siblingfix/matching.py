@@ -194,15 +194,19 @@ def extract_context(index: SourceIndex, target: Statement) -> StatementContext:
 class TokenPool:
     """A run's sibling pool, tokenized and weighted once.
 
-    When the target's statement is a pool member, whose context
-    `extract_context` made from the same index, the corpus of `token_match`
-    (pool minus target, plus target) is exactly the pool, so IDF, vectors
-    and norms are the same for every such target and are computed once, on
-    first use. Other targets are scored per call.
+    When the target's statement is a pool member with the same context, as
+    `extract_context` makes it from the pool's index, the corpus of
+    `token_match` (pool minus target, plus target) is exactly the pool, so
+    IDF, vectors and norms are the same for every such target and are
+    computed once, on first use. Any other target is ranked by a pool of
+    that corpus, built for the call.
     """
 
     def __init__(self, contexts: list[StatementContext]):
         self.contexts = list(contexts)
+        self._positions = {c.target: i for i, c in enumerate(self.contexts)}
+        if len(self._positions) < len(self.contexts):
+            raise ValueError("a TokenPool's statements must be distinct")
 
     def __len__(self) -> int:
         return len(self.contexts)
@@ -225,27 +229,24 @@ class TokenPool:
 
         vectors = tfidf_vectors([Counter(chain.from_iterable(map(tokens, c.context)))
                                  for c in self.contexts])
-        positions = {c.target: i for i, c in enumerate(self.contexts)}
-        if len(positions) < len(self.contexts):
-            positions = {}  # repeated statements: the corpus is not the pool
-        keys = [c.key for c in self.contexts]
-        return vectors, [_norm(v) for v in vectors], positions, keys
+        return vectors, [_norm(v) for v in vectors], [c.key for c in self.contexts]
 
     def ranked(self, target: StatementContext, limit: int
                ) -> list[tuple[float, StatementContext]]:
         """`token_match`'s top `limit` (similarity, context) pairs.
 
-        A member target is scored against every other context by the
-        `_cosine` call `tfidf_similarities` makes, on the same vectors and
-        norms, so each similarity is the per-call float. `heapq.nsmallest`
-        over (-similarity, key, position) keeps what `_top`'s stable sort
-        keeps. A scan, not an inverted index: a target's tokens reach most
-        of the pool, so postings would prune little and cost more to build.
+        The target is scored against every other context with itself as
+        `_cosine`'s first vector, as `tfidf_similarities` scores a query.
+        `heapq.nsmallest` over (-similarity, key, position) keeps the best
+        by similarity, then (file, line), then pool order. A scan, not an
+        inverted index: a target's tokens reach most of the pool, so
+        postings would prune little and cost more to build.
         """
-        vectors, norms, positions, keys = self._tfidf
-        pos = positions.get(target.target)
-        if pos is None:
-            return _top(_score(target, self.contexts), limit)
+        pos = self._positions.get(target.target)
+        if pos is None or self.contexts[pos].context != target.context:
+            return TokenPool([c for c in self.contexts if c.target != target.target]
+                             + [target]).ranked(target, limit)
+        vectors, norms, keys = self._tfidf
         tv, tn = vectors[pos], norms[pos]
         best = heapq.nsmallest(limit, (
             (-_cosine(tv, tn, v, nv), key, d)
@@ -253,39 +254,17 @@ class TokenPool:
         return [(-neg, self.contexts[d]) for neg, _, d in best]
 
 
-def _score(target: StatementContext, pool: list[StatementContext]
-           ) -> list[tuple[float, StatementContext]]:
-    """Cosine against the target of every pool context but the target's
-    own, over the corpus of the target plus those contexts."""
-    candidates = [ctx for ctx in pool if ctx.target != target.target]
-    return list(zip(tfidf_similarities(tokenize(target.rendered),
-                                       [tokenize(c.rendered) for c in candidates]),
-                    candidates))
-
-
-def _top(scored: list[tuple[float, StatementContext]], limit: int
-         ) -> list[tuple[float, StatementContext]]:
-    """The `limit` best pairs, by similarity, then (file, line), then
-    input order."""
-    scored.sort(key=lambda item: (-item[0], item[1].key))
-    return scored[:limit]
-
-
-def token_match(target: StatementContext,
-                pool: list[StatementContext] | TokenPool,
+def token_match(target: StatementContext, pool: TokenPool,
                 limit: int = 100) -> list[CandidateSibling]:
     """Top-`limit` pool contexts by TF-IDF cosine against the target.
 
     The corpus is pool plus target; the target's own context is excluded
-    from the results. Ties break by (file, line). A `TokenPool` gives the
-    same results as a list of its contexts.
+    from the results. Ties break by (file, line).
     """
     if not pool:
         return []
-    ranked = (pool.ranked(target, limit) if isinstance(pool, TokenPool)
-              else _top(_score(target, pool), limit))
     return [CandidateSibling(context=ctx, token_similarity=sim)
-            for sim, ctx in ranked]
+            for sim, ctx in pool.ranked(target, limit)]
 
 
 def jaccard(a: set[str], b: set[str]) -> float:

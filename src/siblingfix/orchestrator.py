@@ -63,6 +63,7 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
     except ValueError as exc:
         raise DescriptorError(f"descriptor is not valid JSON: {exc}") from exc
     base = path.parent
+    overrides = overrides or {}
     try:
         root = _resolve(base, data["project_root"])
         include = list(data.get("include", ["**/*"]))
@@ -70,21 +71,32 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
         harness = data["harness"]
         command = harness["command"]
         backend_spec = dict(data["backend"])
+        if backend_spec.get("type") == "scripted":
+            backend_spec["directory"] = str(_resolve(base, backend_spec["directory"]))
         provider_spec = dict(data.get("provider", {"type": "local-hash"}))
-    except (KeyError, TypeError) as exc:
+        cache_path = data.get("cache")
+        cache_path = _resolve(base, cache_path) if cache_path else None
+        cfg = dict(data.get("config", {}))
+        if "timeout" in harness:
+            cfg.setdefault("test_timeout", float(harness["timeout"]))
+        mode = overrides.get("mode") or data.get("mode", "sbfl")
+        spfl_location = ((data["spfl"]["file"], int(data["spfl"]["line"]))
+                         if mode == "spfl" else None)
+        pfl_locations = ([(l["file"], int(l["line"])) for l in data.get("pfl") or []]
+                         if mode == "pfl" else [])
+    except KeyError as exc:
         raise DescriptorError(f"descriptor missing required key: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DescriptorError(f"bad descriptor value: {exc}") from exc
+    if mode not in ("sbfl", "spfl", "pfl"):
+        raise DescriptorError(f"unknown mode: {mode}")
+    if mode == "pfl" and not pfl_locations:
+        raise DescriptorError("pfl mode requires a non-empty location list")
     if not root.is_dir():
         raise DescriptorError(f"project root missing: {root}")
     if not coverage.is_file():
         raise DescriptorError(f"coverage file missing: {coverage}")
-    if backend_spec.get("type") == "scripted":
-        backend_spec["directory"] = str(_resolve(base, backend_spec["directory"]))
 
-    cfg = dict(data.get("config", {}))
-    if "timeout" in harness:
-        cfg.setdefault("test_timeout", float(harness["timeout"]))
-    overrides = overrides or {}
-    mode = overrides.get("mode") or data.get("mode", "sbfl")
     for key, value in overrides.items():
         if key != "mode" and value is not None:
             cfg[key] = value
@@ -93,28 +105,11 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
     except (TypeError, ValueError) as exc:
         raise DescriptorError(f"bad config value: {exc}") from exc
 
-    spfl_location = None
-    pfl_locations: list[tuple[str, int]] = []
-    if mode == "spfl":
-        loc = data.get("spfl") or {}
-        if "file" not in loc or "line" not in loc:
-            raise DescriptorError("spfl mode requires {'file', 'line'}")
-        spfl_location = (loc["file"], int(loc["line"]))
-    elif mode == "pfl":
-        locs = data.get("pfl") or []
-        if not locs:
-            raise DescriptorError("pfl mode requires a non-empty location list")
-        pfl_locations = [(l["file"], int(l["line"])) for l in locs]
-    elif mode != "sbfl":
-        raise DescriptorError(f"unknown mode: {mode}")
-
-    cache_path = data.get("cache")
     return ProjectDescriptor(
         project_root=root, include=include, coverage_path=coverage,
         harness_command=command, backend_spec=backend_spec,
         provider_spec=provider_spec, mode=mode, spfl_location=spfl_location,
-        pfl_locations=pfl_locations, config=config,
-        cache_path=_resolve(base, cache_path) if cache_path else None)
+        pfl_locations=pfl_locations, config=config, cache_path=cache_path)
 
 
 def make_backend(spec: dict):

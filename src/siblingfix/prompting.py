@@ -7,7 +7,6 @@ method bodies are annotated with a `// SIBLING` marker comment.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .ingredients import FixIngredient
@@ -16,11 +15,7 @@ from .matching import MethodGroup
 from .source_index import SourceIndex
 from .validation import StackFrame, TestReport, TestResult
 
-SECTION_ORDER = ("role", "task", "reasoning-steps", "patch-definitions",
-                 "buggy-methods", "test-results", "feedback", "ingredients")
-
 _MARKER = "### SECTION: {name}"
-_MARKER_RE = re.compile(r"^### SECTION: ([a-z-]+)$", re.MULTILINE)
 
 SIBLING_MARKER = "// SIBLING"
 EVIDENCE_FRAMES = 5  # frames shown per originally failing test
@@ -64,21 +59,7 @@ class FeedbackEntry:
 @dataclass
 class PromptBundle:
     text: str
-    sections: list[tuple[str, str]]
-
-    @property
-    def sibling_marker_count(self) -> int:
-        return self.text.count(SIBLING_MARKER)
-
-
-def parse_sections(text: str) -> list[tuple[str, str]]:
-    """Recover (name, body) pairs from a rendered prompt."""
-    markers = list(_MARKER_RE.finditer(text))
-    out = []
-    for i, m in enumerate(markers):
-        end = markers[i + 1].start() if i + 1 < len(markers) else len(text)
-        out.append((m.group(1), text[m.end():end].strip("\n")))
-    return out
+    sections: list[tuple[str, str]]  # (name, body), in the text's order
 
 
 def _render_group(group: MethodGroup, index: SourceIndex) -> str:

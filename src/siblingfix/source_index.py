@@ -55,10 +55,6 @@ class Statement:
     text: str
     kind: str  # simple | block-header | other
 
-    @property
-    def line(self) -> int:
-        return self.start_line
-
     @cached_property
     def masked(self) -> str:
         """`mask_code(self.text)`, computed once per statement."""
@@ -75,9 +71,6 @@ class MethodRef:
     body_end: int
     class_name: str | None
     signature_text: str
-
-    def contains(self, line: int) -> bool:
-        return self.body_start <= line <= self.body_end
 
     @property
     def span_length(self) -> int:

@@ -18,7 +18,6 @@ import signal
 import subprocess
 import tempfile
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,6 +33,8 @@ class PatchApplicationError(Exception):
 
 class HarnessProtocolError(Exception):
     """The results file violates the harness protocol."""
+
+    log_tail = ""  # end of the harness's output, set by `run_tests`
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class TestResult:
 @dataclass
 class TestReport:
     results: list[TestResult]
-    wall_time: float = 0.0
     harness_exit: int = 0
     log_tail: str = ""  # end of the harness's output, when it gave no results
 
@@ -160,45 +160,64 @@ def _tail(path: Path) -> str:
         return fh.read().decode("utf-8", errors="replace")
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    with contextlib.suppress(ProcessLookupError):  # it just exited
+        os.killpg(proc.pid, signal.SIGKILL)
+
+
 def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
     """Run the harness command; its RESULTS_PATH file is authoritative.
-    A run that times out or writes no results keeps its log's tail."""
+    A run that times out or writes no results keeps its log's tail, as
+    does the `HarnessProtocolError` of a run whose results are malformed."""
     workspace = Path(workspace)
     results_path = workspace / ".repair-results.jsonl"
     log_path = workspace / ".repair-harness.log"
     results_path.unlink(missing_ok=True)
-    start = time.monotonic()
     env = dict(os.environ, RESULTS_PATH=str(results_path))
     # The harness leads its own process group, so a timeout also kills
     # what it forked (build tools, JVMs) before the workspace is removed.
     # Its stdout and stderr go to .repair-harness.log, not a pipe, and only
     # the shell is waited on: a detached child cannot hold the run. A thread
     # blocks in the wait; `Popen.wait(timeout)` would poll, sleeping up to 50 ms.
+    # An exception that leaves the wait, such as KeyboardInterrupt, kills the
+    # group first: the terminal's SIGINT does not reach another session.
     with log_path.open("wb") as log, \
             subprocess.Popen(harness.command, shell=True, cwd=workspace,
                              env=env, start_new_session=True, stdout=log,
                              stderr=subprocess.STDOUT) as proc:
         waiter = threading.Thread(target=proc.wait, daemon=True)
         waiter.start()
-        waiter.join(harness.timeout)
+        try:
+            waiter.join(harness.timeout)
+        except BaseException:
+            _kill_group(proc)
+            raise
         timed_out = waiter.is_alive()
         if timed_out:
-            with contextlib.suppress(ProcessLookupError):  # it just exited
-                os.killpg(proc.pid, signal.SIGKILL)
+            _kill_group(proc)
             waiter.join()
     exit_code = -1 if timed_out else proc.returncode
-    wall = time.monotonic() - start
     if timed_out:
         results = [TestResult(t, "timeout", "harness timeout")
                    for t in harness.expected_tests]
-        return TestReport(results=results, wall_time=wall, harness_exit=exit_code,
+        return TestReport(results=results, harness_exit=exit_code,
                           log_tail=_tail(log_path))
     if not results_path.exists():
         logger.warning("harness produced no results file (exit %d)", exit_code)
         results = [TestResult(t, "error", "harness produced no results")
                    for t in harness.expected_tests]
-        return TestReport(results=results, wall_time=wall, harness_exit=exit_code,
+        return TestReport(results=results, harness_exit=exit_code,
                           log_tail=_tail(log_path))
+    try:
+        results = _read_results(results_path)
+    except HarnessProtocolError as exc:
+        exc.log_tail = _tail(log_path)
+        raise
+    return TestReport(results=results, harness_exit=exit_code)
+
+
+def _read_results(results_path: Path) -> list[TestResult]:
+    """The results file's records, one test each."""
     results = []
     seen = set()
     for lineno, raw in enumerate(
@@ -221,7 +240,7 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
                 f"{results_path}:{lineno}: duplicate test id {result.test!r}")
         seen.add(result.test)
         results.append(result)
-    return TestReport(results=results, wall_time=wall, harness_exit=exit_code)
+    return results
 
 
 def _divergence(before: list[StackFrame], after: list[StackFrame]) -> int:

@@ -18,7 +18,7 @@ from siblingfix import (EmbeddingCache, LocalHashProvider, RepairConfig,
                         RepairEngine, SuspiciousLocation, apply_spfl,
                         ochiai_rank, tokenize)
 from siblingfix.localization import CoverageMatrix
-from siblingfix.matching import StatementContext, token_match
+from siblingfix.matching import StatementContext, TokenPool, token_match
 from siblingfix.orchestrator import run
 from siblingfix.source_index import Statement
 from siblingfix.validation import (StackFrame, TestReport, TestResult,
@@ -176,7 +176,7 @@ def test_acceptance_token_match_oracle():
     target = _ctx(target_text, "target.java", 1)
 
     start = time.monotonic()
-    got = token_match(target, pool, limit=100)
+    got = token_match(target, TokenPool(pool), limit=100)
     elapsed = time.monotonic() - start
 
     docs = [tokenize(c.rendered) for c in pool]

@@ -308,3 +308,27 @@ def test_harness_log_tail_is_saved_under_the_patch_id(mini_index, mini_coverage,
     for i in ids:
         assert (run_dir / "harness" / f"{i}.txt").read_text(encoding="utf-8") == \
             "Estimator.java:4: error: cannot find symbol\n"
+
+
+def test_harness_error_keeps_the_log_tail(mini_index, mini_coverage, tmp_path):
+    """A candidate whose harness writes a malformed results line is a
+    `harness-error` attempt and leaves the log's tail in
+    `harness/<patch id>.txt`, as a run without results does."""
+    run_dir = tmp_path / "run"
+    engine = RepairEngine(
+        project_root=str(PROJECT), index=mini_index, coverage=mini_coverage,
+        backend=FixBackend(), provider=LocalHashProvider(), cache=EmbeddingCache(),
+        harness_command=(
+            "if grep -q getUnboundParameters src/Estimator.java; "
+            "then echo 'reporter crashed' >&2; echo garbage > \"$RESULTS_PATH\"; "
+            "else python3 harness.py; fi"),
+        config=RepairConfig(attempts=1, cap=1), run_dir=run_dir,
+        workspace_root=str(tmp_path))
+    state = engine.repair_bug(ochiai_rank(mini_coverage))
+    errors = {r.patch_id for r in state.attempt_log if r.verdict == "harness-error"}
+    assert errors and None not in errors
+    assert sorted(p.name for p in (run_dir / "harness").iterdir()) == \
+        sorted(f"{i}.txt" for i in errors)
+    for i in errors:
+        assert (run_dir / "harness" / f"{i}.txt").read_text(encoding="utf-8") == \
+            "reporter crashed\n"

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from siblingfix.matching import (StatementContext, _cosine, _norm,
+from siblingfix import matching
+from siblingfix.matching import (StatementContext, TokenPool, _cosine, _norm,
                                  defined_names, extract_context,
                                  group_by_method, jaccard, jaccard_filter,
-                                 statement_contexts, token_match, tokenize)
+                                 statement_contexts, tfidf_similarities,
+                                 token_match, tokenize)
 from siblingfix.source_index import (Statement, identifiers_in, index_source,
                                      variables_in)
 from strategies import FILE
@@ -49,7 +51,7 @@ def test_token_match_verbatim_copy_first():
         ctx("print(hello);", "c.java", 3),
         target,
     ]
-    out = token_match(target, pool, limit=10)
+    out = token_match(target, TokenPool(pool), limit=10)
     assert out[0].key == ("a.java", 9)
     assert out[0].token_similarity == 1.0
     # Target excluded from its own results.
@@ -60,7 +62,7 @@ def test_token_match_verbatim_copy_first():
 def test_token_match_pool_smaller_than_limit_sorted():
     target = ctx("a b c", "t.java", 1)
     pool = [ctx("a b", "p.java", i) for i in range(2, 5)]
-    out = token_match(target, pool, limit=100)
+    out = token_match(target, TokenPool(pool), limit=100)
     assert len(out) == 3
     sims = [c.token_similarity for c in out]
     assert sims == sorted(sims, reverse=True)
@@ -69,7 +71,7 @@ def test_token_match_pool_smaller_than_limit_sorted():
 
 
 def test_token_match_empty_pool():
-    assert token_match(ctx("a"), [], limit=5) == []
+    assert token_match(ctx("a"), TokenPool([]), limit=5) == []
 
 
 def test_jaccard_values():
@@ -194,10 +196,6 @@ def test_group_by_method_thirteen_methods(tmp_path):
 
 # -- run-scoped token pool ----------------------------------------------
 
-def _ranked(cands):
-    return [(c.key, c.token_similarity) for c in cands]
-
-
 def _covered_pool(index, coverage):
     from siblingfix.engine import RepairConfig, RepairEngine
     engine = RepairEngine(project_root=".", index=index, coverage=coverage,
@@ -206,33 +204,47 @@ def _covered_pool(index, coverage):
     return engine._build_pool()
 
 
+def _per_call(target, contexts, limit):
+    """The per-call ranking `TokenPool` must reproduce: the cosine of each
+    context but the target's own, over the corpus of the target plus those
+    contexts, sorted stably by (-similarity, key), then cut at `limit`."""
+    candidates = [c for c in contexts if c.target != target.target]
+    sims = tfidf_similarities(tokenize(target.rendered),
+                              [tokenize(c.rendered) for c in candidates])
+    scored = sorted(zip(sims, candidates),
+                    key=lambda item: (-item[0], item[1].key))
+    return [(c.key, float.hex(sim), c) for sim, c in scored[:limit]]
+
+
+def _exact(cands):
+    return [(c.key, float.hex(c.token_similarity), c.context) for c in cands]
+
+
 def _no_fallback(*args):
-    raise AssertionError("a covered target took the per-call path")
+    raise AssertionError("a member target built a pool of its own")
 
 
-def test_token_pool_matches_per_call_on_miniproject(mini_index, mini_coverage,
-                                                    monkeypatch):
-    from siblingfix import matching
-    from siblingfix.matching import TokenPool
+def _member_ranking(tokens, target, limit):
+    """`token_match` over a built pool, with the per-call pool barred."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(matching, "TokenPool", _no_fallback)
+        return token_match(target, tokens, limit)
+
+
+def test_token_pool_matches_per_call_on_miniproject(mini_index, mini_coverage):
     pool = _covered_pool(mini_index, mini_coverage)
     tokens = TokenPool(pool)
     assert len(tokens) == len(pool)
     for member in pool:
         # A fresh context for the same statement, as repair_bug makes one.
         target = extract_context(mini_index, member.target)
-        want = token_match(target, pool, limit=100)
-        with monkeypatch.context() as m:
-            m.setattr(matching, "_score", _no_fallback)
-            got = token_match(target, tokens, limit=100)
-        assert _ranked(got) == _ranked(want)
-        assert [c.context for c in got] == [c.context for c in want]
+        got = _member_ranking(tokens, target, 100)
+        assert _exact(got) == _per_call(target, pool, 100)
 
 
-def test_token_pool_ties_beyond_limit(monkeypatch):
+def test_token_pool_ties_beyond_limit():
     """A pool larger than `limit`, much of it scoring exactly 0.0 against a
     target, ranks the same keys in the same order with equal floats."""
-    from siblingfix import matching
-    from siblingfix.matching import TokenPool
     # Five families of contexts share no token with one another, so a
     # target scores 0.0 against the four other families.
     words = [["alpha", "beta", "gamma", "delta"], ["omega", "sigma", "kappa"],
@@ -248,13 +260,10 @@ def test_token_pool_ties_beyond_limit(monkeypatch):
     tokens = TokenPool(pool)
     cut_ties = 0
     for target in pool[:40] + pool[-1:]:
-        want = token_match(target, pool, limit=100)
-        with monkeypatch.context() as m:
-            m.setattr(matching, "_score", _no_fallback)
-            got = token_match(target, tokens, limit=100)
-        assert _ranked(got) == _ranked(want)
+        got = _member_ranking(tokens, target, 100)
+        assert _exact(got) == _per_call(target, pool, 100)
         # The cut at `limit` falls inside a run of zero-score ties.
-        cut_ties += want[-1].token_similarity == 0.0
+        cut_ties += got[-1].token_similarity == 0.0
     assert cut_ties > 1
     # The last target shares no token with the pool: every score is 0.0 and
     # the order is (file, line).
@@ -263,41 +272,60 @@ def test_token_pool_ties_beyond_limit(monkeypatch):
     assert [c.key for c in last] == sorted(c.key for c in last)
 
 
+def _other_context(member):
+    """The member's statement with a context the pool does not hold."""
+    return StatementContext(target=member.target, context=(member.target,))
+
+
 def test_token_pool_uncovered_target_falls_back(mini_index, mini_coverage,
                                                 monkeypatch):
-    from siblingfix import matching
-    from siblingfix.matching import TokenPool
+    """A target whose statement, or whose context, the pool does not hold
+    is ranked by a pool of the pool minus its statement, plus itself."""
     pool = _covered_pool(mini_index, mini_coverage)
     tokens = TokenPool(pool)
     covered = {c.target for c in pool}
     uncovered = [s for sf in mini_index.files.values() for s in sf.statements
                  if s not in covered]
     assert uncovered
-    calls = []
+    built = []
 
-    def spy(target, contexts):
-        calls.append(target.key)
-        return original(target, contexts)
-    original = matching._score
-    monkeypatch.setattr(matching, "_score", spy)
+    def spy(contexts):
+        built.append(contexts[-1].key)
+        return TokenPool(contexts)
+    monkeypatch.setattr(matching, "TokenPool", spy)
     for stmt in uncovered:
         target = extract_context(mini_index, stmt)
-        assert _ranked(token_match(target, tokens, limit=100)) == \
-            _ranked(token_match(target, pool, limit=100))
-    assert len(calls) == 2 * len(uncovered)
+        for limit in (1, 5, len(pool) + 3):
+            assert _exact(token_match(target, tokens, limit)) == \
+                _per_call(target, pool, limit)
+    assert len(built) == 3 * len(uncovered)
     # A statement at a member's key whose text differs is not the pool's
     # corpus.
     member = pool[0]
     other = ctx(member.rendered + " extra", *member.key)
-    calls.clear()
-    assert _ranked(token_match(other, tokens)) == _ranked(token_match(other, pool))
-    assert len(calls) == 2
-    # A pool that repeats a statement never takes the shared vectors.
-    repeated = pool + [pool[0]]
-    calls.clear()
-    assert _ranked(token_match(member, TokenPool(repeated))) == \
-        _ranked(token_match(member, repeated))
-    assert len(calls) == 2
+    built.clear()
+    assert _exact(token_match(other, tokens, 100)) == _per_call(other, pool, 100)
+    assert built == [member.key]
+    # Nor is a member's statement with another context: it is ranked with
+    # its own context, not the pool's.
+    member = next(c for c in pool if len(c.context) > 1)
+    other = _other_context(member)
+    built.clear()
+    for limit in (1, 5, len(pool) + 3):
+        got = token_match(other, tokens, limit)
+        assert _exact(got) == _per_call(other, pool, limit)
+        assert member not in [c.context for c in got]
+    assert len(built) == 3
+    assert _exact(token_match(other, tokens, 100)) != \
+        _exact(token_match(member, tokens, 100))
+
+
+def test_token_pool_refuses_a_repeated_statement(mini_index, mini_coverage):
+    pool = _covered_pool(mini_index, mini_coverage)
+    with pytest.raises(ValueError, match="distinct"):
+        TokenPool(pool + [pool[0]])
+    with pytest.raises(ValueError, match="distinct"):
+        TokenPool(pool + [_other_context(pool[-1])])
 
 
 def test_pool_keeps_statements_that_share_a_start_line(tmp_path):
@@ -313,44 +341,46 @@ def test_pool_keeps_statements_that_share_a_start_line(tmp_path):
     pool = _covered_pool(index, coverage)
     assert [c.target.text for c in pool] == [
         "int a = b + 1;", "foo(a,\n        b);", "return a;"]
+    tokens = TokenPool(pool)
     for member in pool:
-        matched = [c.context.target for c in token_match(member, pool)]
+        matched = [c.context.target for c in token_match(member, tokens)]
         assert member.target not in matched and len(matched) == 2
 
 
-def _exact(cands):
-    return [(c.key, float.hex(c.token_similarity)) for c in cands]
-
-
 def _indexed_equals_per_call(pool, target, limit):
-    """The indexed ranking of a member target, with the per-call path
-    barred, against the per-call ranking of the pool as a list."""
-    from siblingfix import matching
-    from siblingfix.matching import TokenPool
-    want = token_match(target, list(pool), limit)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(matching, "_score", _no_fallback)
-        got = token_match(target, TokenPool(pool), limit)
-    assert _exact(got) == _exact(want)
+    """The shared-vector ranking of a member target, with the per-call pool
+    barred, against the per-call ranking."""
+    got = _member_ranking(TokenPool(pool), target, limit)
+    assert _exact(got) == _per_call(target, pool, limit)
     return got
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(FILE, min_size=1, max_size=3))
 def test_token_pool_bit_identical_on_generated_files(tmp_path_factory, texts):
-    """For every member target and a limit of 1, 5 and more than the pool,
-    the indexed ranking has the per-call keys and floats, bit for bit."""
+    """For every member target, a target outside the pool and a member's
+    statement with another context, at a limit of 1, 5 and more than the
+    pool, the ranking has the per-call keys and floats, bit for bit."""
     tmp = tmp_path_factory.mktemp("pool")
     for i, text in enumerate(texts):
         (tmp / f"F{i}.java").write_text(text, encoding="utf-8")
     index = index_source(tmp, ["*.java"])
     pool = statement_contexts(
         index, [s for sf in index.files.values() for s in sf.statements])
-    # A pool that repeats a statement is scored per call (tested elsewhere).
+    # A pool must not repeat a statement (equal statements on one line).
     assume(len({c.target for c in pool}) == len(pool))
+    limits = (1, 5, len(pool) + 3)
     for member in pool:
-        for limit in (1, 5, len(pool) + 3):
+        for limit in limits:
             _indexed_equals_per_call(pool, member, limit)
+    # The first context is outside the rest of the pool, and a member with
+    # definitions in its context gets another context.
+    cases = [(c, pool[1:]) for c in pool[:1]] + [
+        (_other_context(c), pool) for c in pool if len(c.context) > 1][:2]
+    for target, contexts in cases:
+        for limit in limits:
+            assert _exact(token_match(target, TokenPool(contexts), limit)) == \
+                _per_call(target, contexts, limit)
 
 
 @settings(max_examples=100, deadline=None)
@@ -362,7 +392,7 @@ def test_token_pool_tokens_equal_rendered_tokens(tmp_path_factory, texts):
     weights of vectors built from each rendered context."""
     from collections import Counter
 
-    from siblingfix.matching import TokenPool, tfidf_vectors
+    from siblingfix.matching import tfidf_vectors
     tmp = tmp_path_factory.mktemp("tokens")
     for i, text in enumerate(texts):
         (tmp / f"F{i}.java").write_text(text, encoding="utf-8")
@@ -380,7 +410,6 @@ def test_token_pool_tokens_equal_rendered_tokens(tmp_path_factory, texts):
 def test_token_pool_tokenizes_each_statement_once(tmp_path, monkeypatch):
     """A statement in several contexts, as a definition and as a target,
     is tokenized once per pool build."""
-    from siblingfix import matching
     index = make_index(tmp_path, _chained_method(50), "Chain.java")
     scope = index.statements_in_method(index.enclosing_method("Chain.java", 3))
     pool = statement_contexts(index, scope)
@@ -391,7 +420,7 @@ def test_token_pool_tokenizes_each_statement_once(tmp_path, monkeypatch):
         texts.append(text)
         return tokenize(text)
     monkeypatch.setattr(matching, "tokenize", counted)
-    matching.TokenPool(pool)._tfidf
+    TokenPool(pool)._tfidf
     assert sorted(texts) == sorted(s.text for s in scope)
 
 
@@ -418,7 +447,6 @@ def test_token_pool_walks_a_shorter_context():
 def test_token_pool_skips_a_token_in_every_context():
     """A token every context holds has idf 0, so a context sharing only
     that token with the target scores exactly 0.0."""
-    from siblingfix.matching import TokenPool
     texts = ["value = alpha + beta;", "value = gamma;", "use(value, alpha);",
              "value++;", "print(value, beta, beta);"]
     pool = [ctx(t, "v.java", i + 1) for i, t in enumerate(texts)]
@@ -609,7 +637,6 @@ def _chained_method(n):
 def test_chained_method_takes_one_pass(tmp_path, monkeypatch):
     """Each statement's uses are read once per scope, not once per target:
     N chained definitions cost N `variables_in` calls."""
-    from siblingfix import matching
     n = 2000
     index = make_index(tmp_path, _chained_method(n), "Chain.java")
     method = index.enclosing_method("Chain.java", 3)

@@ -264,3 +264,25 @@ def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
         ("sim-A", "parse-error")]
     assert report["counts"]["llm_requests"] == 2
     assert (tmp_path / "embeddings.json").is_file()
+
+
+@pytest.mark.parametrize("changes", [
+    {"mode": "spfl", "spfl": {"file": "src/Estimator.java", "line": "abc"}},
+    {"mode": "pfl", "pfl": [{"file": "src/Estimator.java"}]},
+    {"mode": "pfl", "pfl": ["src/Estimator.java:22"]},
+    {"harness": {"command": "python3 harness.py", "timeout": "soon"}},
+    {"config": 5},
+    {"backend": {"type": "scripted"}},
+    {"cache": 5},
+], ids=["spfl-line-not-a-number", "pfl-entry-without-line",
+        "pfl-entry-a-string", "harness-timeout-not-a-number",
+        "config-not-an-object", "scripted-backend-without-directory",
+        "cache-not-a-path"])
+def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, changes):
+    desc = write_descriptor(tmp_path, **changes)
+    with pytest.raises(DescriptorError):
+        load_descriptor(desc)
+    code = main(["run", str(desc), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert not (tmp_path / "runs").exists()
+    assert capsys.readouterr().err.startswith("error: ")

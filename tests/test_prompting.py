@@ -1,11 +1,12 @@
+import re
+
 import pytest
 
 from siblingfix.ingredients import FixIngredient
 from siblingfix.llm import Patch, PatchEdit
 from siblingfix.matching import MethodGroup
-from siblingfix.prompting import (ROLE_TEXT, SECTION_ORDER, SIBLING_MARKER,
-                                  FeedbackEntry, PromptBudgetError,
-                                  build_prompt, parse_sections)
+from siblingfix.prompting import (ROLE_TEXT, SIBLING_MARKER, FeedbackEntry,
+                                  PromptBudgetError, build_prompt)
 from siblingfix.source_index import index_source
 from siblingfix.validation import StackFrame, TestReport, TestResult
 
@@ -17,6 +18,17 @@ def evidence():
          StackFrame("C", "work", "C.java", 42)])]
 
 
+_MARKER_RE = re.compile(r"^### SECTION: ([a-z-]+)$", re.MULTILINE)
+
+
+def parse_sections(text):
+    """(name, body) pairs recovered from a rendered prompt's marker lines."""
+    markers = list(_MARKER_RE.finditer(text))
+    ends = [m.start() for m in markers[1:]] + [len(text)]
+    return [(m.group(1), text[m.end():end].strip("\n"))
+            for m, end in zip(markers, ends)]
+
+
 def one_group(index, file, line, jaccard=None):
     method = index.enclosing_method(file, line)
     return MethodGroup(method=method, file=file,
@@ -26,9 +38,11 @@ def one_group(index, file, line, jaccard=None):
 def test_all_eight_sections_in_order(mini_index):
     group = one_group(mini_index, "src/Estimator.java", 4)
     bundle = build_prompt([group], evidence(), [], [], mini_index)
-    names = [name for name, _ in parse_sections(bundle.text)]
-    assert names == list(SECTION_ORDER)
-    sections = dict(parse_sections(bundle.text))
+    assert parse_sections(bundle.text) == bundle.sections
+    assert [name for name, _ in bundle.sections] == [
+        "role", "task", "reasoning-steps", "patch-definitions",
+        "buggy-methods", "test-results", "feedback", "ingredients"]
+    sections = dict(bundle.sections)
     assert sections["role"] == ROLE_TEXT
     assert sections["feedback"] == "(no previous attempts)"
     assert sections["ingredients"] == "(none)"
@@ -41,8 +55,8 @@ def test_role_line_verbatim():
 def test_sibling_markers_and_method_body(mini_index):
     group = one_group(mini_index, "src/Estimator.java", 4)
     bundle = build_prompt([group], evidence(), [], [], mini_index)
-    assert bundle.sibling_marker_count == 1
-    body = dict(parse_sections(bundle.text))["buggy-methods"]
+    assert bundle.text.count(SIBLING_MARKER) == 1
+    body = dict(bundle.sections)["buggy-methods"]
     assert "double getRms(EstimationProblem problem)" in body
     assert "problem.getAllParameters();  " + SIBLING_MARKER in body
 
@@ -58,7 +72,7 @@ def test_feedback_entry_rendered(mini_index):
     bundle = build_prompt([group], evidence(),
                           [FeedbackEntry(patch=patch, report=report)],
                           [], mini_index)
-    fb = dict(parse_sections(bundle.text))["feedback"]
+    fb = dict(bundle.sections)["feedback"]
     assert "=== PATCH file=src/Estimator.java method=getRms ===" in fb
     assert "TEST t_fail: fail - still broken" in fb
     assert "TEST t_ok: pass" in fb
@@ -69,7 +83,7 @@ def test_bare_plausible_feedback(mini_index):
     patch = Patch(edits=(PatchEdit("src/Estimator.java", "getRms", "body"),))
     bundle = build_prompt([group], evidence(), [FeedbackEntry(patch=patch)],
                           [], mini_index)
-    fb = dict(parse_sections(bundle.text))["feedback"]
+    fb = dict(bundle.sections)["feedback"]
     assert "passed all tests (plausible)" in fb
 
 
@@ -90,7 +104,7 @@ def test_marker_count_matches_sibling_lines(tmp_path):
             method=method, file="Wide.java",
             siblings=[index.statement_at("Wide.java", n) for n in (line, line - 1)]))
     bundle = build_prompt(groups, evidence(), [], [], index)
-    assert bundle.sibling_marker_count == 26
+    assert bundle.text.count(SIBLING_MARKER) == 26
     assert len(groups) == 13
 
 
@@ -111,12 +125,12 @@ def test_truncation_drops_ingredients_first(mini_index):
     budget = (len(full.text) // 4) - 60
     trimmed = build_prompt([group], evidence(), [], ingredients, mini_index,
                            token_budget=budget)
-    kept = dict(parse_sections(trimmed.text))["ingredients"]
+    kept = dict(trimmed.sections)["ingredients"]
     # Lowest-scored ingredients go first; the best one survives.
     assert "helper0" in kept
     assert "helper39" not in kept
     # Groups were never touched.
-    assert "getRms" in dict(parse_sections(trimmed.text))["buggy-methods"]
+    assert "getRms" in dict(trimmed.sections)["buggy-methods"]
 
 
 def test_truncation_drops_lowest_jaccard_group(mini_index):
@@ -127,7 +141,7 @@ def test_truncation_drops_lowest_jaccard_group(mini_index):
     budget = (len(full.text) // 4) - 30
     trimmed = build_prompt(groups, evidence(), [], [], mini_index,
                            token_budget=budget)
-    body = dict(parse_sections(trimmed.text))["buggy-methods"]
+    body = dict(trimmed.sections)["buggy-methods"]
     assert "guessErrors" not in body  # lowest Jaccard dropped first
     assert "getRms" in body and "getCovariances" in body
 
@@ -145,19 +159,19 @@ def test_truncation_drops_feedback_frames_before_groups(mini_index):
               StackFrame("C", "work", "C.java", 42)]
     full = build_prompt(groups, evidence(), feedback(frames), [], mini_index)
     frameless = build_prompt(groups, evidence(), feedback([]), [], mini_index)
-    assert "    at C.work (C.java:42)" in dict(parse_sections(full.text))["feedback"]
+    assert "    at C.work (C.java:42)" in dict(full.sections)["feedback"]
 
     trimmed = build_prompt(groups, evidence(), feedback(frames), [], mini_index,
                            token_budget=len(full.text) // 4 - 1)
     assert trimmed.text == frameless.text  # frames gone, every group kept
-    sections = dict(parse_sections(trimmed.text))
+    sections = dict(trimmed.sections)
     assert "TEST t_fail: fail - still broken" in sections["feedback"]
     assert "    at " not in sections["feedback"]
     assert "    at C.work (C.java:42)" in sections["test-results"]
 
     tighter = build_prompt(groups, evidence(), feedback(frames), [], mini_index,
                            token_budget=len(frameless.text) // 4 - 1)
-    sections = dict(parse_sections(tighter.text))
+    sections = dict(tighter.sections)
     assert "    at " not in sections["feedback"]
     assert "getRms" in sections["buggy-methods"]
     assert "guessErrors" not in sections["buggy-methods"]

@@ -18,6 +18,10 @@ from siblingfix.validation import patched_texts
 from strategies import FILE
 
 
+def _contains(method, line):
+    return method.body_start <= line <= method.body_end
+
+
 def write(tmp_path, name, text):
     (tmp_path / name).write_text(text, encoding="utf-8")
 
@@ -76,7 +80,7 @@ def test_enclosing_method_rules(tmp_path):
     methods = index.files["C.java"].methods
     for line in range(1, 15):
         hit = index.enclosing_method("C.java", line)
-        assert (hit is None) == (not any(m.contains(line) for m in methods))
+        assert (hit is None) == (not any(_contains(m, line) for m in methods))
 
 
 def test_enclosing_method_unknown_file(tmp_path):
@@ -238,7 +242,7 @@ def test_generated_methods_index_cleanly(tmp_path_factory, names):
     for s in sf.statements:
         if s.kind == "simple":
             m = index.enclosing_method("G.java", s.start_line)
-            assert m is not None and m.contains(s.start_line)
+            assert m is not None and _contains(m, s.start_line)
 
 
 # -- lookup tables against linear scans ---------------------------------
@@ -253,7 +257,7 @@ def _scan_statement_at(sf, line):
 
 
 def _scan_enclosing_method(sf, line):
-    hits = [m for m in sf.methods if m.contains(line)]
+    hits = [m for m in sf.methods if _contains(m, line)]
     if not hits:
         return None
     return min(hits, key=lambda m: (m.span_length, m.body_start))
@@ -478,7 +482,7 @@ def _ref_collect_fields(cls, statements, methods):
             continue
         if not (cls.body_start <= s.start_line <= cls.body_end):
             continue
-        if any(m.contains(s.start_line) for m in methods):
+        if any(_contains(m, s.start_line) for m in methods):
             continue
         m = _FIELD_NAME_RE.search(_ref_scan(s.text)[0])
         if m and m.group(1) not in KEYWORDS:

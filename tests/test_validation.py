@@ -1,10 +1,14 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import siblingfix
 from conftest import PROJECT, estimator_method
 from siblingfix.llm import Patch, PatchEdit
 from siblingfix.source_index import index_source
@@ -181,6 +185,29 @@ def test_run_tests_timeout_kills_the_process_group(tmp_path):
     assert time.monotonic() - start < 2
 
 
+def test_run_tests_kills_the_process_group_on_an_interrupt(tmp_path):
+    """A KeyboardInterrupt during the wait kills the harness's group, which
+    leads its own session and so never sees the terminal's SIGINT, then
+    propagates."""
+    script = (
+        "import os, signal, sys, threading\n"
+        "from siblingfix.validation import HarnessConfig, run_tests\n"
+        "threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()\n"
+        "harness = HarnessConfig(command='(sleep 1; touch late) & sleep 3',\n"
+        "                        timeout=30, expected_tests=['t1'])\n"
+        "try:\n"
+        "    run_tests(sys.argv[1], harness)\n"
+        "except KeyboardInterrupt:\n"
+        "    sys.exit(130)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(siblingfix.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          timeout=30)
+    assert proc.returncode == 130
+    time.sleep(1.5)  # the interrupt came 0.3 s into the harness's 1 s
+    assert not (tmp_path / "late").exists()
+
+
 def test_run_tests_waits_on_the_shell_alone(tmp_path):
     """A detached child that outlives the harness, as a build daemon may,
     does not hold the run; the harness's output goes to its log file."""
@@ -251,6 +278,14 @@ def test_run_tests_bad_status(tmp_path):
         {"test": "t1", "status": "exploded", "message": "", "frames": []}])
     with pytest.raises(HarnessProtocolError):
         run_tests(tmp_path, harness)
+
+
+def test_run_tests_protocol_error_keeps_the_log_tail(tmp_path):
+    harness = harness_writing(tmp_path, [{"status": "pass"}])
+    harness.command = "echo 'reporter crashed' >&2; python3 h.py"
+    with pytest.raises(HarnessProtocolError) as info:
+        run_tests(tmp_path, harness)
+    assert info.value.log_tail == "reporter crashed\n"
 
 
 def frame(method="work", line=10, unit="C", file="C.java"):
