@@ -11,13 +11,21 @@ import hashlib
 import json
 import logging
 import math
-from operator import mul
+import sqlite3
+from array import array
+from contextlib import closing, contextmanager
+from functools import lru_cache
+from itertools import repeat
+from operator import mul, truediv
 from pathlib import Path
 
 from .llm import BackendError, RemoteClient
 from .matching import CandidateSibling, StatementContext, float_sum, tokenize
 
 logger = logging.getLogger(__name__)
+
+# The first 16 bytes of every SQLite database file.
+_SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 class EmbeddingError(BackendError):
@@ -29,29 +37,34 @@ class EmbeddingError(BackendError):
 
 
 def cosine(a: list[float], b: list[float]) -> float:
-    return _cosine(a, _norm(a), b)
+    return _cosine(a, _norm(a), b, _norm(b))
 
 
 def _norm(v: list[float]) -> float:
     return math.sqrt(float_sum(map(mul, v, v)))
 
 
-def _cosine(a: list[float], na: float, b: list[float]) -> float:
-    """`cosine(a, b)` given `a`'s norm, so one vector's norm is computed
-    once against many."""
+def _cosine(a: list[float], na: float, b: list[float], nb: float) -> float:
+    """`cosine(a, b)` given both norms, so each vector's norm is computed
+    once however many vectors it is compared with."""
     if a == b:
         return 1.0 if any(a) else 0.0
-    dot = float_sum(map(mul, a, b))
-    nb = _norm(b)
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return dot / (na * nb)
+    return float_sum(map(mul, a, b)) / (na * nb)
 
 
 def _is_vector(value) -> bool:
     """A list of numbers: what a provider reply and the store must hold."""
     return isinstance(value, list) and all(
         isinstance(x, (int, float)) for x in value)
+
+
+@lru_cache(maxsize=1 << 16)
+def _bucket(token: str, dimension: int) -> int:
+    """The vector component a token counts in. A run's tokens repeat, so
+    md5 runs once per distinct token."""
+    return int(hashlib.md5(token.encode()).hexdigest(), 16) % dimension
 
 
 class LocalHashProvider:
@@ -65,15 +78,15 @@ class LocalHashProvider:
         self.model = f"hash-{dimension}"
 
     def embed_batch(self, texts: list[str]) -> list[list[float]]:
+        dimension = self.dimension
         out = []
         for text in texts:
-            vec = [0.0] * self.dimension
+            vec = [0.0] * dimension
             for token in tokenize(text):
-                digest = hashlib.md5(token.encode()).hexdigest()
-                vec[int(digest, 16) % self.dimension] += 1.0
+                vec[_bucket(token, dimension)] += 1.0
             norm = _norm(vec)
             if norm > 0.0:
-                vec = [x / norm for x in vec]
+                vec = list(map(truediv, vec, repeat(norm)))
             out.append(vec)
         return out
 
@@ -99,25 +112,91 @@ class RemoteEmbeddingProvider(RemoteClient):
         return self._post({"input": texts, "model": self.model}, read)
 
 
-class EmbeddingCache:
-    """Content-hash keyed cache, optionally persisted as one JSON file.
 
-    Keys are scoped by provider name and model. A corrupt store, or a
-    stored entry that is not a vector, is dropped on load and recomputed.
+
+@contextmanager
+def _store(path: Path):
+    """A connection to the SQLite store at `path`, with its one table,
+    closed on exit. Writes are not synced to disk: a killed run keeps every
+    committed batch, a crash of the machine may lose recent ones. The
+    default rollback journal leaves no file beside the store once a
+    transaction ends."""
+    with closing(sqlite3.connect(path)) as db:
+        db.execute("PRAGMA synchronous=OFF")
+        db.execute("CREATE TABLE IF NOT EXISTS embeddings"
+                   " (key TEXT PRIMARY KEY, vector BLOB NOT NULL)")
+        yield db
+
+
+def _write(db: sqlite3.Connection, rows) -> None:
+    """Store (key, vector) rows in one transaction."""
+    with db:
+        db.executemany("INSERT OR REPLACE INTO embeddings VALUES (?, ?)",
+                       [(k, array("d", v).tobytes()) for k, v in rows])
+
+
+def _unpack(blob) -> list[float] | None:
+    """A stored vector: doubles in machine byte order, read back exactly."""
+    if not isinstance(blob, bytes) or len(blob) % 8:
+        return None
+    vec = array("d")
+    vec.frombytes(blob)
+    return vec.tolist()
+
+
+class EmbeddingCache:
+    """Content-hash keyed cache, optionally persisted in one SQLite file.
+
+    Keys are scoped by provider name and model. `flush` appends the vectors
+    put since the last flush in one transaction, and `embed` flushes after
+    each batch, so a killed run loses at most the batch in flight. A store
+    in the JSON format of earlier versions is read once and migrated. A
+    corrupt store, or a stored entry that is not a vector, is dropped on
+    load with a warning and recomputed. Each vector's norm is computed once
+    and kept beside it.
     """
 
     def __init__(self, store_path: str | Path | None = None):
         self.store_path = Path(store_path) if store_path else None
         self._data: dict[str, list[float]] = {}
-        self._dirty = False
+        self._norms: dict[str, float] = {}
+        self._pending: dict[str, list[float]] = {}
         if self.store_path and self.store_path.exists():
-            try:
-                loaded = json.loads(self.store_path.read_text(encoding="utf-8"))
-                if isinstance(loaded, dict):
-                    self._data = {k: v for k, v in loaded.items()
-                                  if _is_vector(v)}
-            except (ValueError, OSError):
-                logger.warning("corrupt embedding cache ignored: %s", self.store_path)
+            self._load(self.store_path)
+
+    def _load(self, path: Path) -> None:
+        try:
+            with path.open("rb") as fh:
+                is_store = fh.read(len(_SQLITE_HEADER)) == _SQLITE_HEADER
+            if is_store:
+                with _store(path) as db:
+                    rows = [(k, _unpack(v)) for k, v in
+                            db.execute("SELECT key, vector FROM embeddings")]
+            else:
+                loaded = json.loads(path.read_text(encoding="utf-8"))
+                if not isinstance(loaded, dict):
+                    raise ValueError("not a JSON object")
+                rows = [(k, array("d", v).tolist() if _is_vector(v) else None)
+                        for k, v in loaded.items()]
+        except (OSError, sqlite3.OperationalError):
+            # Unreadable or locked, not known to be corrupt: left in place.
+            logger.warning("unreadable embedding cache ignored: %s", path)
+            return
+        except (ValueError, OverflowError, sqlite3.DatabaseError):
+            logger.warning("corrupt embedding cache ignored: %s", path)
+            is_store, rows = False, []
+        self._data = {k: v for k, v in rows
+                      if isinstance(k, str) and v is not None}
+        if len(self._data) < len(rows):
+            logger.warning("%d corrupt embedding cache entries dropped: %s",
+                           len(rows) - len(self._data), path)
+        if not is_store:
+            # Replace the old or corrupt file whole, so no run sees half.
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.unlink(missing_ok=True)
+            with _store(tmp) as db:
+                _write(db, self._data.items())
+            tmp.replace(path)
 
     @staticmethod
     def key(provider, text: str) -> str:
@@ -128,30 +207,43 @@ class EmbeddingCache:
         return self._data.get(key)
 
     def put(self, key: str, vector: list[float]) -> None:
-        self._data[key] = list(vector)
-        self._dirty = True
+        self._data[key] = vec = list(vector)
+        if self.store_path:
+            self._pending[key] = vec
+
+    def norm(self, key: str, vector: list[float]) -> float:
+        """The norm of `vector`, the vector of `key`, computed once per key."""
+        norm = self._norms.get(key)
+        if norm is None:
+            norm = self._norms[key] = _norm(vector)
+        return norm
 
     def flush(self) -> None:
-        if not self.store_path or not self._dirty:
+        """Append the vectors put since the last flush to the store."""
+        if not self._pending:
             return
-        tmp = self.store_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(self._data), encoding="utf-8")
-        tmp.replace(self.store_path)
-        self._dirty = False
+        with _store(self.store_path) as db:
+            _write(db, self._pending.items())
+        self._pending.clear()
 
 
 def embed(texts: list[str], provider,
           cache: EmbeddingCache | None = None) -> list[list[float]]:
     """One vector per input text, batched, cache-backed, order preserving."""
-    results: list[list[float] | None] = [None] * len(texts)
-    missing: list[int] = []
-    for i, text in enumerate(texts):
-        if cache is not None:
-            hit = cache.get(EmbeddingCache.key(provider, text))
-            if hit is not None:
-                results[i] = hit
-                continue
-        missing.append(i)
+    return _embed(texts, provider, cache)[1]
+
+
+def _embed(texts: list[str], provider, cache: EmbeddingCache | None
+           ) -> tuple[list[str | None], list[list[float]]]:
+    """`embed`, with each text's cache key (None without a cache). The
+    cache is flushed after each batch."""
+    if cache is None:
+        keys: list[str | None] = [None] * len(texts)
+        results: list[list[float] | None] = [None] * len(texts)
+    else:
+        keys = [EmbeddingCache.key(provider, text) for text in texts]
+        results = [cache.get(key) for key in keys]
+    missing = [i for i, vec in enumerate(results) if vec is None]
     for start in range(0, len(missing), provider.batch_size):
         indices = missing[start:start + provider.batch_size]
         batch = [texts[i] for i in indices]
@@ -167,22 +259,27 @@ def embed(texts: list[str], provider,
         for i, vec in zip(indices, vectors):
             results[i] = vec
             if cache is not None:
-                cache.put(EmbeddingCache.key(provider, texts[i]), vec)
-    return results
+                cache.put(keys[i], vec)
+        if cache is not None:
+            cache.flush()
+    return keys, results
 
 
 def embedding_match(target: StatementContext, candidates: list[CandidateSibling],
                     theta: float, provider,
                     cache: EmbeddingCache | None = None) -> list[CandidateSibling]:
-    """Retain candidates whose embedding cosine vs the target is >= theta."""
+    """Retain candidates whose embedding cosine vs the target is >= theta.
+    With a cache, each distinct vector's norm is computed once per run."""
     if not candidates:
         return []
     texts = [target.rendered] + [c.context.rendered for c in candidates]
-    target_vec, *vectors = embed(texts, provider, cache)
-    target_norm = _norm(target_vec)
+    keys, vectors = _embed(texts, provider, cache)
+    norms = (list(map(_norm, vectors)) if cache is None
+             else list(map(cache.norm, keys, vectors)))
+    target_vec, target_norm = vectors[0], norms[0]
     kept = []
-    for cand, vec in zip(candidates, vectors):
-        sim = _cosine(target_vec, target_norm, vec)
+    for cand, vec, norm in zip(candidates, vectors[1:], norms[1:]):
+        sim = _cosine(target_vec, target_norm, vec, norm)
         cand.embedding_similarity = sim
         if sim >= theta:
             kept.append(cand)

@@ -66,7 +66,10 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
     overrides = overrides or {}
     try:
         root = _resolve(base, data["project_root"])
-        include = list(data.get("include", ["**/*"]))
+        include = data.get("include", ["**/*"])
+        if not (isinstance(include, list)
+                and all(isinstance(p, str) for p in include)):
+            raise ValueError("include must be a list of glob strings")
         coverage = _resolve(base, data["coverage"])
         harness = data["harness"]
         command = harness["command"]
@@ -74,6 +77,15 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
         if backend_spec.get("type") == "scripted":
             backend_spec["directory"] = str(_resolve(base, backend_spec["directory"]))
         provider_spec = dict(data.get("provider", {"type": "local-hash"}))
+        for spec in (backend_spec, provider_spec):
+            if spec.get("type") == "remote":
+                for key in ("url", "model"):
+                    if key not in spec:
+                        raise KeyError(key)
+        if "dimension" in provider_spec:
+            provider_spec["dimension"] = int(provider_spec["dimension"])
+            if provider_spec["dimension"] < 1:
+                raise ValueError("provider dimension must be >= 1")
         cache_path = data.get("cache")
         cache_path = _resolve(base, cache_path) if cache_path else None
         cfg = dict(data.get("config", {}))
@@ -126,7 +138,7 @@ def make_backend(spec: dict):
 def make_provider(spec: dict):
     kind = spec.get("type", "local-hash")
     if kind == "local-hash":
-        return LocalHashProvider(dimension=int(spec.get("dimension", 512)))
+        return LocalHashProvider(dimension=spec.get("dimension", 512))
     if kind == "remote":
         return RemoteEmbeddingProvider(
             url=spec["url"], model=spec["model"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 
@@ -25,6 +26,20 @@ def mini_index():
 @pytest.fixture(scope="session")
 def mini_coverage():
     return load_coverage(FIXTURES / "coverage.jsonl")
+
+
+def write_descriptor(tmp_path, **changes):
+    """The miniproject descriptor with absolute paths, a cache under
+    tmp_path, and the given top-level keys replaced."""
+    data = json.loads(DESCRIPTOR.read_text())
+    data["project_root"] = str(FIXTURES / "project")
+    data["coverage"] = str(FIXTURES / "coverage.jsonl")
+    data["backend"]["directory"] = str(FIXTURES / "responses")
+    data["cache"] = str(tmp_path / "embeddings.json")
+    data.update(changes)
+    desc = tmp_path / "d.json"
+    desc.write_text(json.dumps(data))
+    return desc
 
 
 def estimator_method(name: str, fixed: bool = False) -> str:

@@ -1,16 +1,25 @@
 import json
 import math
+import os
+import random
+import sqlite3
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FIXTURES, write_descriptor
+from siblingfix import embeddings
 from siblingfix.embeddings import (EmbeddingCache, EmbeddingError,
                                    LocalHashProvider, RemoteEmbeddingProvider,
                                    _cosine, _norm, cosine, embed,
                                    embedding_match)
 from siblingfix.engine import RepairConfig
 from siblingfix.matching import CandidateSibling, StatementContext
+from siblingfix.orchestrator import run
 from siblingfix.source_index import Statement
 
 
@@ -190,7 +199,28 @@ def test_cosine_and_norm_equal_generator_formulas(case):
     sums of the plain formula."""
     a, b = case
     assert float.hex(_norm(a)) == float.hex(_ref_norm(a))
-    assert float.hex(_cosine(a, _norm(a), b)) == float.hex(_ref_cosine(a, b))
+    assert float.hex(_cosine(a, _norm(a), b, _norm(b))) == float.hex(
+        _ref_cosine(a, b))
+
+
+def test_embedding_match_computes_each_norm_once(monkeypatch):
+    """With a cache, a run computes one norm per distinct vector, however
+    many locations rank it."""
+    texts = ["t1", "t2", "t3", "a", "b", "c", "d"]
+    vectors = {t: [float(i % 3), 1.0, float(i)] for i, t in enumerate(texts)}
+    calls = []
+
+    def counted_norm(v):
+        calls.append(v)
+        return _norm(v)
+    monkeypatch.setattr(embeddings, "_norm", counted_norm)
+    cache, provider = EmbeddingCache(), FixedProvider(vectors)
+    for target, pool in [("t1", "abc"), ("t2", "bcd"), ("t3", "abcd"),
+                         ("a", "bd"), ("t1", "abcd")]:
+        embedding_match(ctx(target, "t.java", 1),
+                        cands(*[(t, f"{t}.java", 1) for t in pool]),
+                        -1.0, provider, cache)
+    assert sorted(map(tuple, calls)) == sorted(map(tuple, vectors.values()))
 
 
 def test_cache_hits_bypass_provider(tmp_path):
@@ -216,7 +246,12 @@ def test_cache_is_provider_scoped():
     assert a.calls == 1 and b.calls == 1  # different model key, no false hit
 
 
-def test_corrupt_cache_entry_recomputed(tmp_path):
+SQLITE_HEADER = b"SQLite format 3\x00"
+
+
+def test_corrupt_cache_entry_recomputed(tmp_path, caplog):
+    """A JSON store of earlier versions is migrated to SQLite on load, and
+    its entry that is not a vector is dropped and recomputed."""
     provider = CountingProvider()
     good = provider.embed_batch(["y"])[0]
     provider.calls = 0
@@ -225,10 +260,18 @@ def test_corrupt_cache_entry_recomputed(tmp_path):
                                  EmbeddingCache.key(provider, "y"): good}))
     cache = EmbeddingCache(store)
     assert list(cache._data) == [EmbeddingCache.key(provider, "y")]
+    assert "1 corrupt embedding cache entries dropped" in caplog.text
+    assert store.read_bytes()[:16] == SQLITE_HEADER
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+    assert EmbeddingCache(store)._data == cache._data
     (vec, hit) = embed(["x", "y"], provider, cache)
     assert provider.calls == 1
     assert len(vec) == provider.dimension
     assert hit == good
+    # The recomputed vector was written with its batch.
+    assert EmbeddingCache(store)._data == {
+        EmbeddingCache.key(provider, "x"): vec,
+        EmbeddingCache.key(provider, "y"): good}
 
 
 def test_corrupt_store_ignored(tmp_path):
@@ -236,6 +279,123 @@ def test_corrupt_store_ignored(tmp_path):
     store.write_text("{ not json")
     cache = EmbeddingCache(store)
     assert cache._data == {}
+
+
+@pytest.mark.parametrize("content", [
+    random.Random(7).randbytes(4096),
+    SQLITE_HEADER + random.Random(7).randbytes(4096),
+    b'{"k": [1' + b"0" * 400 + b"]}",
+], ids=["random-bytes", "sqlite-header-then-random", "int-beyond-float"])
+def test_random_bytes_store_ignored_with_warning(tmp_path, caplog, content):
+    store = tmp_path / "cache.json"
+    store.write_bytes(content)
+    cache = EmbeddingCache(store)
+    assert cache._data == {}
+    assert "corrupt embedding cache ignored" in caplog.text
+    provider = CountingProvider()
+    (vec,) = embed(["x"], provider, cache)
+    assert EmbeddingCache(store)._data == {EmbeddingCache.key(provider, "x"): vec}
+
+
+def test_unreadable_store_left_in_place(tmp_path, caplog):
+    store = tmp_path / "cache.json"
+    store.mkdir()
+    assert EmbeddingCache(store)._data == {}
+    assert "unreadable embedding cache ignored" in caplog.text
+    assert store.is_dir()
+
+
+def test_corrupt_store_row_recomputed(tmp_path, caplog):
+    provider = CountingProvider()
+    store = tmp_path / "cache.db"
+    embed(["x", "y", "z"], provider, EmbeddingCache(store))
+    keys = [EmbeddingCache.key(provider, t) for t in "xyz"]
+    with sqlite3.connect(store) as db:
+        db.execute("UPDATE embeddings SET vector = ? WHERE key = ?",
+                   (b"\x00" * 7, keys[0]))
+        db.execute("UPDATE embeddings SET vector = 'text' WHERE key = ?",
+                   (keys[1],))
+    db.close()
+    provider.calls = 0
+    cache = EmbeddingCache(store)
+    assert list(cache._data) == [keys[2]]
+    assert "2 corrupt embedding cache entries dropped" in caplog.text
+    x, y, z = embed(["x", "y", "z"], provider, cache)
+    assert provider.calls == 2
+    assert EmbeddingCache(store)._data == dict(zip(keys, (x, y, z)))
+
+
+def test_store_round_trips_every_float(tmp_path):
+    vectors = [[0.1, -0.0, 5e-324, 1e308, math.inf, -math.inf],
+               [1 / 3, 2.0 ** -1074, -2.0 ** 1023, 0.0, 0.75, -1e-310]]
+    provider = FixedProvider({"a": vectors[0], "b": vectors[1]})
+    cache = EmbeddingCache(tmp_path / "cache.db")
+    embed(["a", "b"], provider, cache)
+    got = list(EmbeddingCache(tmp_path / "cache.db")._data.values())
+    assert [[x.hex() for x in v] for v in got] == \
+        [[x.hex() for x in v] for v in vectors]
+
+
+def test_runs_leave_only_the_store(tmp_path):
+    """No journal or write-ahead log outlives a run, cold or warm, and
+    the store stays at the descriptor's cache path."""
+    desc = write_descriptor(tmp_path)
+    for _ in range(2):
+        code, _, _ = run(desc, out_dir=tmp_path / "runs")
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "d.json", "embeddings.json", "runs"]
+    assert (tmp_path / "embeddings.json").read_bytes()[:16] == SQLITE_HEADER
+
+
+# Run `repair run` with two texts per embedding batch, blocking in the
+# second batch after writing the first batch's texts to `started`.
+_BLOCKING_RUN = """
+import json, os, sys, time
+from siblingfix import cli, embeddings
+
+descriptor, out, started = sys.argv[1:]
+batches = []
+embed_batch = embeddings.LocalHashProvider.embed_batch
+
+def blocking_embed_batch(self, texts):
+    batches.append(texts)
+    if len(batches) == 2:
+        with open(started + ".part", "w") as fh:
+            json.dump(batches[0], fh)
+        os.replace(started + ".part", started)
+        time.sleep(60)
+    return embed_batch(self, texts)
+
+embeddings.LocalHashProvider.batch_size = 2
+embeddings.LocalHashProvider.embed_batch = blocking_embed_batch
+sys.exit(cli.main(["run", descriptor, "--out", out]))
+"""
+
+
+def test_killed_run_keeps_its_completed_batches(tmp_path):
+    desc = write_descriptor(tmp_path)
+    started = tmp_path / "started.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(FIXTURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _BLOCKING_RUN, str(desc),
+         str(tmp_path / "runs"), str(started)], env=env)
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and proc.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert started.exists(), f"run exited with {proc.returncode}"
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    first = json.loads(started.read_text())
+    assert len(first) == 2
+    provider = LocalHashProvider()
+    stored = EmbeddingCache(tmp_path / "embeddings.json")._data
+    assert stored == {EmbeddingCache.key(provider, t): v for t, v in
+                      zip(first, provider.embed_batch(first))}
 
 
 class FakeResponse:

@@ -493,6 +493,29 @@ def test_float_sum_adds_left_to_right():
     assert float_sum(iter([0.5, 0.25])) == 0.75
 
 
+_SUM_TERMS = st.lists(st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, -1e-310,
+                     math.inf, -math.inf, 1e308, -1e308, 1.0, -1.0]),
+    st.floats(-1e-300, 1e-300), st.floats(allow_nan=True)), max_size=12)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_SUM_TERMS)
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([1.0, -1.0, -0.0])
+@example([math.inf, -math.inf, 0.0])
+def test_float_sum_equals_the_plain_loop(values):
+    """Skipping zero terms gives the plain left-to-right loop's bits, signed
+    zeros, subnormals, infinities and overflow included."""
+    from siblingfix.matching import float_sum
+    got, want = float_sum(values), _left_sum(values)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert float.hex(got) == float.hex(want)
+
+
 def _ref_norm(v):
     return math.sqrt(_left_sum(x * x for x in v.values()))
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import DESCRIPTOR, EXPECTED_DIFF, FIXTURES
+from conftest import DESCRIPTOR, EXPECTED_DIFF, FIXTURES, write_descriptor
 from siblingfix import orchestrator
 from siblingfix.cli import main, parse_duration
 from siblingfix.llm import Patch, PatchEdit
@@ -212,20 +212,6 @@ def test_cli_input_error_is_reported_once_on_stderr(tmp_path, capsys):
     assert err == "error: bad config value: theta must be in [-1, 1]\n"
 
 
-def write_descriptor(tmp_path, **changes):
-    """The miniproject descriptor with absolute paths, a cache under
-    tmp_path, and the given top-level keys replaced."""
-    data = json.loads(DESCRIPTOR.read_text())
-    data["project_root"] = str(FIXTURES / "project")
-    data["coverage"] = str(FIXTURES / "coverage.jsonl")
-    data["backend"]["directory"] = str(FIXTURES / "responses")
-    data["cache"] = str(tmp_path / "embeddings.json")
-    data.update(changes)
-    desc = tmp_path / "d.json"
-    desc.write_text(json.dumps(data))
-    return desc
-
-
 def test_baseline_harness_protocol_error_is_exit_2_with_report(tmp_path,
                                                                 capsys):
     desc = write_descriptor(
@@ -274,10 +260,20 @@ def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
     {"config": 5},
     {"backend": {"type": "scripted"}},
     {"cache": 5},
+    {"backend": {"type": "remote", "model": "m"}},
+    {"provider": {"type": "remote", "url": "http://localhost:1"}},
+    {"provider": {"type": "local-hash", "dimension": "x"}},
+    {"provider": {"type": "local-hash", "dimension": 0}},
+    {"provider": {"type": "local-hash", "dimension": -3}},
+    {"include": "src/**/*.java"},
+    {"include": ["src/**/*.java", 7]},
 ], ids=["spfl-line-not-a-number", "pfl-entry-without-line",
         "pfl-entry-a-string", "harness-timeout-not-a-number",
         "config-not-an-object", "scripted-backend-without-directory",
-        "cache-not-a-path"])
+        "cache-not-a-path", "remote-backend-without-url",
+        "remote-provider-without-model", "dimension-not-a-number",
+        "dimension-zero", "dimension-negative", "include-a-string",
+        "include-entry-not-a-string"])
 def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, changes):
     desc = write_descriptor(tmp_path, **changes)
     with pytest.raises(DescriptorError):
@@ -285,4 +281,7 @@ def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, changes):
     code = main(["run", str(desc), "--out", str(tmp_path / "runs")])
     assert code == 2
     assert not (tmp_path / "runs").exists()
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "descriptor" in err
+    if "include" in changes:
+        assert "bad descriptor value" in err
