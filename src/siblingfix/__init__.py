@@ -18,9 +18,8 @@ from .matching import (CandidateSibling, StatementContext, extract_context,
 from .prompting import FeedbackEntry, PromptBundle, build_prompt
 from .source_index import (MethodRef, SourceIndex, Statement, identifiers_in,
                            index_source)
-from .validation import (HarnessConfig, PatchVerdict, StackFrame, TestReport,
-                         TestResult, align_traces, apply_patch, classify,
-                         run_tests)
+from .validation import (HarnessConfig, StackFrame, TestReport, TestResult,
+                         align_traces, apply_patch, classify, run_tests)
 
 __version__ = "0.1.0"
 
@@ -36,6 +35,6 @@ __all__ = [
     "group_by_method", "jaccard_filter", "token_match", "tokenize",
     "FeedbackEntry", "PromptBundle", "build_prompt",
     "MethodRef", "SourceIndex", "Statement", "identifiers_in", "index_source",
-    "HarnessConfig", "PatchVerdict", "StackFrame", "TestReport", "TestResult",
+    "HarnessConfig", "StackFrame", "TestReport", "TestResult",
     "align_traces", "apply_patch", "classify", "run_tests",
 ]

@@ -36,17 +36,13 @@ class EmbeddingError(BackendError):
         self.indices = indices or []
 
 
-def cosine(a: list[float], b: list[float]) -> float:
-    return _cosine(a, _norm(a), b, _norm(b))
-
-
 def _norm(v: list[float]) -> float:
     return math.sqrt(float_sum(map(mul, v, v)))
 
 
 def _cosine(a: list[float], na: float, b: list[float], nb: float) -> float:
-    """`cosine(a, b)` given both norms, so each vector's norm is computed
-    once however many vectors it is compared with."""
+    """The cosine of `a` and `b` given their norms, so each vector's norm
+    is computed once however many vectors it is compared with."""
     if a == b:
         return 1.0 if any(a) else 0.0
     if na == 0.0 or nb == 0.0:
@@ -228,21 +224,17 @@ class EmbeddingCache:
 
 
 def embed(texts: list[str], provider,
-          cache: EmbeddingCache | None = None) -> list[list[float]]:
+          cache: EmbeddingCache) -> list[list[float]]:
     """One vector per input text, batched, cache-backed, order preserving."""
     return _embed(texts, provider, cache)[1]
 
 
-def _embed(texts: list[str], provider, cache: EmbeddingCache | None
-           ) -> tuple[list[str | None], list[list[float]]]:
-    """`embed`, with each text's cache key (None without a cache). The
-    cache is flushed after each batch."""
-    if cache is None:
-        keys: list[str | None] = [None] * len(texts)
-        results: list[list[float] | None] = [None] * len(texts)
-    else:
-        keys = [EmbeddingCache.key(provider, text) for text in texts]
-        results = [cache.get(key) for key in keys]
+def _embed(texts: list[str], provider, cache: EmbeddingCache
+           ) -> tuple[list[str], list[list[float]]]:
+    """`embed`, with each text's cache key. The cache is flushed after
+    each batch."""
+    keys = [EmbeddingCache.key(provider, text) for text in texts]
+    results = [cache.get(key) for key in keys]
     missing = [i for i, vec in enumerate(results) if vec is None]
     for start in range(0, len(missing), provider.batch_size):
         indices = missing[start:start + provider.batch_size]
@@ -258,24 +250,21 @@ def _embed(texts: list[str], provider, cache: EmbeddingCache | None
                 indices=indices)
         for i, vec in zip(indices, vectors):
             results[i] = vec
-            if cache is not None:
-                cache.put(keys[i], vec)
-        if cache is not None:
-            cache.flush()
+            cache.put(keys[i], vec)
+        cache.flush()
     return keys, results
 
 
 def embedding_match(target: StatementContext, candidates: list[CandidateSibling],
                     theta: float, provider,
-                    cache: EmbeddingCache | None = None) -> list[CandidateSibling]:
+                    cache: EmbeddingCache) -> list[CandidateSibling]:
     """Retain candidates whose embedding cosine vs the target is >= theta.
-    With a cache, each distinct vector's norm is computed once per run."""
+    Each distinct vector's norm is computed once per cache."""
     if not candidates:
         return []
     texts = [target.rendered] + [c.context.rendered for c in candidates]
     keys, vectors = _embed(texts, provider, cache)
-    norms = (list(map(_norm, vectors)) if cache is None
-             else list(map(cache.norm, keys, vectors)))
+    norms = list(map(cache.norm, keys, vectors))
     target_vec, target_norm = vectors[0], norms[0]
     kept = []
     for cand, vec, norm in zip(candidates, vectors[1:], norms[1:]):

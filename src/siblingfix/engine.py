@@ -14,7 +14,7 @@ import math
 import shutil
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .embeddings import EmbeddingCache, embedding_match
@@ -51,6 +51,15 @@ class RepairConfig:
     keep_workspaces: bool = False
 
     def __post_init__(self):
+        # Each value has its default's type; an int may stand for a float,
+        # and a bool only for a bool.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kinds = (int, float) if type(f.default) is float else type(f.default)
+            if (not isinstance(value, kinds)
+                    or isinstance(value, bool) != isinstance(f.default, bool)):
+                raise TypeError(f"{f.name} must be {type(f.default).__name__}, "
+                                f"not {type(value).__name__}")
         if min(self.k, self.attempts) < 1 or self.ingredients < 0:
             raise ValueError("k and attempts must be >= 1, ingredients >= 0")
         if self.budget <= 0:
@@ -116,9 +125,7 @@ class RepairEngine:
     def __init__(self, project_root: str, index: SourceIndex,
                  coverage: CoverageMatrix, backend, provider,
                  harness_command: str, config: RepairConfig,
-                 cache: EmbeddingCache | None = None,
-                 run_dir: str | Path | None = None,
-                 workspace_root: str | None = None):
+                 cache: EmbeddingCache, run_dir: str | Path | None = None):
         self.project_root = project_root
         self.index = index
         self.coverage = coverage
@@ -132,7 +139,6 @@ class RepairEngine:
                 (self.run_dir / sub).mkdir(parents=True, exist_ok=True)
         names = Counter(map(_safe_name, index.files))
         self._shared_names = frozenset(n for n, c in names.items() if c > 1)
-        self.workspace_root = workspace_root
         self.harness = HarnessConfig(
             command=harness_command, timeout=config.test_timeout,
             expected_tests=[t for t, _ in coverage.tests])
@@ -163,8 +169,7 @@ class RepairEngine:
         cached = self._validation_cache.get(patch.id)
         if cached is not None:
             return cached
-        workspace = apply_patch(self.project_root, patch, self.index,
-                                workspace_root=self.workspace_root)
+        workspace = apply_patch(self.project_root, patch, self.index)
         try:
             report = run_tests(workspace, self.harness)
         except HarnessProtocolError as exc:
@@ -239,7 +244,7 @@ class RepairEngine:
             if seed is not None:
                 patch = combine(patch, seed)
             report = self._validate(patch)
-            verdict = classify(self.baseline, report).kind
+            verdict = classify(self.baseline, report)
             # A plausible patch is fed back without its (all-pass) report.
             entry = FeedbackEntry(
                 patch=patch, report=None if verdict == "pass-all" else report)

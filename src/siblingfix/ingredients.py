@@ -85,21 +85,19 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
             classes: dict[str, ClassRef] = {}
             for ref in refs:
                 # Directly referenced elements are themselves ingredients.
-                direct = []
-                for m in index.all_methods_named(ref.name):
-                    if ref.kind == "call":
-                        direct.append(FixIngredient(
+                if ref.kind == "call":
+                    for m in index.all_methods_named(ref.name):
+                        add(FixIngredient(
                             "method-declaration", m.signature_text,
                             m.class_name or "", m.file, 1.0, m.signature_line))
-                for sf in index.files.values():
-                    for cls in sf.classes:
-                        for f in cls.fields:
-                            if f.name == ref.name and ref.kind == "field-access":
-                                direct.append(FixIngredient(
-                                    "field-declaration", f.text, cls.name,
-                                    cls.file, 1.0, f.line))
-                for ing in direct:
-                    add(ing)
+                else:
+                    for sf in index.files.values():
+                        for cls in sf.classes:
+                            for f in cls.fields:
+                                if f.name == ref.name:
+                                    add(FixIngredient(
+                                        "field-declaration", f.text, cls.name,
+                                        cls.file, 1.0, f.line))
                 # Resolve declaring classes: receiver type first, then name.
                 receiver = _receiver_of(stmt, ref.name)
                 resolved: list[ClassRef] = []

@@ -35,10 +35,6 @@ class BackendError(Exception):
 class PatchParseError(Exception):
     """Model output does not conform to the patch format."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(message)
-        self.offset = offset
-
 
 @dataclass(frozen=True)
 class PatchEdit:
@@ -159,19 +155,17 @@ def parse_patch(response: str) -> Patch:
     """
     markers = list(PATCH_MARKER_RE.finditer(response))
     if not markers:
-        raise PatchParseError("no patch blocks in response", offset=0)
+        raise PatchParseError("no patch blocks in response")
     edits: dict[tuple[str, str], PatchEdit] = {}
     for i, marker in enumerate(markers):
         end = markers[i + 1].start() if i + 1 < len(markers) else len(response)
         segment = response[marker.end():end]
         fence = _FENCE_RE.search(segment)
         if not fence:
-            raise PatchParseError("patch block without opening fence",
-                                  offset=marker.start())
+            raise PatchParseError("patch block without opening fence")
         close = segment.find("\n```", fence.end() - 1)
         if close < 0:
-            raise PatchParseError("unterminated code fence",
-                                  offset=marker.end() + fence.start())
+            raise PatchParseError("unterminated code fence")
         body = segment[fence.end():close]
         key = (marker.group(1), marker.group(2))
         if key in edits:

@@ -70,6 +70,11 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
         if not (isinstance(include, list)
                 and all(isinstance(p, str) for p in include)):
             raise ValueError("include must be a list of glob strings")
+        for pattern in include:
+            path = Path(pattern)
+            if not pattern or path.is_absolute() or ".." in path.parts:
+                raise ValueError(f"include pattern must be a non-empty path "
+                                 f"inside the project: {pattern!r}")
         coverage = _resolve(base, data["coverage"])
         harness = data["harness"]
         command = harness["command"]

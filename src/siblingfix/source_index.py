@@ -356,7 +356,7 @@ def _find_classes(path: str, masked: str, starts: list[int],
     return classes
 
 
-def _signature_text(masked: str, text: str, name_pos: int, close_paren: int) -> str:
+def _signature_text(text: str, name_pos: int, close_paren: int) -> str:
     # Back up over modifiers / return type on the same logical line.
     start = text.rfind("\n", 0, name_pos) + 1
     raw = text[start:close_paren + 1]
@@ -403,7 +403,7 @@ def _find_methods(path: str, text: str, masked: str, starts: list[int],
         brace_line = _line_of(brace, starts)
         body_start = min(sig_line, brace_line)
         cls = _at(class_by_line, sig_line)
-        sig_text = _signature_text(masked, text, start, close_paren)
+        sig_text = _signature_text(text, start, close_paren)
         methods.append(MethodRef(
             file=path, name=name, signature_line=sig_line,
             body_start=body_start, body_end=body_end,

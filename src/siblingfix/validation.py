@@ -72,22 +72,6 @@ class TestReport:
 
 
 @dataclass
-class TraceProgress:
-    test: str
-    divergence_index: int
-    before: StackFrame
-    after: StackFrame
-
-
-@dataclass
-class PatchVerdict:
-    kind: str  # pass-all | promising | no-progress
-    newly_passing: list[str] = field(default_factory=list)
-    trace_progress: TraceProgress | None = None
-    regressions: list[str] = field(default_factory=list)
-
-
-@dataclass
 class HarnessConfig:
     command: str
     timeout: float = 300.0
@@ -129,16 +113,15 @@ def patched_texts(patch: Patch, index: SourceIndex) -> dict[str, str]:
     return texts
 
 
-def apply_patch(project_root: str | Path, patch: Patch, index: SourceIndex,
-                workspace_root: str | Path | None = None) -> Path:
+def apply_patch(project_root: str | Path, patch: Patch,
+                index: SourceIndex) -> Path:
     """Copy the project into a fresh workspace and write the edited files.
 
     An edited file whose copy no longer has the indexed digest changed on
     disk since indexing; the workspace is removed and the patch rejected.
     """
     texts = patched_texts(patch, index)
-    workspace = Path(tempfile.mkdtemp(prefix="repair-ws-",
-                                      dir=workspace_root))
+    workspace = Path(tempfile.mkdtemp(prefix="repair-ws-"))
     shutil.copytree(project_root, workspace, dirs_exist_ok=True)
     for rel, text in texts.items():
         path = workspace / rel
@@ -243,61 +226,41 @@ def _read_results(results_path: Path) -> list[TestResult]:
     return results
 
 
-def _divergence(before: list[StackFrame], after: list[StackFrame]) -> int:
-    """Length of the common prefix of two traces; line 0 matches any line."""
+def align_traces(before: list[StackFrame], after: list[StackFrame]) -> str:
+    """'identical', 'progressed', or 'other' per the frame-walk rules."""
+    if not before:
+        return "other"
+    # d: length of the common prefix; line 0 matches any line.
     d = 0
     for b, a in zip(before, after):
         if ((b.unit, b.method, b.file) != (a.unit, a.method, a.file)
                 or b.line and a.line and b.line != a.line):
             break
         d += 1
-    return d
-
-
-def align_traces(before: list[StackFrame], after: list[StackFrame]) -> str:
-    """'identical', 'progressed', or 'other' per the frame-walk rules."""
-    if not before:
-        return "other"
-    d = _divergence(before, after)
     if d == len(before) and d == len(after):
         return "identical"
     if d >= len(before) or d >= len(after):
         return "other"  # one trace is a strict prefix of the other
     b, a = before[d], after[d]
     if (b.unit, b.method, b.file) == (a.unit, a.method, a.file):
-        if a.line > b.line and b.line != 0 and a.line != 0:
-            return "progressed"
-        return "other"
+        # The walk stopped here, so both lines are known and differ.
+        return "progressed" if a.line > b.line else "other"
     if b.method != a.method and d >= 1:
         return "progressed"  # cross-method divergence with identical prefix
     return "other"
 
 
-def classify(baseline: TestReport, patched: TestReport) -> PatchVerdict:
+def classify(baseline: TestReport, patched: TestReport) -> str:
     """pass-all, promising (newly passing test or trace progress), or no-progress."""
     base = baseline.by_id()
     after = patched.by_id()
-    all_pass = (bool(patched.results)
-                and all(r.status == "pass" for r in patched.results)
-                and all(t in after for t in base))
-    newly_passing = sorted(
-        t for t, r in base.items()
-        if r.status != "pass" and t in after and after[t].status == "pass")
-    regressions = sorted(
-        t for t, r in base.items()
-        if r.status == "pass" and t in after and after[t].status != "pass")
-    progress = None
-    if not newly_passing:
-        for test, r in base.items():
-            p = after.get(test)
-            if (r.status != "pass" and p is not None and p.status != "pass"
-                    and align_traces(r.frames, p.frames) == "progressed"):
-                d = _divergence(r.frames, p.frames)
-                progress = TraceProgress(test=test, divergence_index=d,
-                                         before=r.frames[d], after=p.frames[d])
-                break
-    kind = ("pass-all" if all_pass
-            else "promising" if newly_passing or progress is not None
-            else "no-progress")
-    return PatchVerdict(kind=kind, newly_passing=newly_passing,
-                        trace_progress=progress, regressions=regressions)
+    if (patched.results and all(r.status == "pass" for r in patched.results)
+            and all(t in after for t in base)):
+        return "pass-all"
+    for r in base.values():
+        p = after.get(r.test)
+        if r.status != "pass" and p is not None and (
+                p.status == "pass"
+                or align_traces(r.frames, p.frames) == "progressed"):
+            return "promising"
+    return "no-progress"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,14 @@ DESCRIPTOR = FIXTURES / "descriptor.json"
 DESCRIPTOR_SLOW = FIXTURES / "descriptor_slow.json"
 EXPECTED_DIFF = FIXTURES / "expected.diff"
 RESPONSES = FIXTURES / "responses"
+
+
+@pytest.fixture
+def tmp_tempdir(tmp_path, monkeypatch):
+    """Point tempfile's default directory at the test's `tmp_path`, so the
+    workspaces `apply_patch` makes are removed with it."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    return tmp_path
 
 
 @pytest.fixture(scope="session")

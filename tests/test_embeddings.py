@@ -15,12 +15,16 @@ from conftest import FIXTURES, write_descriptor
 from siblingfix import embeddings
 from siblingfix.embeddings import (EmbeddingCache, EmbeddingError,
                                    LocalHashProvider, RemoteEmbeddingProvider,
-                                   _cosine, _norm, cosine, embed,
-                                   embedding_match)
+                                   _cosine, _norm, embed, embedding_match)
 from siblingfix.engine import RepairConfig
 from siblingfix.matching import CandidateSibling, StatementContext
 from siblingfix.orchestrator import run
 from siblingfix.source_index import Statement
+
+
+def cosine(a, b):
+    """The cosine of two vectors, each norm computed on the spot."""
+    return _cosine(a, _norm(a), b, _norm(b))
 
 
 class CountingProvider(LocalHashProvider):
@@ -35,7 +39,8 @@ class CountingProvider(LocalHashProvider):
 
 def test_local_provider_deterministic():
     provider = LocalHashProvider(dimension=32)
-    a, b = embed(["int x = compute();", "int x = compute();"], provider)
+    a, b = embed(["int x = compute();", "int x = compute();"], provider,
+                 EmbeddingCache())
     assert a == b
     assert len(a) == 32
     assert math.isclose(math.sqrt(sum(c * c for c in a)), 1.0,
@@ -43,7 +48,7 @@ def test_local_provider_deterministic():
 
 
 def test_embed_empty_batch():
-    assert embed([], LocalHashProvider()) == []
+    assert embed([], LocalHashProvider(), EmbeddingCache()) == []
 
 
 def test_wrong_count_is_protocol_error():
@@ -54,7 +59,7 @@ def test_wrong_count_is_protocol_error():
             return [[1.0]] * (len(texts) - 1)
 
     with pytest.raises(EmbeddingError) as err:
-        embed(["a", "b", "c"], Broken())
+        embed(["a", "b", "c"], Broken(), EmbeddingCache())
     assert err.value.indices == [0, 1, 2]
 
 
@@ -83,11 +88,13 @@ def test_embedding_match_threshold_floor_and_ceiling():
         ("double v = problem.getAllParameters();", "a.java", 1),
         ("completely unrelated tokens here", "b.java", 2),
     )
-    assert len(embedding_match(target, pool, -1.0, provider)) == 2
+    assert len(embedding_match(target, pool, -1.0, provider,
+                               EmbeddingCache())) == 2
     exact = embedding_match(target, cands(
         ("double v = problem.getAllParameters();", "a.java", 1),
         ("double v = problem.getAllParameters() ;", "a2.java", 1),
-        ("almost the same but not quite tokens", "b.java", 2)), 1.0, provider)
+        ("almost the same but not quite tokens", "b.java", 2)), 1.0, provider,
+        EmbeddingCache())
     # Only contexts with identical token content survive theta = 1.
     assert {c.key[0] for c in exact} == {"a.java", "a2.java"}
 
@@ -104,11 +111,11 @@ def test_embedding_match_planted_vs_distractors():
         ("socket.connectTimeout(500);", "d2.java", 6),
     ]
     pool = cands(*(planted + distractors))
-    out = embedding_match(target, pool, 0.75, provider)
+    out = embedding_match(target, pool, 0.75, provider, EmbeddingCache())
     assert {c.key[0] for c in out} == {"p1.java", "p2.java"}
     # Oracle: direct cosine of the provider's raw vectors agrees.
     texts = [target.rendered] + [c.context.rendered for c in pool]
-    raw = embed(texts, provider)
+    raw = embed(texts, provider, EmbeddingCache())
     for cand, vec in zip(pool, raw[1:]):
         expected = cosine(raw[0], vec)
         assert cand.embedding_similarity == pytest.approx(expected, abs=1e-12)
@@ -149,7 +156,7 @@ def test_embedding_match_similarities_equal_cosine(case):
     vectors = {"t": target_vec, **{f"c{i}": r for i, r in enumerate(rows)}}
     candidates = cands(*[(f"c{i}", "c.java", i + 1) for i in range(len(rows))])
     embedding_match(ctx("t", "t.java", 1), candidates, -1.0,
-                    FixedProvider(vectors))
+                    FixedProvider(vectors), EmbeddingCache())
     want = [_ref_cosine(target_vec, r) for r in rows]
     assert [c.embedding_similarity for c in candidates] == want
     assert [cosine(target_vec, r) for r in rows] == want
@@ -204,8 +211,8 @@ def test_cosine_and_norm_equal_generator_formulas(case):
 
 
 def test_embedding_match_computes_each_norm_once(monkeypatch):
-    """With a cache, a run computes one norm per distinct vector, however
-    many locations rank it."""
+    """A run computes one norm per distinct vector, however many locations
+    rank it."""
     texts = ["t1", "t2", "t3", "a", "b", "c", "d"]
     vectors = {t: [float(i % 3), 1.0, float(i)] for i, t in enumerate(texts)}
     calls = []

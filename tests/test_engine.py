@@ -12,14 +12,15 @@ from siblingfix.engine import location_id
 from siblingfix.llm import ScriptedBackend
 from siblingfix.localization import CoverageMatrix
 
+pytestmark = pytest.mark.usefixtures("tmp_tempdir")
 
-def make_engine(mini_index, mini_coverage, backend, tmp_path, **cfg):
+
+def make_engine(mini_index, mini_coverage, backend, **cfg):
     config = RepairConfig(**cfg)
     return RepairEngine(
         project_root=str(PROJECT), index=mini_index, coverage=mini_coverage,
         backend=backend, provider=LocalHashProvider(), cache=EmbeddingCache(),
-        harness_command="python3 harness.py", config=config,
-        workspace_root=str(tmp_path))
+        harness_command="python3 harness.py", config=config)
 
 
 def test_location_id():
@@ -49,8 +50,7 @@ def test_colliding_paths_get_their_own_location_ids(tmp_path):
                                 covered={"t": {(rel, 3) for rel in paths}}),
         backend=ProseBackend(), provider=LocalHashProvider(),
         cache=EmbeddingCache(), harness_command="python3 harness.py",
-        config=RepairConfig(attempts=1), run_dir=run_dir,
-        workspace_root=str(tmp_path))
+        config=RepairConfig(attempts=1), run_dir=run_dir)
     state = engine.repair_bug([SuspiciousLocation(rel, 3, 1.0, i)
                                for i, rel in enumerate(paths, 1)])
     assert state.stopped == "exhausted"
@@ -75,10 +75,9 @@ def test_config_validation():
         RepairConfig(alpha=7)
 
 
-def test_early_exit_after_first_plausible(mini_index, mini_coverage, tmp_path):
+def test_early_exit_after_first_plausible(mini_index, mini_coverage):
     backend = ScriptedBackend(RESPONSES)
-    engine = make_engine(mini_index, mini_coverage, backend, tmp_path,
-                         attempts=1)
+    engine = make_engine(mini_index, mini_coverage, backend, attempts=1)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     assert state.stopped == "plausible"
     assert len(state.attempt_log) == 1
@@ -89,18 +88,16 @@ def test_early_exit_after_first_plausible(mini_index, mini_coverage, tmp_path):
     assert set(state.candidate_counts) == {"src_Estimator_java_L4"}
 
 
-def test_plausible_revalidates_from_pristine(mini_index, mini_coverage, tmp_path):
+def test_plausible_revalidates_from_pristine(mini_index, mini_coverage):
     backend = ScriptedBackend(RESPONSES)
-    engine = make_engine(mini_index, mini_coverage, backend, tmp_path,
-                         attempts=1)
+    engine = make_engine(mini_index, mini_coverage, backend, attempts=1)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     (patch,) = state.plausible
-    fresh = make_engine(mini_index, mini_coverage, backend, tmp_path,
-                        attempts=1)
+    fresh = make_engine(mini_index, mini_coverage, backend, attempts=1)
     fresh._ensure_baseline()
     report = fresh._validate(patch)
     from siblingfix.validation import classify
-    assert classify(fresh.baseline, report).kind == "pass-all"
+    assert classify(fresh.baseline, report) == "pass-all"
 
 
 class ProseBackend:
@@ -108,8 +105,8 @@ class ProseBackend:
         return "I am not able to produce a patch."
 
 
-def test_exhaustion_without_patches(mini_index, mini_coverage, tmp_path):
-    engine = make_engine(mini_index, mini_coverage, ProseBackend(), tmp_path,
+def test_exhaustion_without_patches(mini_index, mini_coverage):
+    engine = make_engine(mini_index, mini_coverage, ProseBackend(),
                          attempts=2, cap=2)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     assert state.stopped == "exhausted"
@@ -117,9 +114,9 @@ def test_exhaustion_without_patches(mini_index, mini_coverage, tmp_path):
     assert all(r.verdict == "parse-error" for r in state.attempt_log)
 
 
-def test_attempt_counts_bounded(mini_index, mini_coverage, tmp_path):
+def test_attempt_counts_bounded(mini_index, mini_coverage):
     t = 2
-    engine = make_engine(mini_index, mini_coverage, ProseBackend(), tmp_path,
+    engine = make_engine(mini_index, mini_coverage, ProseBackend(),
                          attempts=t, cap=1)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     phases = {}
@@ -133,13 +130,12 @@ def test_attempt_counts_bounded(mini_index, mini_coverage, tmp_path):
             assert len(recs) <= t
 
 
-def test_sim_phase_b_combines_disjoint_edits(mini_index, mini_coverage,
-                                             tmp_path):
+def test_sim_phase_b_combines_disjoint_edits(mini_index, mini_coverage):
     class CBackend:
         def complete(self, request):
             return patch_response("getCovariances")
 
-    engine = make_engine(mini_index, mini_coverage, CBackend(), tmp_path,
+    engine = make_engine(mini_index, mini_coverage, CBackend(),
                          attempts=1, stop_on_first_plausible=True)
     engine._ensure_baseline()
     from siblingfix.engine import RepairState
@@ -160,10 +156,9 @@ def test_sim_phase_b_combines_disjoint_edits(mini_index, mini_coverage,
     assert len(state.promising) == 1
 
 
-def test_iterative_carry_over_composes_fix(mini_index, mini_coverage, tmp_path):
+def test_iterative_carry_over_composes_fix(mini_index, mini_coverage):
     backend = RuleBackend()
-    engine = make_engine(mini_index, mini_coverage, backend, tmp_path,
-                         attempts=1)
+    engine = make_engine(mini_index, mini_coverage, backend, attempts=1)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     assert state.stopped == "plausible"
     (patch,) = state.plausible
@@ -179,8 +174,7 @@ def test_iterative_carry_over_composes_fix(mini_index, mini_coverage, tmp_path):
 
 
 def test_promising_set_never_holds_no_progress_patches(mini_index,
-                                                       mini_coverage,
-                                                       tmp_path):
+                                                       mini_coverage):
     class PartialBackend:
         """Only ever fixes getRms; everything else is prose."""
 
@@ -191,7 +185,7 @@ def test_promising_set_never_holds_no_progress_patches(mini_index,
                 return patch_response("getRms")
             return "no idea"
 
-    engine = make_engine(mini_index, mini_coverage, PartialBackend(), tmp_path,
+    engine = make_engine(mini_index, mini_coverage, PartialBackend(),
                          attempts=1)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     assert state.plausible == []
@@ -204,33 +198,32 @@ def test_promising_set_never_holds_no_progress_patches(mini_index,
     assert not promising_ids & (logged_bad - logged_promising)
 
 
-def test_deterministic_attempt_log(mini_index, mini_coverage, tmp_path):
+def test_deterministic_attempt_log(mini_index, mini_coverage):
     runs = []
     for i in range(2):
         engine = make_engine(mini_index, mini_coverage, RuleBackend(),
-                             tmp_path, attempts=1)
+                             attempts=1)
         state = engine.repair_bug(ochiai_rank(mini_coverage))
         runs.append([(r.location, r.phase, r.attempt, r.verdict, r.patch_id)
                      for r in state.attempt_log])
     assert runs[0] == runs[1]
 
 
-def test_baseline_disagreement_is_fatal(mini_index, tmp_path, mini_coverage):
-    engine = make_engine(mini_index, mini_coverage, ProseBackend(), tmp_path)
+def test_baseline_disagreement_is_fatal(mini_index, mini_coverage):
+    engine = make_engine(mini_index, mini_coverage, ProseBackend())
     engine.harness.command = "python3 -c \"import os;open(os.environ['RESULTS_PATH'],'w').write('')\""
     with pytest.raises(RuntimeError, match="no failing tests"):
         engine._ensure_baseline()
 
 
-def test_failing_embedding_provider_stops_the_run(mini_index, mini_coverage,
-                                                  tmp_path):
+def test_failing_embedding_provider_stops_the_run(mini_index, mini_coverage):
     class DownProvider:
         name, model, batch_size = "down", "d", 8
 
         def embed_batch(self, texts):
             raise EmbeddingError("embedding provider failed after retries")
 
-    engine = make_engine(mini_index, mini_coverage, ProseBackend(), tmp_path)
+    engine = make_engine(mini_index, mini_coverage, ProseBackend())
     engine.provider = DownProvider()
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     assert state.stopped == "backend-error"
@@ -250,11 +243,9 @@ class FixBackend:
 
 
 def test_plausible_patch_is_fed_back_without_its_report(mini_index,
-                                                        mini_coverage,
-                                                        tmp_path):
+                                                        mini_coverage):
     backend = FixBackend()
-    engine = make_engine(mini_index, mini_coverage, backend, tmp_path,
-                         attempts=2, cap=1)
+    engine = make_engine(mini_index, mini_coverage, backend, attempts=2, cap=1)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     assert [(r.phase, r.verdict) for r in state.attempt_log][:2] == [
         ("sim-A", "pass-all"), ("sim-A", "pass-all")]
@@ -265,14 +256,12 @@ def test_plausible_patch_is_fed_back_without_its_report(mini_index,
 
 
 def test_harness_protocol_error_on_a_candidate_is_fed_back(mini_index,
-                                                            mini_coverage,
-                                                            tmp_path):
+                                                           mini_coverage):
     """A harness that writes a malformed results line once the fix is in
     gives `harness-error` attempts; the run goes on, and the next prompt
     carries the error."""
     backend = FixBackend()
-    engine = make_engine(mini_index, mini_coverage, backend, tmp_path,
-                         attempts=2, cap=1)
+    engine = make_engine(mini_index, mini_coverage, backend, attempts=2, cap=1)
     engine.harness.command = (
         "if grep -q getUnboundParameters src/Estimator.java; "
         "then echo garbage > \"$RESULTS_PATH\"; else python3 harness.py; fi")
@@ -298,8 +287,7 @@ def test_harness_log_tail_is_saved_under_the_patch_id(mini_index, mini_coverage,
             "if grep -q getUnboundParameters src/Estimator.java; "
             "then echo 'Estimator.java:4: error: cannot find symbol' >&2; exit 1; "
             "else python3 harness.py; fi"),
-        config=RepairConfig(attempts=1, cap=1), run_dir=run_dir,
-        workspace_root=str(tmp_path))
+        config=RepairConfig(attempts=1, cap=1), run_dir=run_dir)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     ids = {r.patch_id for r in state.attempt_log}
     assert ids and None not in ids
@@ -322,8 +310,7 @@ def test_harness_error_keeps_the_log_tail(mini_index, mini_coverage, tmp_path):
             "if grep -q getUnboundParameters src/Estimator.java; "
             "then echo 'reporter crashed' >&2; echo garbage > \"$RESULTS_PATH\"; "
             "else python3 harness.py; fi"),
-        config=RepairConfig(attempts=1, cap=1), run_dir=run_dir,
-        workspace_root=str(tmp_path))
+        config=RepairConfig(attempts=1, cap=1), run_dir=run_dir)
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     errors = {r.patch_id for r in state.attempt_log if r.verdict == "harness-error"}
     assert errors and None not in errors

@@ -42,14 +42,13 @@ def observe_run(descriptor: Path, overrides: dict, out_dir: Path) -> dict:
     return {"report": report, "prompt_sha256": prompts}
 
 
-def observe_engine(attempts: int, workspace_root: Path) -> dict:
+def observe_engine(attempts: int) -> dict:
     coverage = load_coverage(FIXTURES / "coverage.jsonl")
     engine = RepairEngine(
         project_root=str(PROJECT), index=index_source(PROJECT, ["src/**/*.java"]),
         coverage=coverage, backend=RuleBackend(), provider=LocalHashProvider(),
         cache=EmbeddingCache(), harness_command="python3 harness.py",
-        config=RepairConfig(attempts=attempts),
-        workspace_root=str(workspace_root))
+        config=RepairConfig(attempts=attempts))
     state = engine.repair_bug(ochiai_rank(coverage))
     return {"attempt_log": [dataclasses.asdict(a) for a in state.attempt_log],
             "plausible": [p.id for p in state.plausible],
@@ -60,7 +59,7 @@ def observe_engine(attempts: int, workspace_root: Path) -> dict:
 def observe(name: str, tmp: Path) -> dict:
     if name in RUNS:
         return observe_run(*RUNS[name], out_dir=tmp / "runs")
-    return observe_engine(ENGINE_ATTEMPTS[name], tmp)
+    return observe_engine(ENGINE_ATTEMPTS[name])
 
 
 def golden(name: str) -> dict:
@@ -68,8 +67,8 @@ def golden(name: str) -> dict:
 
 
 @pytest.mark.parametrize("name", [*RUNS, *ENGINE_ATTEMPTS])
-def test_golden(name, tmp_path):
-    assert observe(name, tmp_path) == golden(name)
+def test_golden(name, tmp_tempdir):
+    assert observe(name, tmp_tempdir) == golden(name)
 
 
 if __name__ == "__main__":

@@ -29,18 +29,16 @@ def test_parse_prose_only():
 
 def test_parse_unterminated_fence():
     text = "=== PATCH file=A.java method=f ===\n```\nint f(){}"
-    with pytest.raises(PatchParseError) as err:
+    with pytest.raises(PatchParseError, match="unterminated code fence"):
         parse_patch(text)
-    assert err.value.offset >= 0
 
 
 def test_block_without_fence_before_the_next_marker():
     """A block's opening fence must come before the next marker line."""
     text = ("=== PATCH file=A.java method=f ===\nno code here\n"
             + block("B.java", "g", "void g() {}"))
-    with pytest.raises(PatchParseError, match="without opening fence") as err:
+    with pytest.raises(PatchParseError, match="without opening fence"):
         parse_patch(text)
-    assert err.value.offset == 0
 
 
 def test_unclosed_block_before_the_next_marker():
@@ -49,9 +47,8 @@ def test_unclosed_block_before_the_next_marker():
     block."""
     text = ("=== PATCH file=A.java method=f ===\n```\nint f() {}\n"
             + block("B.java", "g", "void g() {}"))
-    with pytest.raises(PatchParseError, match="unterminated code fence") as err:
+    with pytest.raises(PatchParseError, match="unterminated code fence"):
         parse_patch(text)
-    assert err.value.offset == text.index("```")
 
 
 def test_duplicate_block_last_wins():

@@ -197,10 +197,11 @@ def test_group_by_method_thirteen_methods(tmp_path):
 # -- run-scoped token pool ----------------------------------------------
 
 def _covered_pool(index, coverage):
+    from siblingfix.embeddings import EmbeddingCache
     from siblingfix.engine import RepairConfig, RepairEngine
     engine = RepairEngine(project_root=".", index=index, coverage=coverage,
                           backend=None, provider=None, harness_command="true",
-                          config=RepairConfig())
+                          config=RepairConfig(), cache=EmbeddingCache())
     return engine._build_pool()
 
 

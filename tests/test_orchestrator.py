@@ -267,13 +267,26 @@ def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
     {"provider": {"type": "local-hash", "dimension": -3}},
     {"include": "src/**/*.java"},
     {"include": ["src/**/*.java", 7]},
+    {"include": ["/src/**/*.java"]},
+    {"include": [""]},
+    {"include": ["../**/*.java"]},
+    {"config": {"attempts": 2.5}},
+    {"config": {"k": 2.5}},
+    {"config": {"cap": 1.5}},
+    {"config": {"ingredients": 1.5}},
+    {"config": {"token_budget": "x"}},
+    {"config": {"test_timeout": "x"}},
+    {"config": {"stop_on_first_plausible": "no"}},
 ], ids=["spfl-line-not-a-number", "pfl-entry-without-line",
         "pfl-entry-a-string", "harness-timeout-not-a-number",
         "config-not-an-object", "scripted-backend-without-directory",
         "cache-not-a-path", "remote-backend-without-url",
         "remote-provider-without-model", "dimension-not-a-number",
         "dimension-zero", "dimension-negative", "include-a-string",
-        "include-entry-not-a-string"])
+        "include-entry-not-a-string", "include-absolute", "include-empty",
+        "include-parent", "attempts-a-float", "k-a-float", "cap-a-float",
+        "ingredients-a-float", "token-budget-a-string",
+        "test-timeout-a-string", "stop-on-first-plausible-a-string"])
 def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, changes):
     desc = write_descriptor(tmp_path, **changes)
     with pytest.raises(DescriptorError):
@@ -282,6 +295,10 @@ def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, changes):
     assert code == 2
     assert not (tmp_path / "runs").exists()
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "descriptor" in err
+    assert err.startswith("error: ")
+    if isinstance(changes.get("config"), dict):
+        assert "bad config value" in err
+    else:
+        assert "descriptor" in err
     if "include" in changes:
         assert "bad descriptor value" in err

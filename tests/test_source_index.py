@@ -468,7 +468,7 @@ def _ref_find_methods(path, text, masked, starts, classes):
         sig_line = _ref_line_of(m.start(), starts)
         enclosing = [c for c in classes if c.body_start <= sig_line <= c.body_end]
         cls = min(enclosing, key=lambda c: c.body_end - c.body_start) if enclosing else None
-        sig_text = _signature_text(masked, text, m.start(), close_paren)
+        sig_text = _signature_text(text, m.start(), close_paren)
         methods.append(MethodRef(
             path, name, sig_line, min(sig_line, _ref_line_of(brace, starts)),
             _ref_line_of(close, starts), cls.name if cls else None, sig_text))

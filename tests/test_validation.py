@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import siblingfix
 from conftest import PROJECT, estimator_method
@@ -26,15 +28,17 @@ def tree_equal(a: Path, b: Path) -> bool:
     return all(tree_equal(a / d, b / d) for d in cmp.common_dirs)
 
 
-def test_empty_patch_identity(mini_index, tmp_path):
-    ws = apply_patch(PROJECT, Patch(edits=()), mini_index, workspace_root=tmp_path)
+@pytest.mark.usefixtures("tmp_tempdir")
+def test_empty_patch_identity(mini_index):
+    ws = apply_patch(PROJECT, Patch(edits=()), mini_index)
     assert tree_equal(PROJECT, ws)
 
 
-def test_single_edit_locality(mini_index, tmp_path):
+@pytest.mark.usefixtures("tmp_tempdir")
+def test_single_edit_locality(mini_index):
     patch = Patch(edits=(PatchEdit("src/Estimator.java", "getRms",
                                    estimator_method("getRms", fixed=True)),))
-    ws = apply_patch(PROJECT, patch, mini_index, workspace_root=tmp_path)
+    ws = apply_patch(PROJECT, patch, mini_index)
     changed = []
     for p in PROJECT.rglob("*"):
         if p.is_file():
@@ -47,15 +51,16 @@ def test_single_edit_locality(mini_index, tmp_path):
     assert after.splitlines()[3].endswith("problem.getUnboundParameters();")
 
 
-def test_unresolvable_method_errors(mini_index, tmp_path):
+def test_unresolvable_method_errors(mini_index):
     missing = Patch(edits=(PatchEdit("src/Estimator.java", "vanished", "x"),))
     with pytest.raises(PatchApplicationError):
-        apply_patch(PROJECT, missing, mini_index, workspace_root=tmp_path)
+        apply_patch(PROJECT, missing, mini_index)
     unknown_file = Patch(edits=(PatchEdit("src/Nope.java", "f", "x"),))
     with pytest.raises(PatchApplicationError):
-        apply_patch(PROJECT, unknown_file, mini_index, workspace_root=tmp_path)
+        apply_patch(PROJECT, unknown_file, mini_index)
 
 
+@pytest.mark.usefixtures("tmp_tempdir")
 def test_own_body_patch_is_identity_across_form_feed(tmp_path):
     project = tmp_path / "project"
     project.mkdir()
@@ -64,7 +69,7 @@ def test_own_body_patch_is_identity_across_form_feed(tmp_path):
     index = index_source(project, ["*.java"])
     ref = index.methods_named("F.java", "f")[0]
     patch = Patch(edits=(PatchEdit("F.java", "f", index.method_body(ref)),))
-    ws = apply_patch(project, patch, index, workspace_root=tmp_path)
+    ws = apply_patch(project, patch, index)
     assert (ws / "F.java").read_text(encoding="utf-8") == text
 
 
@@ -103,6 +108,7 @@ def test_overlapping_edits_are_refused(tmp_path):
 
 
 @pytest.mark.parametrize("change", ["edit", "delete"])
+@pytest.mark.usefixtures("tmp_tempdir")
 def test_file_changed_since_indexing_is_rejected(tmp_path, change):
     project = tmp_path / "project"
     project.mkdir()
@@ -115,14 +121,12 @@ def test_file_changed_since_indexing_is_rejected(tmp_path, change):
                           "  }\n}\n", encoding="utf-8")
     else:
         source.unlink()
-    workspaces = tmp_path / "workspaces"
-    workspaces.mkdir()
     patch = Patch(edits=(PatchEdit("F.java", "f",
                                    "  int f() {\n    return 2;\n  }"),))
     with pytest.raises(PatchApplicationError,
                        match="file changed since indexing: F.java"):
-        apply_patch(project, patch, index, workspace_root=workspaces)
-    assert list(workspaces.glob("repair-ws-*")) == []
+        apply_patch(project, patch, index)
+    assert list(tmp_path.glob("repair-ws-*")) == []
 
 
 def harness_writing(tmp_path, records, sleep=0.0):
@@ -351,45 +355,112 @@ def res(test, status, frames=(), message=""):
 def test_classify_pass_all():
     baseline = report(res("t1", "fail"), res("t2", "pass"))
     patched = report(res("t1", "pass"), res("t2", "pass"))
-    assert classify(baseline, patched).kind == "pass-all"
+    assert classify(baseline, patched) == "pass-all"
 
 
 def test_classify_newly_passing_promising():
     baseline = report(res("t1", "fail"), res("t2", "fail"))
     patched = report(res("t1", "pass"), res("t2", "fail"))
-    verdict = classify(baseline, patched)
-    assert verdict.kind == "promising"
-    assert verdict.newly_passing == ["t1"]
+    assert classify(baseline, patched) == "promising"
 
 
 def test_classify_trace_progress_promising():
     baseline = report(res("t1", "fail", [TEST_FRAME, frame(line=10)]))
     patched = report(res("t1", "fail", [TEST_FRAME, frame(line=22)]))
-    verdict = classify(baseline, patched)
-    assert verdict.kind == "promising"
-    assert verdict.trace_progress.test == "t1"
-    assert verdict.trace_progress.divergence_index == 1
+    assert classify(baseline, patched) == "promising"
 
 
 def test_classify_self_comparison_no_progress():
     baseline = report(res("t1", "fail", [TEST_FRAME, frame(line=10)]),
                       res("t2", "pass"))
-    verdict = classify(baseline, baseline)
-    assert verdict.kind == "no-progress"
+    assert classify(baseline, baseline) == "no-progress"
 
 
-def test_classify_regressions_recorded_not_vetoing():
+def test_classify_regression_does_not_veto():
     baseline = report(res("t1", "fail"), res("t2", "pass"))
     patched = report(res("t1", "pass"), res("t2", "fail"))
-    verdict = classify(baseline, patched)
-    assert verdict.kind == "promising"
-    assert verdict.regressions == ["t2"]
+    assert classify(baseline, patched) == "promising"
 
 
 def test_classify_missing_test_blocks_pass_all():
     baseline = report(res("t1", "fail"), res("t2", "pass"))
     patched = report(res("t2", "pass"))  # t1 vanished from the results
-    assert classify(baseline, patched).kind == "no-progress"
+    assert classify(baseline, patched) == "no-progress"
+
+
+def _ref_divergence(before, after):
+    d = 0
+    for b, a in zip(before, after):
+        if ((b.unit, b.method, b.file) != (a.unit, a.method, a.file)
+                or b.line and a.line and b.line != a.line):
+            break
+        d += 1
+    return d
+
+
+def _ref_align_traces(before, after):
+    if not before:
+        return "other"
+    d = _ref_divergence(before, after)
+    if d == len(before) and d == len(after):
+        return "identical"
+    if d >= len(before) or d >= len(after):
+        return "other"
+    b, a = before[d], after[d]
+    if (b.unit, b.method, b.file) == (a.unit, a.method, a.file):
+        if a.line > b.line and b.line != 0 and a.line != 0:
+            return "progressed"
+        return "other"
+    if b.method != a.method and d >= 1:
+        return "progressed"
+    return "other"
+
+
+def _ref_classify(baseline, patched):
+    """The verdict kind as the classifier computed it when it also built
+    the newly passing and regressed test lists and the trace progress."""
+    base = baseline.by_id()
+    after = patched.by_id()
+    all_pass = (bool(patched.results)
+                and all(r.status == "pass" for r in patched.results)
+                and all(t in after for t in base))
+    newly_passing = sorted(
+        t for t, r in base.items()
+        if r.status != "pass" and t in after and after[t].status == "pass")
+    progress = None
+    if not newly_passing:
+        for test, r in base.items():
+            p = after.get(test)
+            if (r.status != "pass" and p is not None and p.status != "pass"
+                    and _ref_align_traces(r.frames, p.frames) == "progressed"):
+                d = _ref_divergence(r.frames, p.frames)
+                progress = (test, d, r.frames[d], p.frames[d])
+                break
+    return ("pass-all" if all_pass
+            else "promising" if newly_passing or progress is not None
+            else "no-progress")
+
+
+FRAMES = st.lists(st.builds(
+    StackFrame, unit=st.sampled_from(["C", "T"]),
+    method=st.sampled_from(["test", "work", "inner"]),
+    file=st.sampled_from(["C.java", "T.java"]),
+    line=st.integers(0, 3)), max_size=4)
+# Each side draws its own test ids, so a test can be missing from either.
+REPORT = st.builds(TestReport, st.lists(st.builds(
+    TestResult, test=st.sampled_from(["t1", "t2", "t3"]),
+    status=st.sampled_from(["pass", "fail", "error", "timeout"]),
+    frames=FRAMES), max_size=4))
+
+
+@settings(max_examples=500, deadline=None)
+@given(REPORT, REPORT)
+def test_classify_equals_the_reference(baseline, patched):
+    assert classify(baseline, patched) == _ref_classify(baseline, patched)
+    for b in baseline.results:
+        for p in patched.results:
+            assert align_traces(b.frames, p.frames) == \
+                _ref_align_traces(b.frames, p.frames)
 
 
 def test_results_file_is_authoritative(tmp_path):
