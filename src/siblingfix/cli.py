@@ -52,23 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    del args["command"]
+    verbose, descriptor, out = map(args.pop, ("verbose", "descriptor", "out"))
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.DEBUG if verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
-    overrides = {
-        "mode": args.mode,
-        "theta": args.theta,
-        "alpha": args.alpha,
-        "attempts": args.attempts,
-        "ingredients": args.ingredients,
-        "budget": args.budget,
-        "stop_on_first_plausible": args.stop_on_first_plausible,
-        "keep_workspaces": args.keep_workspaces,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    exit_code, report, run_dir = run(args.descriptor, overrides,
-                                     out_dir=args.out)
+    # The other options override descriptor settings; None means not given.
+    overrides = {k: v for k, v in args.items() if v is not None}
+    exit_code, report, run_dir = run(descriptor, overrides, out_dir=out)
     if run_dir is not None:
         print(f"run directory: {run_dir}")
         print(f"plausible patches: {len(report.get('plausible', []))} "

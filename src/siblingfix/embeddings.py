@@ -29,11 +29,7 @@ _SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 class EmbeddingError(BackendError):
-    """Provider failure; carries the indices of the failed batch."""
-
-    def __init__(self, message: str, indices: list[int] | None = None):
-        super().__init__(message)
-        self.indices = indices or []
+    """Embedding provider failure."""
 
 
 def _norm(v: list[float]) -> float:
@@ -150,6 +146,10 @@ class EmbeddingCache:
     corrupt store, or a stored entry that is not a vector, is dropped on
     load with a warning and recomputed. Each vector's norm is computed once
     and kept beside it.
+
+    The store is opened, or created if absent, by the constructor. One that
+    cannot be opened or read, or that another connection holds locked,
+    raises `OSError` or `sqlite3.OperationalError` and is left as it is.
     """
 
     def __init__(self, store_path: str | Path | None = None):
@@ -157,10 +157,11 @@ class EmbeddingCache:
         self._data: dict[str, list[float]] = {}
         self._norms: dict[str, float] = {}
         self._pending: dict[str, list[float]] = {}
-        if self.store_path and self.store_path.exists():
+        if self.store_path:
             self._load(self.store_path)
 
     def _load(self, path: Path) -> None:
+        is_store, rows = False, []
         try:
             with path.open("rb") as fh:
                 is_store = fh.read(len(_SQLITE_HEADER)) == _SQLITE_HEADER
@@ -174,10 +175,10 @@ class EmbeddingCache:
                     raise ValueError("not a JSON object")
                 rows = [(k, array("d", v).tolist() if _is_vector(v) else None)
                         for k, v in loaded.items()]
-        except (OSError, sqlite3.OperationalError):
-            # Unreadable or locked, not known to be corrupt: left in place.
-            logger.warning("unreadable embedding cache ignored: %s", path)
-            return
+        except FileNotFoundError:
+            pass  # absent: created below
+        except sqlite3.OperationalError:
+            raise  # unreadable or locked, not known to be corrupt
         except (ValueError, OverflowError, sqlite3.DatabaseError):
             logger.warning("corrupt embedding cache ignored: %s", path)
             is_store, rows = False, []
@@ -187,7 +188,7 @@ class EmbeddingCache:
             logger.warning("%d corrupt embedding cache entries dropped: %s",
                            len(rows) - len(self._data), path)
         if not is_store:
-            # Replace the old or corrupt file whole, so no run sees half.
+            # Create the store, or replace the file whole: no run sees half.
             tmp = path.with_name(path.name + ".tmp")
             tmp.unlink(missing_ok=True)
             with _store(tmp) as db:
@@ -239,15 +240,10 @@ def _embed(texts: list[str], provider, cache: EmbeddingCache
     for start in range(0, len(missing), provider.batch_size):
         indices = missing[start:start + provider.batch_size]
         batch = [texts[i] for i in indices]
-        try:
-            vectors = provider.embed_batch(batch)
-        except EmbeddingError as exc:
-            exc.indices = indices
-            raise
+        vectors = provider.embed_batch(batch)
         if len(vectors) != len(batch):
             raise EmbeddingError(
-                f"provider returned {len(vectors)} vectors for {len(batch)} texts",
-                indices=indices)
+                f"provider returned {len(vectors)} vectors for {len(batch)} texts")
         for i, vec in zip(indices, vectors):
             results[i] = vec
             cache.put(keys[i], vec)

@@ -34,6 +34,16 @@ from .validation import (HarnessConfig, HarnessProtocolError,
 logger = logging.getLogger(__name__)
 
 
+def check_type(name: str, value, kind: type):
+    """`value`, if it is a `kind`: an int may stand for a float, and a bool
+    only for a bool. Otherwise raises TypeError."""
+    kinds = (int, float) if kind is float else kind
+    if not isinstance(value, kinds) or isinstance(value, bool) != (kind is bool):
+        raise TypeError(f"{name} must be {kind.__name__}, "
+                        f"not {type(value).__name__}")
+    return value
+
+
 @dataclass
 class RepairConfig:
     k: int = 100                  # max candidate siblings
@@ -51,15 +61,8 @@ class RepairConfig:
     keep_workspaces: bool = False
 
     def __post_init__(self):
-        # Each value has its default's type; an int may stand for a float,
-        # and a bool only for a bool.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            kinds = (int, float) if type(f.default) is float else type(f.default)
-            if (not isinstance(value, kinds)
-                    or isinstance(value, bool) != isinstance(f.default, bool)):
-                raise TypeError(f"{f.name} must be {type(f.default).__name__}, "
-                                f"not {type(value).__name__}")
+        for f in fields(self):  # each value has its default's type
+            check_type(f.name, getattr(self, f.name), type(f.default))
         if min(self.k, self.attempts) < 1 or self.ingredients < 0:
             raise ValueError("k and attempts must be >= 1, ingredients >= 0")
         if self.budget <= 0:
@@ -189,8 +192,6 @@ class RepairEngine:
             (tails / f"{patch.id}.txt").write_text(tail, encoding="utf-8")
 
     def _ensure_baseline(self) -> None:
-        if self.baseline is not None:
-            return
         self.baseline = self._validate(Patch(edits=()))
         if not self.baseline.failing:
             raise RuntimeError("baseline run has no failing tests; "
@@ -268,19 +269,12 @@ class RepairEngine:
         Phase A starts fresh. Phase B starts from the seed, a carried
         promising patch, and combines it into every generated patch.
         Returns the patches to carry: each promising patch, plus the seed
-        after any seeded attempt that did not pass all, or when the seed
-        itself no longer applies.
+        after any seeded attempt that did not pass all.
         """
         carry: list[Patch] = []
         fb: list[FeedbackEntry] = []
         if seed is not None:
-            self._check_budget()
-            try:
-                fb = [FeedbackEntry(patch=seed, report=self._validate(seed))]
-            except PatchApplicationError as exc:
-                logger.warning("promising patch %s no longer applies: %s",
-                               seed.id, exc)
-                return [seed]
+            fb = [FeedbackEntry(patch=seed, report=self._validate(seed))]
         for _ in range(self.config.attempts):
             if self.config.stop_on_first_plausible and state.plausible:
                 break
@@ -302,8 +296,6 @@ class RepairEngine:
         carry = self._run_phase(state, loc_id, f"{prefix}-A", groups,
                                 ingredients)
         for seed in list(state.promising):
-            if self.config.stop_on_first_plausible and state.plausible:
-                break
             carry += self._run_phase(state, loc_id, f"{prefix}-B", groups,
                                      ingredients, seed)
         return carry
@@ -316,9 +308,6 @@ class RepairEngine:
         """All sibling groups in one prompt; the promising set is only read."""
         filtered = jaccard_filter(list(candidates), target, self.config.alpha)
         groups = group_by_method(filtered, self.index)
-        if not groups:
-            logger.info("no groups after Jaccard filter at %s", loc_id)
-            return
         ingredients = extract_fix_ingredients(groups, self.index,
                                               self.config.ingredients)
         self._run_phases(state, loc_id, "sim", groups, ingredients)

@@ -74,8 +74,10 @@ def attempt_file(location_id: str, attempt: int) -> str:
 class ScriptedBackend:
     """Deterministic backend reading `attempt_file` files from a directory."""
 
+    ON_MISSING = ("error", "empty")
+
     def __init__(self, directory: str | Path, on_missing: str = "error"):
-        if on_missing not in ("error", "empty"):
+        if on_missing not in self.ON_MISSING:
             raise ValueError("on_missing must be 'error' or 'empty'")
         self.directory = Path(directory)
         self.on_missing = on_missing

@@ -267,8 +267,6 @@ def token_match(target: StatementContext, pool: TokenPool,
     The corpus is pool plus target; the target's own context is excluded
     from the results. Ties break by (file, line).
     """
-    if not pool:
-        return []
     return [CandidateSibling(context=ctx, token_similarity=sim)
             for sim, ctx in pool.ranked(target, limit)]
 

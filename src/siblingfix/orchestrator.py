@@ -12,13 +12,14 @@ import dataclasses
 import difflib
 import json
 import re
+import sqlite3
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .embeddings import EmbeddingCache, LocalHashProvider, RemoteEmbeddingProvider
-from .engine import RepairConfig, RepairEngine, RepairState
+from .engine import RepairConfig, RepairEngine, RepairState, check_type
 from .llm import Patch, RemoteChatBackend, ScriptedBackend
 from .localization import (CoverageError, SuspiciousLocation, apply_spfl,
                            load_coverage, ochiai_rank)
@@ -52,6 +53,11 @@ def _resolve(base: Path, value: str) -> Path:
     return p if p.is_absolute() else (base / p)
 
 
+def _location(entry: dict) -> tuple[str, int]:
+    return (check_type("location file", entry["file"], str),
+            check_type("location line", entry["line"], int))
+
+
 def load_descriptor(path: str | Path, overrides: dict | None = None
                     ) -> ProjectDescriptor:
     """Parse and validate the JSON descriptor; CLI overrides win."""
@@ -77,29 +83,31 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
                                  f"inside the project: {pattern!r}")
         coverage = _resolve(base, data["coverage"])
         harness = data["harness"]
-        command = harness["command"]
+        command = check_type("harness command", harness["command"], str)
         backend_spec = dict(data["backend"])
         if backend_spec.get("type") == "scripted":
             backend_spec["directory"] = str(_resolve(base, backend_spec["directory"]))
+            on_missing = backend_spec.get("on_missing", "error")
+            if on_missing not in ScriptedBackend.ON_MISSING:
+                raise ValueError(f"unknown on_missing: {on_missing!r}")
         provider_spec = dict(data.get("provider", {"type": "local-hash"}))
         for spec in (backend_spec, provider_spec):
             if spec.get("type") == "remote":
                 for key in ("url", "model"):
-                    if key not in spec:
-                        raise KeyError(key)
-        if "dimension" in provider_spec:
-            provider_spec["dimension"] = int(provider_spec["dimension"])
-            if provider_spec["dimension"] < 1:
-                raise ValueError("provider dimension must be >= 1")
+                    check_type(key, spec[key], str)
+                check_type("api_key_env", spec.get("api_key_env", ""), str)
+        if ("dimension" in provider_spec and check_type(
+                "provider dimension", provider_spec["dimension"], int) < 1):
+            raise ValueError("provider dimension must be >= 1")
         cache_path = data.get("cache")
         cache_path = _resolve(base, cache_path) if cache_path else None
         cfg = dict(data.get("config", {}))
         if "timeout" in harness:
-            cfg.setdefault("test_timeout", float(harness["timeout"]))
+            cfg.setdefault("test_timeout", float(
+                check_type("harness timeout", harness["timeout"], float)))
         mode = overrides.get("mode") or data.get("mode", "sbfl")
-        spfl_location = ((data["spfl"]["file"], int(data["spfl"]["line"]))
-                         if mode == "spfl" else None)
-        pfl_locations = ([(l["file"], int(l["line"])) for l in data.get("pfl") or []]
+        spfl_location = _location(data["spfl"]) if mode == "spfl" else None
+        pfl_locations = ([_location(l) for l in data.get("pfl") or []]
                          if mode == "pfl" else [])
     except KeyError as exc:
         raise DescriptorError(f"descriptor missing required key: {exc}") from exc
@@ -216,10 +224,11 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         out_dir: str | Path = "runs") -> tuple[int, dict, Path | None]:
     """Execute a repair run. Returns (exit status, report, run directory).
 
-    Once the run directory exists, report.json and the embedding cache are
-    written on every path, with `stopped: "error"` if an exception ended the
-    run. A harness protocol error, which only the baseline lets through, is
-    an input error (exit 2); any other exception propagates."""
+    Once the run directory exists, report.json and then the embedding cache
+    are written on every path, with `stopped: "error"` if an exception ended
+    the run. An embedding store that cannot be opened, or a harness protocol
+    error, which only the baseline lets through, is an input error (exit 2);
+    any other exception propagates."""
     try:
         desc = load_descriptor(descriptor_path, overrides)
         index = index_source(desc.project_root, desc.include)
@@ -227,12 +236,16 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         suspicious = _suspicious_list(desc, coverage)
         backend = make_backend(desc.backend_spec)
         provider = make_provider(desc.provider_spec)
+        try:
+            cache = EmbeddingCache(desc.cache_path)
+        except (OSError, sqlite3.OperationalError) as exc:
+            raise DescriptorError(
+                f"embedding cache unusable: {desc.cache_path}: {exc}") from exc
     except (DescriptorError, CoverageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, {"error": str(exc)}, None
 
     run_dir = _make_run_dir(Path(out_dir))
-    cache = EmbeddingCache(desc.cache_path)
     state = RepairState()
     start = time.monotonic()
     try:
@@ -248,7 +261,6 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         print(f"error: {exc}", file=sys.stderr)
     finally:
         elapsed = time.monotonic() - start
-        cache.flush()
         diffs = [patch_to_diff(p, index) for p in state.plausible]
         patches_dir = run_dir / "patches"
         patches_dir.mkdir(exist_ok=True)
@@ -257,6 +269,7 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         report = build_report(desc, suspicious, state, diffs, elapsed)
         (run_dir / "report.json").write_text(
             json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        cache.flush()
     exit_code = 0 if state.plausible else {"backend-error": 3,
                                             "error": 2}.get(state.stopped, 1)
     return exit_code, report, run_dir

@@ -96,7 +96,6 @@ class ClassRef:
 
 @dataclass
 class SourceFile:
-    path: str
     text: str
     digest: str
     statements: list[Statement]
@@ -128,9 +127,7 @@ class SourceFile:
 
 @dataclass
 class SourceIndex:
-    root: str
     files: dict[str, SourceFile]
-    warnings: list[str]
 
     # Lookups index `files` directly: an unknown path raises KeyError.
 
@@ -440,19 +437,17 @@ def _collect_fields(classes: list[ClassRef], statements: list[Statement],
                             bisect_right(lines, cls.body_end)]
 
 
-def _index_file(root: Path, rel: str, warnings: list[str]) -> SourceFile | None:
+def _index_file(root: Path, rel: str) -> SourceFile | None:
     try:
         text = (root / rel).read_text(encoding="utf-8")
     except OSError as exc:
-        warnings.append(f"unreadable file skipped: {rel}: {exc}")
         logger.warning("unreadable file skipped: %s: %s", rel, exc)
         return None
     digest = text_digest(text)
     masked, literals = _mask(text)
     if masked.count("{") != masked.count("}"):
-        warnings.append(f"unbalanced braces, indexed line-wise: {rel}")
         logger.warning("unbalanced braces, indexed line-wise: %s", rel)
-        return SourceFile(rel, text, digest, _linewise_statements(rel, text),
+        return SourceFile(text, digest, _linewise_statements(rel, text),
                           [], [], line_wise=True)
     starts = _line_starts(text)
     pairs = _bracket_pairs(masked)
@@ -465,7 +460,7 @@ def _index_file(root: Path, rel: str, warnings: list[str]) -> SourceFile | None:
     for cls in classes:
         cls.methods = list(by_class.get(cls.name, ()))
     _collect_fields(classes, statements, methods, len(starts))
-    return SourceFile(rel, text, digest, statements, methods, classes)
+    return SourceFile(text, digest, statements, methods, classes)
 
 
 def index_source(root: str | Path, include: list[str]) -> SourceIndex:
@@ -478,13 +473,12 @@ def index_source(root: str | Path, include: list[str]) -> SourceIndex:
         for p in sorted(root.glob(pattern)):
             if p.is_file():
                 seen.setdefault(p.relative_to(root).as_posix())
-    warnings: list[str] = []
     files = {}
     for rel in seen:
-        sf = _index_file(root, rel, warnings)
+        sf = _index_file(root, rel)
         if sf is not None:
             files[rel] = sf
-    return SourceIndex(root=str(root), files=files, warnings=warnings)
+    return SourceIndex(files=files)
 
 
 def identifiers_in(statement: Statement) -> list[Identifier]:

@@ -100,3 +100,21 @@ class RuleBackend:
         if name == "normalize":
             return patch_response("getRms", fixed=False)
         return "No patch."
+
+
+class PartialThenFullBackend:
+    """Prose for multi-method (simultaneous) prompts. Its first one-method
+    prompt gets a getRms-only fix (promising), every later one the full
+    fix (plausible)."""
+
+    def __init__(self):
+        self.single = 0
+
+    def complete(self, request):
+        buggy = prompt_section(request.prompt, "buggy-methods")
+        if len(re.findall(r"// file: \S+  method: \w+", buggy)) != 1:
+            return "These methods need more analysis before patching."
+        self.single += 1
+        if self.single == 1:
+            return patch_response("getRms")
+        return patch_response("getRms", "guessErrors", "getCovariances")

@@ -58,9 +58,9 @@ def test_wrong_count_is_protocol_error():
         def embed_batch(self, texts):
             return [[1.0]] * (len(texts) - 1)
 
-    with pytest.raises(EmbeddingError) as err:
+    with pytest.raises(EmbeddingError,
+                       match="provider returned 2 vectors for 3 texts"):
         embed(["a", "b", "c"], Broken(), EmbeddingCache())
-    assert err.value.indices == [0, 1, 2]
 
 
 def test_cosine_identical_and_zero():
@@ -304,12 +304,43 @@ def test_random_bytes_store_ignored_with_warning(tmp_path, caplog, content):
     assert EmbeddingCache(store)._data == {EmbeddingCache.key(provider, "x"): vec}
 
 
-def test_unreadable_store_left_in_place(tmp_path, caplog):
+def test_unreadable_store_left_in_place(tmp_path):
     store = tmp_path / "cache.json"
     store.mkdir()
-    assert EmbeddingCache(store)._data == {}
-    assert "unreadable embedding cache ignored" in caplog.text
+    with pytest.raises(IsADirectoryError):
+        EmbeddingCache(store)
     assert store.is_dir()
+    with pytest.raises(sqlite3.OperationalError):
+        EmbeddingCache(tmp_path / "missing" / "cache.db")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
+
+def test_absent_store_is_created(tmp_path):
+    store = tmp_path / "cache.db"
+    assert EmbeddingCache(store)._data == {}
+    assert store.read_bytes()[:16] == SQLITE_HEADER
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.db"]
+
+
+def test_locked_store_raises_and_keeps_its_rows(tmp_path, monkeypatch):
+    """A store another connection holds locked is not known to be corrupt:
+    opening it raises, and it is not replaced."""
+    provider = CountingProvider()
+    store = tmp_path / "cache.db"
+    (vec,) = embed(["x"], provider, EmbeddingCache(store))
+    connect = sqlite3.connect
+    # Wait 0.1 s for the lock, not the default 5 s.
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *a, **kw: connect(*a, **kw, timeout=0.1))
+    holder = connect(store, isolation_level=None)
+    try:
+        holder.execute("BEGIN EXCLUSIVE")
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
+            EmbeddingCache(store)
+        holder.execute("ROLLBACK")
+    finally:
+        holder.close()
+    assert EmbeddingCache(store)._data == {EmbeddingCache.key(provider, "x"): vec}
 
 
 def test_corrupt_store_row_recomputed(tmp_path, caplog):

@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from conftest import RESPONSES, PROJECT, RuleBackend, patch_response, prompt_section
+from conftest import (RESPONSES, PROJECT, PartialThenFullBackend, RuleBackend,
+                      patch_response, prompt_section)
 from siblingfix import (EmbeddingCache, LocalHashProvider, RepairConfig,
                         RepairEngine, SuspiciousLocation, index_source,
                         ochiai_rank, parse_patch)
@@ -27,30 +28,37 @@ def test_location_id():
     assert location_id("src/Estimator.java", 4) == "src_Estimator_java_L4"
 
 
+def one_test_engine(tmp_path, files: dict[str, str], covered, backend):
+    """An engine over a project of `files` whose one test `t` fails and
+    covers the (file, line) pairs `covered`, saving to `tmp_path/run`."""
+    project = tmp_path / "project"
+    for rel, text in files.items():
+        (project / rel).parent.mkdir(parents=True, exist_ok=True)
+        (project / rel).write_text(text, encoding="utf-8")
+    (project / "harness.py").write_text(
+        "import json, os\n"
+        "with open(os.environ['RESULTS_PATH'], 'w') as fh:\n"
+        "    json.dump({'test': 't', 'status': 'fail'}, fh)\n", encoding="utf-8")
+    return RepairEngine(
+        project_root=str(project), index=index_source(project, ["**/*.java"]),
+        coverage=CoverageMatrix(tests=[("t", "fail")], covered={"t": covered}),
+        backend=backend, provider=LocalHashProvider(),
+        cache=EmbeddingCache(), harness_command="python3 harness.py",
+        config=RepairConfig(attempts=1), run_dir=tmp_path / "run")
+
+
 def test_colliding_paths_get_their_own_location_ids(tmp_path):
     """`src/A.java` and `src_A.java` have one safe name. Each gets the path's
     SHA-1 prefix, so their attempt counters and prompt and response files
     stay apart; `B.java`, which shares its safe name with no path, keeps
     the plain id."""
-    project = tmp_path / "project"
-    (project / "src").mkdir(parents=True)
     paths = ["src/A.java", "src_A.java", "B.java"]
-    for i, rel in enumerate(paths):
-        (project / rel).write_text(
-            f"class C{i} {{\n    int f() {{\n        return total + 1;\n    }}\n}}\n",
-            encoding="utf-8")
-    (project / "harness.py").write_text(
-        "import json, os\n"
-        "with open(os.environ['RESULTS_PATH'], 'w') as fh:\n"
-        "    json.dump({'test': 't', 'status': 'fail'}, fh)\n", encoding="utf-8")
+    engine = one_test_engine(
+        tmp_path,
+        {rel: f"class C{i} {{\n    int f() {{\n        return total + 1;\n    }}\n}}\n"
+         for i, rel in enumerate(paths)},
+        {(rel, 3) for rel in paths}, ProseBackend())
     run_dir = tmp_path / "run"
-    engine = RepairEngine(
-        project_root=str(project), index=index_source(project, ["**/*.java"]),
-        coverage=CoverageMatrix(tests=[("t", "fail")],
-                                covered={"t": {(rel, 3) for rel in paths}}),
-        backend=ProseBackend(), provider=LocalHashProvider(),
-        cache=EmbeddingCache(), harness_command="python3 harness.py",
-        config=RepairConfig(attempts=1), run_dir=run_dir)
     state = engine.repair_bug([SuspiciousLocation(rel, 3, 1.0, i)
                                for i, rel in enumerate(paths, 1)])
     assert state.stopped == "exhausted"
@@ -103,6 +111,51 @@ def test_plausible_revalidates_from_pristine(mini_index, mini_coverage):
 class ProseBackend:
     def complete(self, request):
         return "I am not able to produce a patch."
+
+
+class PromptKeepingBackend(ProseBackend):
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append(request.prompt)
+        return super().complete(request)
+
+
+def test_sibling_outside_any_method_is_a_top_level_group(tmp_path):
+    """A covered statement outside every method body, here a field
+    initializer, groups with no method and is shown whole under a
+    `(top-level)` header."""
+    backend = PromptKeepingBackend()
+    engine = one_test_engine(
+        tmp_path, {"C.java": "class C {\n    int total = base + 1;\n"
+                             "    int f() {\n        return total + 1;\n    }\n}\n"},
+        {("C.java", 2), ("C.java", 4)}, backend)
+    engine.repair_bug([SuspiciousLocation("C.java", 2, 1.0, 1)])
+    buggy = prompt_section(backend.prompts[0], "buggy-methods")
+    assert buggy.startswith("// file: C.java  (top-level)\nclass C {\n"
+                            "    int total = base + 1;  // SIBLING\n")
+
+
+def test_stop_on_first_plausible_stops_mid_phase(mini_index, mini_coverage):
+    engine = make_engine(mini_index, mini_coverage, FixBackend(), attempts=3,
+                         stop_on_first_plausible=True)
+    state = engine.repair_bug(ochiai_rank(mini_coverage))
+    assert [(r.phase, r.verdict) for r in state.attempt_log] == [
+        ("sim-A", "pass-all")]
+
+
+def test_stop_on_first_plausible_stops_between_groups(mini_index,
+                                                       mini_coverage):
+    """The first iterative group finds a promising and then a plausible
+    patch; no later group starts, so the promising set it carried stays."""
+    engine = make_engine(mini_index, mini_coverage, PartialThenFullBackend(),
+                         attempts=2, stop_on_first_plausible=True)
+    state = engine.repair_bug(ochiai_rank(mini_coverage))
+    assert [(r.phase, r.verdict) for r in state.attempt_log] == [
+        ("sim-A", "parse-error"), ("sim-A", "parse-error"),
+        ("iter-A", "promising"), ("iter-A", "pass-all")]
+    assert [[e.method for e in p.edits] for p in state.promising] == [["getRms"]]
 
 
 def test_exhaustion_without_patches(mini_index, mini_coverage):

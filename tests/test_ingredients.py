@@ -1,8 +1,9 @@
 import math
 from collections import Counter
 
-from siblingfix.ingredients import extract_fix_ingredients
+from siblingfix.ingredients import FixIngredient, extract_fix_ingredients
 from siblingfix.matching import MethodGroup, tokenize
+from siblingfix.source_index import index_source
 
 
 def groups_for_line(index, file, line):
@@ -145,3 +146,14 @@ def test_sibling_sharing_a_start_line_gets_its_own_ingredients(tmp_path):
     out = extract_fix_ingredients(groups, index, n=5)
     assert {i.signature_text for i in out} == {"void foo(int x, int y)",
                                                "int f(int b)"}
+
+
+def test_field_access_is_a_direct_field_ingredient(tmp_path):
+    (tmp_path / "Box.java").write_text(
+        "class Box {\n    int count;\n    int size() {\n"
+        "        return this.count + 1;\n    }\n}\n", encoding="utf-8")
+    index = index_source(tmp_path, ["*.java"])
+    out = extract_fix_ingredients(groups_for_line(index, "Box.java", 4),
+                                  index, n=0)
+    assert out == [FixIngredient("field-declaration", "int count;", "Box",
+                                 "Box.java", 1.0, 2)]

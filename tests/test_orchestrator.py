@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from conftest import DESCRIPTOR, EXPECTED_DIFF, FIXTURES, write_descriptor
+from conftest import (DESCRIPTOR, EXPECTED_DIFF, FIXTURES,
+                      PartialThenFullBackend, write_descriptor)
 from siblingfix import orchestrator
 from siblingfix.cli import main, parse_duration
+from siblingfix.embeddings import EmbeddingCache
 from siblingfix.llm import Patch, PatchEdit
 from siblingfix.orchestrator import (DescriptorError, load_descriptor,
                                      make_backend, make_provider, patch_to_diff,
@@ -277,6 +279,17 @@ def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
     {"config": {"token_budget": "x"}},
     {"config": {"test_timeout": "x"}},
     {"config": {"stop_on_first_plausible": "no"}},
+    {"provider": {"type": "local-hash", "dimension": 7.9}},
+    {"provider": {"type": "local-hash", "dimension": True}},
+    {"mode": "spfl", "spfl": {"file": "src/Estimator.java", "line": 22.7}},
+    {"mode": "pfl", "pfl": [{"file": "src/Estimator.java", "line": "4"}]},
+    {"harness": {"command": "python3 harness.py", "timeout": True}},
+    {"harness": {"command": "python3 harness.py", "timeout": "30"}},
+    {"backend": {"type": "scripted", "directory": str(FIXTURES / "responses"),
+                 "on_missing": "bogus"}},
+    {"harness": {"command": 5}},
+    {"backend": {"type": "remote", "url": "http://localhost:1", "model": "m",
+                 "api_key_env": 5}},
 ], ids=["spfl-line-not-a-number", "pfl-entry-without-line",
         "pfl-entry-a-string", "harness-timeout-not-a-number",
         "config-not-an-object", "scripted-backend-without-directory",
@@ -286,8 +299,13 @@ def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
         "include-entry-not-a-string", "include-absolute", "include-empty",
         "include-parent", "attempts-a-float", "k-a-float", "cap-a-float",
         "ingredients-a-float", "token-budget-a-string",
-        "test-timeout-a-string", "stop-on-first-plausible-a-string"])
-def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, changes):
+        "test-timeout-a-string", "stop-on-first-plausible-a-string",
+        "dimension-a-float", "dimension-a-bool", "spfl-line-a-float",
+        "pfl-line-a-string", "harness-timeout-a-bool",
+        "harness-timeout-a-string", "on-missing-unknown",
+        "harness-command-not-a-string", "api-key-env-not-a-string"])
+def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, request,
+                                              changes):
     desc = write_descriptor(tmp_path, **changes)
     with pytest.raises(DescriptorError):
         load_descriptor(desc)
@@ -298,7 +316,52 @@ def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, changes):
     assert err.startswith("error: ")
     if isinstance(changes.get("config"), dict):
         assert "bad config value" in err
+    elif "-without-" in request.node.callspec.id:
+        assert "descriptor missing required key" in err
     else:
-        assert "descriptor" in err
-    if "include" in changes:
         assert "bad descriptor value" in err
+
+
+@pytest.mark.parametrize("cache", ["no-such-dir/emb.db", "."],
+                         ids=["in-a-missing-directory", "a-directory"])
+def test_unusable_embedding_store_is_exit_2(tmp_path, capsys, cache):
+    desc = write_descriptor(tmp_path, cache=str(tmp_path / cache))
+    code = main(["run", str(desc), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert not (tmp_path / "runs").exists()
+    assert capsys.readouterr().err.startswith(
+        f"error: embedding cache unusable: {tmp_path / cache}: ")
+
+
+def test_report_is_written_before_the_cache_flush(tmp_path, monkeypatch):
+    """A store that fails on write ends the run at the first flush; the
+    report still records that, and the failure propagates."""
+    def failing_flush(self):
+        if self._pending:
+            raise OSError("disk full")
+
+    monkeypatch.setattr(EmbeddingCache, "flush", failing_flush)
+    desc = write_descriptor(tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        run(desc, out_dir=tmp_path / "runs")
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    report = json.loads((run_dir / "report.json").read_text())
+    assert report["stopped"] == "error"
+    assert report["error"] == "OSError: disk full"
+
+
+def test_report_lists_promising_patches_with_their_edits(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setattr(orchestrator, "make_backend",
+                        lambda spec: PartialThenFullBackend())
+    desc = write_descriptor(tmp_path)
+    code, report, run_dir = run(desc, {"attempts": 2,
+                                       "stop_on_first_plausible": True},
+                                out_dir=tmp_path / "runs")
+    assert code == 0
+    promising = report["attempt_log"][2]
+    assert promising["verdict"] == "promising"
+    assert report["promising"] == [{
+        "id": promising["patch_id"], "provenance": "generated",
+        "parent_id": None, "edits": [["src/Estimator.java", "getRms"]]}]
+    assert json.loads((run_dir / "report.json").read_text()) == report

@@ -40,11 +40,11 @@ def test_single_method_single_statement(tmp_path):
     assert [s.text for s in simple] == ["return 1;"]
 
 
-def test_unbalanced_braces_fall_back_linewise(tmp_path):
+def test_unbalanced_braces_fall_back_linewise(tmp_path, caplog):
     write(tmp_path, "Bad.java", "class Bad {\n  int x;\n")
     index = index_source(tmp_path, ["*.java"])
     assert index.files["Bad.java"].line_wise
-    assert any("Bad.java" in w for w in index.warnings)
+    assert "unbalanced braces, indexed line-wise: Bad.java" in caplog.text
     # Line-wise statements still cover every non-blank line.
     assert [s.start_line for s in index.files["Bad.java"].statements] == [1, 2]
 
@@ -494,7 +494,7 @@ def _ref_index_file(rel, text):
     digest = hashlib.sha256(text.encode()).hexdigest()
     masked, literals = _ref_scan(text)
     if masked.count("{") != masked.count("}"):
-        return SourceFile(rel, text, digest, _linewise_statements(rel, text),
+        return SourceFile(text, digest, _linewise_statements(rel, text),
                           [], [], line_wise=True)
     starts = _ref_line_starts(text)
     statements = _ref_segment_statements(rel, text, masked, literals, starts)
@@ -503,7 +503,7 @@ def _ref_index_file(rel, text):
     for cls in classes:
         cls.methods = [m for m in methods if m.class_name == cls.name]
         cls.fields = _ref_collect_fields(cls, statements, methods)
-    return SourceFile(rel, text, digest, statements, methods, classes)
+    return SourceFile(text, digest, statements, methods, classes)
 
 
 _CODE_CHARS = "ab\"'\\/*\n {};x"
