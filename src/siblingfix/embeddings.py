@@ -2,7 +2,7 @@
 
 The local-hash provider is a deterministic, offline stand-in for a remote
 embedding model: tokens are hashed into a fixed number of buckets, counts
-accumulated, and the vector L2-normalized.
+summed, and the vector L2-normalized.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from .checks import check_type
 from .embeddings import EmbeddingCache, embedding_match
 from .ingredients import extract_fix_ingredients
 from .llm import (BackendError, CompletionRequest, Patch, PatchParseError,
@@ -32,16 +33,6 @@ from .validation import (HarnessConfig, HarnessProtocolError,
                          classify, run_tests)
 
 logger = logging.getLogger(__name__)
-
-
-def check_type(name: str, value, kind: type):
-    """`value`, if it is a `kind`: an int may stand for a float, and a bool
-    only for a bool. Otherwise raises TypeError."""
-    kinds = (int, float) if kind is float else kind
-    if not isinstance(value, kinds) or isinstance(value, bool) != (kind is bool):
-        raise TypeError(f"{name} must be {kind.__name__}, "
-                        f"not {type(value).__name__}")
-    return value
 
 
 @dataclass

@@ -82,7 +82,7 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
         for stmt in sorted(group.siblings, key=lambda s: s.start_line):
             idents = identifiers_in(stmt)
             refs = [i for i in idents if i.kind in ("call", "field-access")]
-            classes: dict[str, ClassRef] = {}
+            classes: dict[tuple[str, int, str], ClassRef] = {}
             for ref in refs:
                 # Directly referenced elements are themselves ingredients.
                 if ref.kind == "call":
@@ -111,7 +111,7 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
                     logger.debug("unresolvable reference %s at %s:%d",
                                  ref.name, stmt.file, stmt.start_line)
                 for cls in resolved:
-                    classes[f"{cls.file}:{cls.name}"] = cls
+                    classes[cls.file, cls.body_start, cls.name] = cls
             if n == 0 or not classes:
                 continue
             decls = []

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .checks import check_type
+
 logger = logging.getLogger(__name__)
 
 Location = tuple[str, int]
@@ -53,7 +55,7 @@ def load_coverage(path: str | Path) -> CoverageMatrix:
     """Parse the JSON-lines coverage protocol.
 
     Records: {"type": "test", "id": ..., "outcome": "pass"|"fail"} and
-    {"type": "cover", "test": ..., "file": ..., "line": ...}.
+    {"type": "cover", "test": ..., "file": <str>, "line": <int>}.
     """
     path = Path(path)
     tests: list[tuple[str, str]] = []
@@ -77,7 +79,8 @@ def load_coverage(path: str | Path) -> CoverageMatrix:
                 tid = rec["test"]
                 if tid not in ids:
                     raise ValueError(f"coverage for undeclared test {tid!r}")
-                covered[tid].add((rec["file"], int(rec["line"])))
+                covered[tid].add((check_type("file", rec["file"], str),
+                                  check_type("line", rec["line"], int)))
             else:
                 raise ValueError(f"unknown record type {kind!r}")
         except (KeyError, ValueError, TypeError) as exc:

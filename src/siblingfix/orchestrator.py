@@ -18,8 +18,9 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .checks import check_type
 from .embeddings import EmbeddingCache, LocalHashProvider, RemoteEmbeddingProvider
-from .engine import RepairConfig, RepairEngine, RepairState, check_type
+from .engine import RepairConfig, RepairEngine, RepairState
 from .llm import Patch, RemoteChatBackend, ScriptedBackend
 from .localization import (CoverageError, SuspiciousLocation, apply_spfl,
                            load_coverage, ochiai_rank)

@@ -14,7 +14,6 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -101,7 +100,6 @@ class SourceFile:
     statements: list[Statement]
     methods: list[MethodRef]
     classes: list[ClassRef]
-    line_wise: bool = False
 
     # Lookup tables, built on first use and kept out of the dataclass fields
     # so equality still compares only what was indexed.
@@ -372,10 +370,9 @@ _BODY_OPEN_RE = re.compile(r"\s*(?:throws\s+[\w$.,\s]*)?\{")
 
 
 def _find_methods(path: str, text: str, masked: str, starts: list[int],
-                  pairs: dict[int, int], classes: list[ClassRef]) -> list[MethodRef]:
+                  pairs: dict[int, int], class_by_line: list) -> list[MethodRef]:
+    """The file's methods; each is also added to its owner's `methods`."""
     methods: list[MethodRef] = []
-    class_by_line = _best_by_line(classes, lambda c: (c.body_start, c.body_end),
-                                  lambda c: c.body_end - c.body_start)
     for m in _SIGNATURE_NAME_RE.finditer(masked):
         name = m.group(1)
         if name in KEYWORDS:
@@ -401,40 +398,32 @@ def _find_methods(path: str, text: str, masked: str, starts: list[int],
         body_start = min(sig_line, brace_line)
         cls = _at(class_by_line, sig_line)
         sig_text = _signature_text(text, start, close_paren)
-        methods.append(MethodRef(
+        ref = MethodRef(
             file=path, name=name, signature_line=sig_line,
             body_start=body_start, body_end=body_end,
             class_name=cls.name if cls else None,
             signature_text=sig_text,
-        ))
+        )
+        methods.append(ref)
+        if cls:
+            cls.methods.append(ref)
     return methods
 
 
 _FIELD_NAME_RE = re.compile(r"([A-Za-z_$][\w$]*)\s*(?:=(?!=)|;|\[\s*\]\s*[;=])")
 
 
-def _collect_fields(classes: list[ClassRef], statements: list[Statement],
-                    methods: list[MethodRef], n_lines: int) -> None:
-    """Set each class's fields: the simple statements that start inside the
-    class but in no method body and that name a field."""
-    # Per line, how many method bodies hold it, by a running sum of
-    # +1 at each body's first line and -1 after its last.
-    depth = [0] * (n_lines + 2)
-    for m in methods:
-        depth[m.body_start] += 1
-        depth[m.body_end + 1] -= 1
-    in_method = list(accumulate(depth))
-    fields = []
-    for s in statements:
-        if s.kind != "simple" or in_method[s.start_line]:
+def _collect_fields(sf: SourceFile, class_by_line: list) -> None:
+    """Add to its owner's `fields` each simple statement that names a field
+    and starts in a class but in no method body."""
+    for s in sf.statements:
+        cls = _at(class_by_line, s.start_line)
+        if s.kind != "simple" or not cls or _at(sf.method_by_line, s.start_line):
             continue
         m = _FIELD_NAME_RE.search(s.masked)
         if m and m.group(1) not in KEYWORDS:
-            fields.append(FieldDecl(name=m.group(1), line=s.start_line, text=s.text.strip()))
-    lines = [f.line for f in fields]
-    for cls in classes:
-        cls.fields = fields[bisect_left(lines, cls.body_start):
-                            bisect_right(lines, cls.body_end)]
+            cls.fields.append(FieldDecl(name=m.group(1), line=s.start_line,
+                                        text=s.text.strip()))
 
 
 def _index_file(root: Path, rel: str) -> SourceFile | None:
@@ -447,20 +436,20 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
     masked, literals = _mask(text)
     if masked.count("{") != masked.count("}"):
         logger.warning("unbalanced braces, indexed line-wise: %s", rel)
-        return SourceFile(text, digest, _linewise_statements(rel, text),
-                          [], [], line_wise=True)
+        return SourceFile(text, digest, _linewise_statements(rel, text), [], [])
     starts = _line_starts(text)
     pairs = _bracket_pairs(masked)
-    statements = _segment_statements(rel, text, masked, starts, literals)
     classes = _find_classes(rel, masked, starts, pairs)
-    methods = _find_methods(rel, text, masked, starts, pairs, classes)
-    by_class: dict[str | None, list[MethodRef]] = {}
-    for m in methods:
-        by_class.setdefault(m.class_name, []).append(m)
-    for cls in classes:
-        cls.methods = list(by_class.get(cls.name, ()))
-    _collect_fields(classes, statements, methods, len(starts))
-    return SourceFile(text, digest, statements, methods, classes)
+    # Per line, the innermost class holding it: the one owner of each
+    # method and field declared on that line.
+    class_by_line = _best_by_line(classes, lambda c: (c.body_start, c.body_end),
+                                  lambda c: c.body_end - c.body_start)
+    sf = SourceFile(text, digest,
+                    _segment_statements(rel, text, masked, starts, literals),
+                    _find_methods(rel, text, masked, starts, pairs, class_by_line),
+                    classes)
+    _collect_fields(sf, class_by_line)
+    return sf
 
 
 def index_source(root: str | Path, include: list[str]) -> SourceIndex:

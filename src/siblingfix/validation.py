@@ -21,6 +21,7 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .checks import check_type
 from .llm import Patch
 from .source_index import SourceIndex, text_digest
 
@@ -209,7 +210,8 @@ def _read_results(results_path: Path) -> list[TestResult]:
             continue
         try:
             rec = json.loads(raw)
-            frames = [StackFrame(f["unit"], f["method"], f["file"], int(f["line"]))
+            frames = [StackFrame(f["unit"], f["method"], f["file"],
+                                 check_type("frame line", f["line"], int))
                       for f in rec.get("frames", [])]
             result = TestResult(rec["test"], rec["status"],
                                 rec.get("message", ""), frames)

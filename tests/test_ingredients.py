@@ -157,3 +157,15 @@ def test_field_access_is_a_direct_field_ingredient(tmp_path):
                                   index, n=0)
     assert out == [FixIngredient("field-declaration", "int count;", "Box",
                                  "Box.java", 1.0, 2)]
+
+
+def test_nested_class_field_names_its_own_class(tmp_path):
+    """A field of a nested class is declared by that class, not by the
+    class around it."""
+    (tmp_path / "A.java").write_text(
+        "class A {\n    int a = 1;\n    static class B {\n        int b = 2;\n    }\n"
+        "    int f(B x) {\n        return x.b;\n    }\n}\n", encoding="utf-8")
+    index = index_source(tmp_path, ["*.java"])
+    out = extract_fix_ingredients(groups_for_line(index, "A.java", 7), index, n=0)
+    assert out == [FixIngredient("field-declaration", "int b = 2;", "B",
+                                 "A.java", 1.0, 4)]

@@ -63,6 +63,23 @@ def test_malformed_record_reports_line(tmp_path):
         load_coverage(path)
 
 
+@pytest.mark.parametrize("bad", [{"line": 4.7}, {"line": "4"}, {"line": True},
+                                 {"file": 5}],
+                         ids=["line-a-float", "line-a-string", "line-a-bool",
+                              "file-a-number"])
+def test_cover_record_of_the_wrong_type_reports_line(tmp_path, bad):
+    """A cover record's file is a string and its line an int; no other
+    value is converted to one."""
+    path = write_coverage(tmp_path, [
+        {"type": "test", "id": "t1", "outcome": "fail"},
+        {"type": "cover", "test": "t1", "file": "a", "line": 1},
+        {"type": "cover", "test": "t1", "file": "a", "line": 4, **bad},
+    ])
+    with pytest.raises(CoverageError, match=":3: malformed record: "
+                                            f"{next(iter(bad))} must be"):
+        load_coverage(path)
+
+
 def matrix_of(tests, covered):
     return CoverageMatrix(tests=tests, covered={t: set(l) for t, l in covered.items()})
 

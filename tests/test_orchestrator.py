@@ -333,6 +333,22 @@ def test_unusable_embedding_store_is_exit_2(tmp_path, capsys, cache):
         f"error: embedding cache unusable: {tmp_path / cache}: ")
 
 
+@pytest.mark.parametrize("bad", [{"line": 4.7}, {"file": 5}],
+                         ids=["line-a-float", "file-a-number"])
+def test_cover_record_of_the_wrong_type_is_exit_2(tmp_path, capsys, bad):
+    lines = (FIXTURES / "coverage.jsonl").read_text().splitlines()
+    k = next(i for i, raw in enumerate(lines) if '"cover"' in raw)
+    lines[k] = json.dumps({**json.loads(lines[k]), **bad})
+    coverage = tmp_path / "coverage.jsonl"
+    coverage.write_text("\n".join(lines) + "\n")
+    desc = write_descriptor(tmp_path, coverage=str(coverage))
+    code = main(["run", str(desc), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert not (tmp_path / "runs").exists()
+    assert capsys.readouterr().err.startswith(
+        f"error: {coverage}:{k + 1}: malformed record: ")
+
+
 def test_report_is_written_before_the_cache_flush(tmp_path, monkeypatch):
     """A store that fails on write ends the run at the first flush; the
     report still records that, and the failure propagates."""

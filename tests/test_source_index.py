@@ -42,11 +42,12 @@ def test_single_method_single_statement(tmp_path):
 
 def test_unbalanced_braces_fall_back_linewise(tmp_path, caplog):
     write(tmp_path, "Bad.java", "class Bad {\n  int x;\n")
-    index = index_source(tmp_path, ["*.java"])
-    assert index.files["Bad.java"].line_wise
+    sf = index_source(tmp_path, ["*.java"]).files["Bad.java"]
     assert "unbalanced braces, indexed line-wise: Bad.java" in caplog.text
-    # Line-wise statements still cover every non-blank line.
-    assert [s.start_line for s in index.files["Bad.java"].statements] == [1, 2]
+    # Line-wise statements still cover every non-blank line, and no
+    # method or class is found.
+    assert [s.start_line for s in sf.statements] == [1, 2]
+    assert sf.methods == [] and sf.classes == []
 
 
 NESTED = """\
@@ -81,6 +82,38 @@ def test_enclosing_method_rules(tmp_path):
     for line in range(1, 15):
         hit = index.enclosing_method("C.java", line)
         assert (hit is None) == (not any(_contains(m, line) for m in methods))
+
+
+NESTED_CLASSES = """\
+class A {
+    int a = 1;
+    static class B {
+        int b = 2;
+        int g() { return b; }
+    }
+    int f(B x) {
+        return x.b;
+    }
+}
+class C {
+    static class B {
+        int z;
+        int k() { return z; }
+    }
+}
+"""
+
+
+def test_each_member_belongs_to_its_innermost_class(tmp_path):
+    """A method or field is listed by the innermost class holding it, and
+    by no other: not by an outer class, nor by a class of the same name."""
+    write(tmp_path, "A.java", NESTED_CLASSES)
+    sf = index_source(tmp_path, ["*.java"]).files["A.java"]
+    assert [(c.name, [f.name for f in c.fields], [m.name for m in c.methods])
+            for c in sf.classes] == [("A", ["a"], ["f"]), ("B", ["b"], ["g"]),
+                                     ("C", [], []), ("B", ["z"], ["k"])]
+    assert [(m.name, m.class_name) for m in sf.methods] == [
+        ("g", "B"), ("f", "A"), ("k", "B")]
 
 
 def test_enclosing_method_unknown_file(tmp_path):
@@ -143,10 +176,10 @@ def test_method_body_lines_end_at_newline_only(tmp_path, char):
     assert index.method_body(ref) == "  int f() {\n    return 1;\n  }"
 
 
-def test_linewise_lines_end_at_newline_only(tmp_path):
+def test_linewise_lines_end_at_newline_only(tmp_path, caplog):
     write(tmp_path, "Bad.java", "class Bad {\n  // a\x0cb\u2028c\n  int x;\n")
     sf = index_source(tmp_path, ["*.java"]).files["Bad.java"]
-    assert sf.line_wise
+    assert "unbalanced braces, indexed line-wise: Bad.java" in caplog.text
     assert [(s.start_line, s.text) for s in sf.statements] == [
         (1, "class Bad {"), (2, "  // a\x0cb\u2028c"), (3, "  int x;")]
 
@@ -236,7 +269,8 @@ def test_generated_methods_index_cleanly(tmp_path_factory, names):
     (tmp / "G.java").write_text(body, encoding="utf-8")
     index = index_source(tmp, ["*.java"])
     sf = index.files["G.java"]
-    assert not sf.line_wise
+    # Not indexed line-wise: that finds no class.
+    assert [c.name for c in sf.classes] == ["G"]
     assert len(sf.methods) == len(names)
     # Every simple statement lies inside the method that encloses its line.
     for s in sf.statements:
@@ -446,6 +480,13 @@ def _ref_find_classes(path, masked, starts):
 _REF_SIGNATURE_NAME_RE = re.compile(r"([A-Za-z_][\w$]*)\s*\(")
 
 
+def _ref_owner(classes, line):
+    """The innermost class whose span holds the line: the shortest span,
+    the first of equal ones; None if no class holds it."""
+    enclosing = [c for c in classes if c.body_start <= line <= c.body_end]
+    return min(enclosing, key=lambda c: c.body_end - c.body_start) if enclosing else None
+
+
 def _ref_find_methods(path, text, masked, starts, classes):
     methods = []
     for m in _REF_SIGNATURE_NAME_RE.finditer(masked):
@@ -466,8 +507,7 @@ def _ref_find_methods(path, text, masked, starts, classes):
         if close is None:
             continue
         sig_line = _ref_line_of(m.start(), starts)
-        enclosing = [c for c in classes if c.body_start <= sig_line <= c.body_end]
-        cls = min(enclosing, key=lambda c: c.body_end - c.body_start) if enclosing else None
+        cls = _ref_owner(classes, sig_line)
         sig_text = _signature_text(text, m.start(), close_paren)
         methods.append(MethodRef(
             path, name, sig_line, min(sig_line, _ref_line_of(brace, starts)),
@@ -475,12 +515,12 @@ def _ref_find_methods(path, text, masked, starts, classes):
     return methods
 
 
-def _ref_collect_fields(cls, statements, methods):
+def _ref_collect_fields(cls, classes, statements, methods):
     fields = []
     for s in statements:
         if s.kind != "simple":
             continue
-        if not (cls.body_start <= s.start_line <= cls.body_end):
+        if _ref_owner(classes, s.start_line) is not cls:
             continue
         if any(_contains(m, s.start_line) for m in methods):
             continue
@@ -494,15 +534,15 @@ def _ref_index_file(rel, text):
     digest = hashlib.sha256(text.encode()).hexdigest()
     masked, literals = _ref_scan(text)
     if masked.count("{") != masked.count("}"):
-        return SourceFile(text, digest, _linewise_statements(rel, text),
-                          [], [], line_wise=True)
+        return SourceFile(text, digest, _linewise_statements(rel, text), [], [])
     starts = _ref_line_starts(text)
     statements = _ref_segment_statements(rel, text, masked, literals, starts)
     classes = _ref_find_classes(rel, masked, starts)
     methods = _ref_find_methods(rel, text, masked, starts, classes)
+    # Each method and field belongs to the innermost class holding its line.
     for cls in classes:
-        cls.methods = [m for m in methods if m.class_name == cls.name]
-        cls.fields = _ref_collect_fields(cls, statements, methods)
+        cls.methods = [m for m in methods if _ref_owner(classes, m.signature_line) is cls]
+        cls.fields = _ref_collect_fields(cls, classes, statements, methods)
     return SourceFile(text, digest, statements, methods, classes)
 
 
@@ -534,6 +574,9 @@ def test_signature_names_match_every_offset_search(text):
 @given(FILE | st.text(alphabet=_CODE_CHARS + "()=\t", max_size=120))
 # A name after '$' is read from its first letter, also after a '.'.
 @example(text="class C {\n  void f() { a.$b() { } }\n}\n")
+# Two classes named B, and a field in a nested class.
+@example(text="class A {\n  int a;\n  class B {\n    int b;\n    int g() { }\n  }\n}\n"
+              "class C {\n  class B {\n    int z;\n    int k() { }\n  }\n}\n")
 def test_index_matches_character_loop(tmp_path_factory, text):
     tmp = tmp_path_factory.mktemp("oracle")
     (tmp / "T.java").write_text(text, encoding="utf-8")

@@ -284,6 +284,15 @@ def test_run_tests_bad_status(tmp_path):
         run_tests(tmp_path, harness)
 
 
+@pytest.mark.parametrize("line", [4.7, "4", True])
+def test_run_tests_frame_line_must_be_an_int(tmp_path, line):
+    frames = [{"unit": "T", "method": "test", "file": "T.java", "line": line}]
+    harness = harness_writing(tmp_path, [
+        {"test": "t1", "status": "fail", "message": "", "frames": frames}])
+    with pytest.raises(HarnessProtocolError, match=":1: frame line must be int"):
+        run_tests(tmp_path, harness)
+
+
 def test_run_tests_protocol_error_keeps_the_log_tail(tmp_path):
     harness = harness_writing(tmp_path, [{"status": "pass"}])
     harness.command = "echo 'reporter crashed' >&2; python3 h.py"
