@@ -19,7 +19,8 @@ from .prompting import FeedbackEntry, PromptBundle, build_prompt
 from .source_index import (MethodRef, SourceIndex, Statement, identifiers_in,
                            index_source)
 from .validation import (HarnessConfig, StackFrame, TestReport, TestResult,
-                         align_traces, apply_patch, classify, run_tests)
+                         Workspace, align_traces, apply_patch, classify,
+                         run_tests)
 
 __version__ = "0.1.0"
 
@@ -35,6 +36,6 @@ __all__ = [
     "group_by_method", "jaccard_filter", "token_match", "tokenize",
     "FeedbackEntry", "PromptBundle", "build_prompt",
     "MethodRef", "SourceIndex", "Statement", "identifiers_in", "index_source",
-    "HarnessConfig", "StackFrame", "TestReport", "TestResult",
+    "HarnessConfig", "StackFrame", "TestReport", "TestResult", "Workspace",
     "align_traces", "apply_patch", "classify", "run_tests",
 ]

@@ -13,7 +13,7 @@ import logging
 import math
 import sqlite3
 from array import array
-from contextlib import closing, contextmanager
+from contextlib import closing
 from functools import lru_cache
 from itertools import repeat
 from operator import mul, truediv
@@ -106,18 +106,21 @@ class RemoteEmbeddingProvider(RemoteClient):
 
 
 
-@contextmanager
-def _store(path: Path):
-    """A connection to the SQLite store at `path`, with its one table,
-    closed on exit. Writes are not synced to disk: a killed run keeps every
-    committed batch, a crash of the machine may lose recent ones. The
-    default rollback journal leaves no file beside the store once a
-    transaction ends."""
-    with closing(sqlite3.connect(path)) as db:
+def _connect(path: Path) -> sqlite3.Connection:
+    """A connection to the SQLite store at `path`, with its one table.
+    Writes are not synced to disk: a killed run keeps every committed
+    batch, a crash of the machine may lose recent ones. The default
+    rollback journal leaves no file beside the store once a transaction
+    ends."""
+    db = sqlite3.connect(path)
+    try:
         db.execute("PRAGMA synchronous=OFF")
         db.execute("CREATE TABLE IF NOT EXISTS embeddings"
                    " (key TEXT PRIMARY KEY, vector BLOB NOT NULL)")
-        yield db
+    except BaseException:
+        db.close()
+        raise
+    return db
 
 
 def _write(db: sqlite3.Connection, rows) -> None:
@@ -147,9 +150,12 @@ class EmbeddingCache:
     load with a warning and recomputed. Each vector's norm is computed once
     and kept beside it.
 
-    The store is opened, or created if absent, by the constructor. One that
-    cannot be opened or read, or that another connection holds locked,
-    raises `OSError` or `sqlite3.OperationalError` and is left as it is.
+    The store is opened, or created if absent, by the constructor, and
+    its one connection is held until `close`. The connection frees its
+    page cache after the load and after each flush, so holding it costs no
+    memory between batches. A store that cannot be opened or read, or that
+    another connection holds locked, raises `OSError` or
+    `sqlite3.OperationalError` and is left as it is.
     """
 
     def __init__(self, store_path: str | Path | None = None):
@@ -157,6 +163,7 @@ class EmbeddingCache:
         self._data: dict[str, list[float]] = {}
         self._norms: dict[str, float] = {}
         self._pending: dict[str, list[float]] = {}
+        self._db: sqlite3.Connection | None = None
         if self.store_path:
             self._load(self.store_path)
 
@@ -166,9 +173,10 @@ class EmbeddingCache:
             with path.open("rb") as fh:
                 is_store = fh.read(len(_SQLITE_HEADER)) == _SQLITE_HEADER
             if is_store:
-                with _store(path) as db:
-                    rows = [(k, _unpack(v)) for k, v in
-                            db.execute("SELECT key, vector FROM embeddings")]
+                self._db = _connect(path)
+                rows = [(k, _unpack(v)) for k, v in
+                        self._db.execute("SELECT key, vector FROM embeddings")]
+                self._db.execute("PRAGMA shrink_memory")
             else:
                 loaded = json.loads(path.read_text(encoding="utf-8"))
                 if not isinstance(loaded, dict):
@@ -178,9 +186,11 @@ class EmbeddingCache:
         except FileNotFoundError:
             pass  # absent: created below
         except sqlite3.OperationalError:
+            self.close()
             raise  # unreadable or locked, not known to be corrupt
         except (ValueError, OverflowError, sqlite3.DatabaseError):
             logger.warning("corrupt embedding cache ignored: %s", path)
+            self.close()
             is_store, rows = False, []
         self._data = {k: v for k, v in rows
                       if isinstance(k, str) and v is not None}
@@ -191,9 +201,10 @@ class EmbeddingCache:
             # Create the store, or replace the file whole: no run sees half.
             tmp = path.with_name(path.name + ".tmp")
             tmp.unlink(missing_ok=True)
-            with _store(tmp) as db:
+            with closing(_connect(tmp)) as db:
                 _write(db, self._data.items())
             tmp.replace(path)
+            self._db = _connect(path)
 
     @staticmethod
     def key(provider, text: str) -> str:
@@ -219,9 +230,15 @@ class EmbeddingCache:
         """Append the vectors put since the last flush to the store."""
         if not self._pending:
             return
-        with _store(self.store_path) as db:
-            _write(db, self._pending.items())
+        _write(self._db, self._pending.items())
+        self._db.execute("PRAGMA shrink_memory")
         self._pending.clear()
+
+    def close(self) -> None:
+        """Close the store's connection; vectors not flushed are not stored."""
+        if self._db is not None:
+            self._db.close()
+            self._db = None
 
 
 def embed(texts: list[str], provider,

@@ -12,6 +12,7 @@ import hashlib
 import logging
 import math
 import shutil
+import tempfile
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -29,8 +30,8 @@ from .matching import (CandidateSibling, StatementContext, TokenPool,
 from .prompting import FeedbackEntry, PromptBudgetError, build_prompt
 from .source_index import SourceIndex
 from .validation import (HarnessConfig, HarnessProtocolError,
-                         PatchApplicationError, TestReport, apply_patch,
-                         classify, run_tests)
+                         PatchApplicationError, TestReport, Workspace,
+                         apply_patch, classify, run_tests)
 
 logger = logging.getLogger(__name__)
 
@@ -120,7 +121,9 @@ class RepairEngine:
                  coverage: CoverageMatrix, backend, provider,
                  harness_command: str, config: RepairConfig,
                  cache: EmbeddingCache, run_dir: str | Path | None = None):
-        self.project_root = project_root
+        # The project's copy, made by the baseline validation; its tree
+        # lives as long as repair_bug.
+        self.workspace = Workspace(project_root, index)
         self.index = index
         self.coverage = coverage
         self.backend = backend
@@ -157,21 +160,24 @@ class RepairEngine:
         return self._attempt_counters[loc_id]
 
     def _validate(self, patch: Patch) -> TestReport:
-        """Apply and test a patch, caching reports by patch content. A run
-        that gave no results, or malformed ones, leaves its log's tail in
-        `harness/<patch id>.txt` of the run directory."""
+        """Apply and test a patch in the run's workspace, caching reports
+        by patch content. A run that gave no results, or malformed ones,
+        leaves its log's tail in `harness/<patch id>.txt` of the run
+        directory. `keep_workspaces` keeps a copy of the tree the harness
+        left."""
         cached = self._validation_cache.get(patch.id)
         if cached is not None:
             return cached
-        workspace = apply_patch(self.project_root, patch, self.index)
+        workspace = apply_patch(self.workspace, patch)
         try:
             report = run_tests(workspace, self.harness)
         except HarnessProtocolError as exc:
             self._save_log_tail(patch, exc.log_tail)
             raise
         finally:
-            if not self.config.keep_workspaces:
-                shutil.rmtree(workspace, ignore_errors=True)
+            if self.config.keep_workspaces:
+                shutil.copytree(workspace, tempfile.mkdtemp(prefix="repair-ws-"),
+                                dirs_exist_ok=True)
         self._save_log_tail(patch, report.log_tail)
         self._validation_cache[patch.id] = report
         return report
@@ -322,7 +328,8 @@ class RepairEngine:
     def repair_bug(self, suspicious: list[SuspiciousLocation],
                    state: RepairState | None = None) -> RepairState:
         """Try each suspicious location until a plausible patch is found,
-        filling `state` in place if given, so an escaping exception keeps it."""
+        filling `state` in place if given, so an escaping exception keeps it.
+        The workspace is removed on every exit."""
         state = state if state is not None else RepairState()
         self._deadline = time.monotonic() + self.config.budget
         try:
@@ -364,4 +371,6 @@ class RepairEngine:
             logger.error("backend fatal: %s", exc)
             state.stopped = "backend-error"
             state.error = str(exc)
+        finally:
+            self.workspace.remove()
         return state

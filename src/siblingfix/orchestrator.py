@@ -15,6 +15,7 @@ import re
 import sqlite3
 import sys
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -246,31 +247,33 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         print(f"error: {exc}", file=sys.stderr)
         return 2, {"error": str(exc)}, None
 
-    run_dir = _make_run_dir(Path(out_dir))
-    state = RepairState()
-    start = time.monotonic()
-    try:
-        RepairEngine(
-            project_root=str(desc.project_root), index=index,
-            coverage=coverage, backend=backend, provider=provider,
-            harness_command=desc.harness_command, config=desc.config,
-            cache=cache, run_dir=run_dir).repair_bug(suspicious, state)
-    except BaseException as exc:
-        state.stopped, state.error = "error", f"{type(exc).__name__}: {exc}"
-        if not isinstance(exc, HarnessProtocolError):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
-    finally:
-        elapsed = time.monotonic() - start
-        diffs = [patch_to_diff(p, index) for p in state.plausible]
-        patches_dir = run_dir / "patches"
-        patches_dir.mkdir(exist_ok=True)
-        for i, diff in enumerate(diffs, 1):
-            (patches_dir / f"plausible_{i}.diff").write_text(diff, encoding="utf-8")
-        report = build_report(desc, suspicious, state, diffs, elapsed)
-        (run_dir / "report.json").write_text(
-            json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        cache.flush()
+    with closing(cache):  # closed after the last flush, on every path
+        run_dir = _make_run_dir(Path(out_dir))
+        state = RepairState()
+        start = time.monotonic()
+        try:
+            RepairEngine(
+                project_root=str(desc.project_root), index=index,
+                coverage=coverage, backend=backend, provider=provider,
+                harness_command=desc.harness_command, config=desc.config,
+                cache=cache, run_dir=run_dir).repair_bug(suspicious, state)
+        except BaseException as exc:
+            state.stopped, state.error = "error", f"{type(exc).__name__}: {exc}"
+            if not isinstance(exc, HarnessProtocolError):
+                raise
+            print(f"error: {exc}", file=sys.stderr)
+        finally:
+            elapsed = time.monotonic() - start
+            diffs = [patch_to_diff(p, index) for p in state.plausible]
+            patches_dir = run_dir / "patches"
+            patches_dir.mkdir(exist_ok=True)
+            for i, diff in enumerate(diffs, 1):
+                (patches_dir / f"plausible_{i}.diff").write_text(
+                    diff, encoding="utf-8")
+            report = build_report(desc, suspicious, state, diffs, elapsed)
+            (run_dir / "report.json").write_text(
+                json.dumps(report, indent=2) + "\n", encoding="utf-8")
+            cache.flush()
     exit_code = 0 if state.plausible else {"backend-error": 3,
                                             "error": 2}.get(state.stopped, 1)
     return exit_code, report, run_dir

@@ -1,6 +1,6 @@
 """Patch application, test execution, and verdict classification.
 
-Patches are applied in an isolated copy of the project; the subject's test
+Patches are applied in one copy of the project per run; the subject's test
 command communicates results through a JSON-lines file named by the
 RESULTS_PATH environment variable. Verdicts follow the positive criterion:
 pass-all beats promising beats no-progress, where promising needs a newly
@@ -18,6 +18,7 @@ import signal
 import subprocess
 import tempfile
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,24 +115,91 @@ def patched_texts(patch: Patch, index: SourceIndex) -> dict[str, str]:
     return texts
 
 
-def apply_patch(project_root: str | Path, patch: Patch,
-                index: SourceIndex) -> Path:
-    """Copy the project into a fresh workspace and write the edited files.
+def _stamp(path: str) -> tuple[int, int] | None:
+    """A file's (mtime in ns, size), or None if it is absent."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_mtime_ns, st.st_size
 
-    An edited file whose copy no longer has the indexed digest changed on
-    disk since indexing; the workspace is removed and the patch rejected.
+
+class Workspace:
+    """The one copy of the project that successive validations share.
+
+    `apply_patch` makes it on first use and brings it to each patch in
+    turn, so files outside the index, such as build output, persist from
+    one validation to the next. Indexed files hold exactly what a fresh
+    copy with the patch applied would hold: the `(mtime, size)` of each is
+    recorded after siblingfix writes it, and if one differs before the
+    next patch, the harness touched sources and the project is copied
+    afresh.
     """
+
+    def __init__(self, project_root: str | Path, index: SourceIndex):
+        self.project_root = Path(project_root)
+        self.index = index
+        self.path: Path | None = None
+        self.edited: set[str] = set()  # files the last patch wrote
+        self.stamps: dict[str, tuple[int, int] | None] = {}
+
+    def stat(self) -> dict[str, tuple[int, int] | None]:
+        """The `(mtime, size)` of each indexed file in the workspace."""
+        root = str(self.path)
+        return {rel: _stamp(os.path.join(root, rel)) for rel in self.index.files}
+
+    def copy(self) -> None:
+        """Copy the project into a new temporary directory."""
+        self.path = Path(tempfile.mkdtemp(prefix="repair-ws-"))
+        shutil.copytree(self.project_root, self.path, dirs_exist_ok=True)
+        self.edited = set()
+        self.stamps = self.stat()
+
+    def write(self, rel: str, data: bytes) -> None:
+        """Write an indexed file. Its mtime is made later than the one it
+        had and no earlier than now, so a timestamp-based incremental build
+        rebuilds it even when two writes share a clock tick."""
+        path = os.path.join(self.path, rel)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        mtime = max(time.time_ns(), self.stamps[rel][0] + 1)
+        os.utime(path, ns=(mtime, mtime))
+        self.stamps[rel] = _stamp(path)
+
+    def remove(self) -> None:
+        if self.path is not None:
+            shutil.rmtree(self.path, ignore_errors=True)
+            self.path = None
+
+
+def apply_patch(workspace: Workspace, patch: Patch) -> Path:
+    """Bring the workspace to the project with `patch` applied; return its
+    path. Files the previous patch edited and this one does not are copied
+    from the project again, and this patch's files are written.
+
+    An edited file whose project-root text no longer has the indexed
+    digest changed on disk since indexing; the patch is rejected before
+    anything is copied or written.
+    """
+    index = workspace.index
     texts = patched_texts(patch, index)
-    workspace = Path(tempfile.mkdtemp(prefix="repair-ws-"))
-    shutil.copytree(project_root, workspace, dirs_exist_ok=True)
-    for rel, text in texts.items():
-        path = workspace / rel
+    for rel in texts:
+        path = workspace.project_root / rel
         if not path.is_file() or text_digest(
                 path.read_text(encoding="utf-8")) != index.files[rel].digest:
-            shutil.rmtree(workspace, ignore_errors=True)
             raise PatchApplicationError(f"file changed since indexing: {rel}")
-        path.write_text(text, encoding="utf-8")
-    return workspace
+    if workspace.path is not None and workspace.stat() != workspace.stamps:
+        logger.warning("indexed files changed in the workspace since the "
+                       "last patch; copying the project afresh")
+        workspace.remove()
+    if workspace.path is None:
+        workspace.copy()
+    for rel in workspace.edited - texts.keys():
+        workspace.write(rel, (workspace.project_root / rel).read_bytes())
+    for rel, text in texts.items():
+        workspace.write(rel, text.encode())
+    workspace.edited = set(texts)
+    return workspace.path
 
 
 _LOG_TAIL_BYTES = 4096

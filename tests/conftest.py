@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from siblingfix import index_source, load_coverage
+from siblingfix.validation import patched_texts
 
 FIXTURES = Path(__file__).parent / "fixtures" / "miniproject"
 PROJECT = FIXTURES / "project"
@@ -49,6 +50,20 @@ def write_descriptor(tmp_path, **changes):
     desc = tmp_path / "d.json"
     desc.write_text(json.dumps(data))
     return desc
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under `root`, by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def fresh_copy(project: Path, patch, index) -> dict[str, bytes]:
+    """What a fresh copy of `project` with `patch` applied holds."""
+    tree = tree_bytes(project)
+    tree.update((rel, text.encode())
+                for rel, text in patched_texts(patch, index).items())
+    return tree
 
 
 def estimator_method(name: str, fixed: bool = False) -> str:

@@ -6,6 +6,7 @@ import sqlite3
 import subprocess
 import sys
 import time
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,13 @@ from siblingfix.engine import RepairConfig
 from siblingfix.matching import CandidateSibling, StatementContext
 from siblingfix.orchestrator import run
 from siblingfix.source_index import Statement
+
+
+def stored(path) -> dict:
+    """The vectors the store at `path` holds, read by a cache that is
+    closed again."""
+    with closing(EmbeddingCache(path)) as cache:
+        return cache._data
 
 
 def cosine(a, b):
@@ -232,15 +240,15 @@ def test_embedding_match_computes_each_norm_once(monkeypatch):
 
 def test_cache_hits_bypass_provider(tmp_path):
     provider = CountingProvider()
-    cache = EmbeddingCache(tmp_path / "cache.json")
-    embed(["alpha", "beta"], provider, cache)
-    assert provider.calls == 2
-    embed(["alpha", "beta"], provider, cache)
-    assert provider.calls == 2
-    cache.flush()
+    with closing(EmbeddingCache(tmp_path / "cache.json")) as cache:
+        embed(["alpha", "beta"], provider, cache)
+        assert provider.calls == 2
+        embed(["alpha", "beta"], provider, cache)
+        assert provider.calls == 2
+        cache.flush()
     # A fresh cache object reloads the persisted store.
-    reloaded = EmbeddingCache(tmp_path / "cache.json")
-    embed(["alpha"], provider, reloaded)
+    with closing(EmbeddingCache(tmp_path / "cache.json")) as reloaded:
+        embed(["alpha"], provider, reloaded)
     assert provider.calls == 2
 
 
@@ -265,18 +273,18 @@ def test_corrupt_cache_entry_recomputed(tmp_path, caplog):
     store = tmp_path / "cache.json"
     store.write_text(json.dumps({EmbeddingCache.key(provider, "x"): "garbage",
                                  EmbeddingCache.key(provider, "y"): good}))
-    cache = EmbeddingCache(store)
-    assert list(cache._data) == [EmbeddingCache.key(provider, "y")]
-    assert "1 corrupt embedding cache entries dropped" in caplog.text
-    assert store.read_bytes()[:16] == SQLITE_HEADER
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
-    assert EmbeddingCache(store)._data == cache._data
-    (vec, hit) = embed(["x", "y"], provider, cache)
+    with closing(EmbeddingCache(store)) as cache:
+        assert list(cache._data) == [EmbeddingCache.key(provider, "y")]
+        assert "1 corrupt embedding cache entries dropped" in caplog.text
+        assert store.read_bytes()[:16] == SQLITE_HEADER
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+        assert stored(store) == cache._data
+        (vec, hit) = embed(["x", "y"], provider, cache)
     assert provider.calls == 1
     assert len(vec) == provider.dimension
     assert hit == good
     # The recomputed vector was written with its batch.
-    assert EmbeddingCache(store)._data == {
+    assert stored(store) == {
         EmbeddingCache.key(provider, "x"): vec,
         EmbeddingCache.key(provider, "y"): good}
 
@@ -284,8 +292,7 @@ def test_corrupt_cache_entry_recomputed(tmp_path, caplog):
 def test_corrupt_store_ignored(tmp_path):
     store = tmp_path / "cache.json"
     store.write_text("{ not json")
-    cache = EmbeddingCache(store)
-    assert cache._data == {}
+    assert stored(store) == {}
 
 
 @pytest.mark.parametrize("content", [
@@ -296,12 +303,12 @@ def test_corrupt_store_ignored(tmp_path):
 def test_random_bytes_store_ignored_with_warning(tmp_path, caplog, content):
     store = tmp_path / "cache.json"
     store.write_bytes(content)
-    cache = EmbeddingCache(store)
-    assert cache._data == {}
-    assert "corrupt embedding cache ignored" in caplog.text
     provider = CountingProvider()
-    (vec,) = embed(["x"], provider, cache)
-    assert EmbeddingCache(store)._data == {EmbeddingCache.key(provider, "x"): vec}
+    with closing(EmbeddingCache(store)) as cache:
+        assert cache._data == {}
+        assert "corrupt embedding cache ignored" in caplog.text
+        (vec,) = embed(["x"], provider, cache)
+    assert stored(store) == {EmbeddingCache.key(provider, "x"): vec}
 
 
 def test_unreadable_store_left_in_place(tmp_path):
@@ -317,7 +324,7 @@ def test_unreadable_store_left_in_place(tmp_path):
 
 def test_absent_store_is_created(tmp_path):
     store = tmp_path / "cache.db"
-    assert EmbeddingCache(store)._data == {}
+    assert stored(store) == {}
     assert store.read_bytes()[:16] == SQLITE_HEADER
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.db"]
 
@@ -327,7 +334,8 @@ def test_locked_store_raises_and_keeps_its_rows(tmp_path, monkeypatch):
     opening it raises, and it is not replaced."""
     provider = CountingProvider()
     store = tmp_path / "cache.db"
-    (vec,) = embed(["x"], provider, EmbeddingCache(store))
+    with closing(EmbeddingCache(store)) as cache:
+        (vec,) = embed(["x"], provider, cache)
     connect = sqlite3.connect
     # Wait 0.1 s for the lock, not the default 5 s.
     monkeypatch.setattr(sqlite3, "connect",
@@ -340,13 +348,14 @@ def test_locked_store_raises_and_keeps_its_rows(tmp_path, monkeypatch):
         holder.execute("ROLLBACK")
     finally:
         holder.close()
-    assert EmbeddingCache(store)._data == {EmbeddingCache.key(provider, "x"): vec}
+    assert stored(store) == {EmbeddingCache.key(provider, "x"): vec}
 
 
 def test_corrupt_store_row_recomputed(tmp_path, caplog):
     provider = CountingProvider()
     store = tmp_path / "cache.db"
-    embed(["x", "y", "z"], provider, EmbeddingCache(store))
+    with closing(EmbeddingCache(store)) as cache:
+        embed(["x", "y", "z"], provider, cache)
     keys = [EmbeddingCache.key(provider, t) for t in "xyz"]
     with sqlite3.connect(store) as db:
         db.execute("UPDATE embeddings SET vector = ? WHERE key = ?",
@@ -355,21 +364,21 @@ def test_corrupt_store_row_recomputed(tmp_path, caplog):
                    (keys[1],))
     db.close()
     provider.calls = 0
-    cache = EmbeddingCache(store)
-    assert list(cache._data) == [keys[2]]
-    assert "2 corrupt embedding cache entries dropped" in caplog.text
-    x, y, z = embed(["x", "y", "z"], provider, cache)
+    with closing(EmbeddingCache(store)) as cache:
+        assert list(cache._data) == [keys[2]]
+        assert "2 corrupt embedding cache entries dropped" in caplog.text
+        x, y, z = embed(["x", "y", "z"], provider, cache)
     assert provider.calls == 2
-    assert EmbeddingCache(store)._data == dict(zip(keys, (x, y, z)))
+    assert stored(store) == dict(zip(keys, (x, y, z)))
 
 
 def test_store_round_trips_every_float(tmp_path):
     vectors = [[0.1, -0.0, 5e-324, 1e308, math.inf, -math.inf],
                [1 / 3, 2.0 ** -1074, -2.0 ** 1023, 0.0, 0.75, -1e-310]]
     provider = FixedProvider({"a": vectors[0], "b": vectors[1]})
-    cache = EmbeddingCache(tmp_path / "cache.db")
-    embed(["a", "b"], provider, cache)
-    got = list(EmbeddingCache(tmp_path / "cache.db")._data.values())
+    with closing(EmbeddingCache(tmp_path / "cache.db")) as cache:
+        embed(["a", "b"], provider, cache)
+    got = list(stored(tmp_path / "cache.db").values())
     assert [[x.hex() for x in v] for v in got] == \
         [[x.hex() for x in v] for v in vectors]
 
@@ -384,6 +393,28 @@ def test_runs_leave_only_the_store(tmp_path):
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "d.json", "embeddings.json", "runs"]
     assert (tmp_path / "embeddings.json").read_bytes()[:16] == SQLITE_HEADER
+
+
+def test_run_connects_to_the_store_once_and_closes_it(tmp_path, monkeypatch):
+    """A run with several embedding batches opens its existing store once,
+    and closes the connection after its last flush."""
+    desc = write_descriptor(tmp_path)
+    with closing(EmbeddingCache(tmp_path / "embeddings.json")):
+        pass  # create the store
+    calls = []
+    connect = sqlite3.connect
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *a, **kw: calls.append("connect") or connect(*a, **kw))
+    for name in ("flush", "close"):
+        method = getattr(EmbeddingCache, name)
+        monkeypatch.setattr(EmbeddingCache, name,
+                            lambda self, m=method, n=name: calls.append(n) or m(self))
+    monkeypatch.setattr(LocalHashProvider, "batch_size", 2)
+    code, _, _ = run(desc, out_dir=tmp_path / "runs")
+    assert code == 0
+    assert calls.count("connect") == 1 and calls.count("flush") > 3
+    assert calls[0] == "connect" and calls[-2:] == ["flush", "close"]
+    assert calls.count("close") == 1
 
 
 # Run `repair run` with two texts per embedding batch, blocking in the
@@ -414,7 +445,8 @@ sys.exit(cli.main(["run", descriptor, "--out", out]))
 def test_killed_run_keeps_its_completed_batches(tmp_path):
     desc = write_descriptor(tmp_path)
     started = tmp_path / "started.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    # A killed run leaves its workspace behind; it goes under tmp_path.
+    env = {**os.environ, "TMPDIR": str(tmp_path), "PYTHONPATH": os.pathsep.join(
         [str(FIXTURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
         [sys.executable, "-c", _BLOCKING_RUN, str(desc),
@@ -431,9 +463,9 @@ def test_killed_run_keeps_its_completed_batches(tmp_path):
     first = json.loads(started.read_text())
     assert len(first) == 2
     provider = LocalHashProvider()
-    stored = EmbeddingCache(tmp_path / "embeddings.json")._data
-    assert stored == {EmbeddingCache.key(provider, t): v for t, v in
-                      zip(first, provider.embed_batch(first))}
+    assert stored(tmp_path / "embeddings.json") == {
+        EmbeddingCache.key(provider, t): v
+        for t, v in zip(first, provider.embed_batch(first))}
 
 
 class FakeResponse:

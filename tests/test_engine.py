@@ -1,17 +1,21 @@
 import hashlib
+import json
 import re
+import sys
 
 import pytest
 
-from conftest import (RESPONSES, PROJECT, PartialThenFullBackend, RuleBackend,
+from conftest import (DESCRIPTOR_SLOW, FIXTURES, RESPONSES, PROJECT,
+                      PartialThenFullBackend, RuleBackend, fresh_copy,
                       patch_response, prompt_section)
 from siblingfix import (EmbeddingCache, LocalHashProvider, RepairConfig,
-                        RepairEngine, SuspiciousLocation, index_source,
-                        ochiai_rank, parse_patch)
+                        RepairEngine, SuspiciousLocation, engine as engine_module,
+                        index_source, ochiai_rank, parse_patch)
 from siblingfix.embeddings import EmbeddingError
 from siblingfix.engine import location_id
-from siblingfix.llm import ScriptedBackend
+from siblingfix.llm import BackendError, ScriptedBackend
 from siblingfix.localization import CoverageMatrix
+from siblingfix.orchestrator import run
 
 pytestmark = pytest.mark.usefixtures("tmp_tempdir")
 
@@ -372,3 +376,136 @@ def test_harness_error_keeps_the_log_tail(mini_index, mini_coverage, tmp_path):
     for i in errors:
         assert (run_dir / "harness" / f"{i}.txt").read_text(encoding="utf-8") == \
             "reporter crashed\n"
+
+
+# Records the SHA-256 of every file under the harness's working directory,
+# the harness's own files left out, as one JSON line appended to argv[1];
+# then runs the fixture's harness script argv[2], with no sleep.
+RECORDER = """
+import hashlib, json, os, runpy, sys, time
+tree = {}
+for dirpath, _, names in os.walk("."):
+    for name in names:
+        if not name.startswith(".repair-"):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                rel = os.path.relpath(path).replace(os.sep, "/")
+                tree[rel] = hashlib.sha256(fh.read()).hexdigest()
+with open(sys.argv[1], "a") as fh:
+    fh.write(json.dumps(tree, sort_keys=True) + "\\n")
+time.sleep = lambda seconds: None
+runpy.run_path(sys.argv[2], run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("case", ["slow-run", "carry"])
+def test_harness_sees_the_fresh_copy_tree_on_every_validation(
+        mini_index, mini_coverage, tmp_tempdir, monkeypatch, case):
+    """On every validation of the fixture's slow run, and of a run whose
+    iterative phases carry promising patches, the harness sees exactly the
+    tree a fresh copy of the project with that validation's patch applied
+    would show."""
+    recorder, seen = tmp_tempdir / "recorder.py", tmp_tempdir / "seen.jsonl"
+    recorder.write_text(RECORDER, encoding="utf-8")
+    command = f'"{sys.executable}" "{recorder}" "{seen}"'
+    patches = []
+    apply = engine_module.apply_patch
+    monkeypatch.setattr(engine_module, "apply_patch",
+                        lambda ws, patch: patches.append(patch) or apply(ws, patch))
+    if case == "slow-run":
+        data = json.loads(DESCRIPTOR_SLOW.read_text(encoding="utf-8"))
+        data.update(project_root=str(PROJECT),
+                    coverage=str(FIXTURES / "coverage.jsonl"),
+                    cache=str(tmp_tempdir / "embeddings.db"))
+        data["backend"]["directory"] = str(FIXTURES / data["backend"]["directory"])
+        data["harness"]["command"] = f"{command} slow_harness.py"
+        desc = tmp_tempdir / "slow.json"
+        desc.write_text(json.dumps(data), encoding="utf-8")
+        _, report, _ = run(desc, out_dir=tmp_tempdir / "runs")
+        assert report["stopped"] == "exhausted"
+    else:
+        engine = make_engine(mini_index, mini_coverage, RuleBackend(),
+                             attempts=2)
+        engine.harness.command = f"{command} harness.py"
+        assert engine.repair_bug(ochiai_rank(mini_coverage)).stopped == "plausible"
+    trees = [json.loads(line) for line in seen.read_text().splitlines()]
+    assert len(trees) == len(patches) >= 2 and patches[1].edits
+    assert trees == [{rel: hashlib.sha256(data).hexdigest() for rel, data
+                      in fresh_copy(PROJECT, p, mini_index).items()}
+                     for p in patches]
+    assert list(tmp_tempdir.glob("repair-ws-*")) == []
+
+
+def test_harness_that_rewrites_a_source_gets_a_fresh_copy(
+        mini_index, mini_coverage, caplog):
+    """A harness that appends to an indexed source after each run makes
+    every later validation copy the project afresh, with a warning, and
+    the run goes as with a harness that leaves sources alone."""
+    runs = []
+    for command in ["python3 harness.py",
+                    "python3 harness.py; echo '// touched' >> src/Solver.java"]:
+        engine = make_engine(mini_index, mini_coverage, RuleBackend(),
+                             attempts=1)
+        engine.harness.command = command
+        state = engine.repair_bug(ochiai_rank(mini_coverage))
+        runs.append((state.attempt_log, [p.id for p in state.plausible],
+                     [p.id for p in state.promising], state.stopped,
+                     caplog.text.count("copying the project afresh")))
+    (clean_log, *clean, clean_warnings), (log, *rest, warnings) = runs
+    assert log == clean_log and rest == clean and clean_warnings == 0
+    assert warnings == len(engine._validation_cache) - 1 > 1
+
+
+def test_successive_edits_of_a_file_raise_its_mtime(mini_index, mini_coverage,
+                                                    tmp_tempdir):
+    """Every validation after the baseline edits src/Estimator.java; the
+    harness sees its mtime rise strictly from one validation to the next."""
+    log = tmp_tempdir / "mtimes.txt"
+    engine = make_engine(mini_index, mini_coverage, RuleBackend(), attempts=1)
+    engine.harness.command = (
+        "python3 -c \"import os; print(os.stat('src/Estimator.java')"
+        f".st_mtime_ns)\" >> '{log}'; python3 harness.py")
+    engine.repair_bug(ochiai_rank(mini_coverage))
+    mtimes = [int(line) for line in log.read_text().split()]
+    assert len(mtimes) == len(engine._validation_cache) > 2
+    assert all(a < b for a, b in zip(mtimes, mtimes[1:]))
+
+
+class RaisingBackend:
+    def __init__(self, exc):
+        self.exc = exc
+
+    def complete(self, request):
+        raise self.exc
+
+
+# How to make a run stop each way: the backend and the config.
+STOPS = {
+    "plausible": (lambda: ScriptedBackend(RESPONSES), {}),
+    "exhausted": (ProseBackend, {"cap": 1}),
+    "budget": (ProseBackend, {"budget": 1e-9}),
+    "backend-error": (lambda: RaisingBackend(BackendError("down")), {}),
+    "exception": (lambda: RaisingBackend(RuntimeError("bug")), {}),
+}
+
+
+@pytest.mark.parametrize("keep", [False, True], ids=["removed", "kept"])
+@pytest.mark.parametrize("stop", STOPS)
+def test_no_workspace_is_left_behind(mini_index, mini_coverage, tmp_tempdir,
+                                     stop, keep):
+    """However a run ends, its workspace is removed; `keep_workspaces`
+    leaves one copy per distinct validated patch, holding that patch."""
+    backend, cfg = STOPS[stop]
+    engine = make_engine(mini_index, mini_coverage, backend(), attempts=1,
+                         keep_workspaces=keep, **cfg)
+    if stop == "exception":
+        with pytest.raises(RuntimeError, match="bug"):
+            engine.repair_bug(ochiai_rank(mini_coverage))
+    else:
+        assert engine.repair_bug(ochiai_rank(mini_coverage)).stopped == stop
+    kept = list(tmp_tempdir.glob("repair-ws-*"))
+    validated = len(engine._validation_cache)
+    assert validated == (2 if stop == "plausible" else 1)
+    assert len(kept) == (validated if keep else 0)
+    assert len({(ws / "src/Estimator.java").read_bytes() for ws in kept}) == \
+        len(kept)

@@ -7,18 +7,18 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import siblingfix
-from conftest import PROJECT, estimator_method
+from conftest import PROJECT, estimator_method, fresh_copy, tree_bytes
 from siblingfix.llm import Patch, PatchEdit
 from siblingfix.source_index import index_source
 from siblingfix.validation import (HarnessConfig, HarnessProtocolError,
                                    PatchApplicationError, StackFrame,
-                                   TestReport, TestResult, align_traces,
-                                   apply_patch, classify, patched_texts,
-                                   run_tests)
+                                   TestReport, TestResult, Workspace,
+                                   align_traces, apply_patch, classify,
+                                   patched_texts, run_tests)
 
 
 def tree_equal(a: Path, b: Path) -> bool:
@@ -30,7 +30,7 @@ def tree_equal(a: Path, b: Path) -> bool:
 
 @pytest.mark.usefixtures("tmp_tempdir")
 def test_empty_patch_identity(mini_index):
-    ws = apply_patch(PROJECT, Patch(edits=()), mini_index)
+    ws = apply_patch(Workspace(PROJECT, mini_index), Patch(edits=()))
     assert tree_equal(PROJECT, ws)
 
 
@@ -38,7 +38,7 @@ def test_empty_patch_identity(mini_index):
 def test_single_edit_locality(mini_index):
     patch = Patch(edits=(PatchEdit("src/Estimator.java", "getRms",
                                    estimator_method("getRms", fixed=True)),))
-    ws = apply_patch(PROJECT, patch, mini_index)
+    ws = apply_patch(Workspace(PROJECT, mini_index), patch)
     changed = []
     for p in PROJECT.rglob("*"):
         if p.is_file():
@@ -51,13 +51,16 @@ def test_single_edit_locality(mini_index):
     assert after.splitlines()[3].endswith("problem.getUnboundParameters();")
 
 
-def test_unresolvable_method_errors(mini_index):
+def test_unresolvable_method_errors(mini_index, tmp_tempdir):
+    workspace = Workspace(PROJECT, mini_index)
     missing = Patch(edits=(PatchEdit("src/Estimator.java", "vanished", "x"),))
     with pytest.raises(PatchApplicationError):
-        apply_patch(PROJECT, missing, mini_index)
+        apply_patch(workspace, missing)
     unknown_file = Patch(edits=(PatchEdit("src/Nope.java", "f", "x"),))
     with pytest.raises(PatchApplicationError):
-        apply_patch(PROJECT, unknown_file, mini_index)
+        apply_patch(workspace, unknown_file)
+    assert workspace.path is None
+    assert list(tmp_tempdir.glob("repair-ws-*")) == []
 
 
 @pytest.mark.usefixtures("tmp_tempdir")
@@ -69,7 +72,7 @@ def test_own_body_patch_is_identity_across_form_feed(tmp_path):
     index = index_source(project, ["*.java"])
     ref = index.methods_named("F.java", "f")[0]
     patch = Patch(edits=(PatchEdit("F.java", "f", index.method_body(ref)),))
-    ws = apply_patch(project, patch, index)
+    ws = apply_patch(Workspace(project, index), patch)
     assert (ws / "F.java").read_text(encoding="utf-8") == text
 
 
@@ -125,8 +128,121 @@ def test_file_changed_since_indexing_is_rejected(tmp_path, change):
                                    "  int f() {\n    return 2;\n  }"),))
     with pytest.raises(PatchApplicationError,
                        match="file changed since indexing: F.java"):
-        apply_patch(project, patch, index)
+        apply_patch(Workspace(project, index), patch)
     assert list(tmp_path.glob("repair-ws-*")) == []
+
+
+
+# Two indexed files, one with CRLF line ends, and one file outside the index.
+SOURCES = {
+    "A.java": b"class A {\n  int f() {\n    return 1;\n  }\n  int g() {\n"
+              b"    return 2;\n  }\n}\n",
+    "B.java": b"class B {\r\n  int h() {\r\n    return 3;\r\n  }\r\n}\r\n",
+    "notes.txt": b"not indexed\n",
+}
+EDITS = [
+    PatchEdit("A.java", "f", "  int f() {\n    return 10;\n  }"),
+    PatchEdit("A.java", "g", "  int g() {\n    return 20;\n  }"),
+    PatchEdit("B.java", "h", "  int h() {\n    return 30;\n  }"),
+    PatchEdit("B.java", "h", "  int h() {\n    return 3;\n  }"),  # its own text
+]
+
+
+@pytest.fixture(scope="module")
+def two_files(tmp_path_factory):
+    project = tmp_path_factory.mktemp("two-files")
+    for rel, data in SOURCES.items():
+        (project / rel).write_bytes(data)
+    return project, index_source(project, ["*.java"])
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sets(st.integers(0, len(EDITS) - 1)), min_size=1,
+                max_size=6))
+def test_successive_patches_match_a_fresh_copy(two_files, tmp_tempdir,
+                                               patches):
+    """After every patch of any sequence, the one workspace holds byte for
+    byte what a fresh copy with that patch applied holds: files the
+    previous patch edited and this one does not get the project's bytes
+    back, CRLF line ends included."""
+    project, index = two_files
+    workspace = Workspace(project, index)
+    try:
+        for chosen in patches:
+            patch = Patch(edits=tuple(EDITS[i] for i in sorted(chosen)))
+            assert tree_bytes(apply_patch(workspace, patch)) == \
+                fresh_copy(project, patch, index)
+    finally:
+        workspace.remove()
+    assert list(tmp_tempdir.glob("repair-ws-*")) == []
+
+
+def test_written_and_restored_files_get_strictly_later_mtimes(
+        two_files, tmp_tempdir, monkeypatch):
+    """Each write or restore of a file sets an mtime past the one it had,
+    even when the clock stands still, and an untouched file keeps the
+    project's."""
+    project, index = two_files
+    now = time.time_ns() + 3600 * 10**9
+    monkeypatch.setattr(time, "time_ns", lambda: now)
+    workspace = Workspace(project, index)
+    mtimes = []
+    for patch in [Patch(edits=(EDITS[0],)), Patch(edits=(EDITS[1],)),
+                  Patch(edits=())]:
+        ws = apply_patch(workspace, patch)
+        mtimes.append((ws / "A.java").stat().st_mtime_ns)
+    assert mtimes == [now, now + 1, now + 2]
+    assert (ws / "B.java").stat().st_mtime_ns == \
+        (project / "B.java").stat().st_mtime_ns
+
+
+@pytest.mark.parametrize("touch", ["rewrite", "mtime", "delete"])
+def test_indexed_file_touched_in_the_workspace_gives_a_fresh_copy(
+        two_files, tmp_tempdir, caplog, touch):
+    """A harness that changes an indexed file (its content, its mtime
+    alone, or its presence) gets a fresh copy with a warning; a file
+    outside the index that it leaves stays without one."""
+    project, index = two_files
+    workspace = Workspace(project, index)
+    first = apply_patch(workspace, Patch(edits=(EDITS[0],)))
+    (first / "build.out").write_text("incremental state")
+    patch = Patch(edits=(EDITS[2],))
+    assert apply_patch(workspace, patch) == first
+    assert "copying the project afresh" not in caplog.text
+    b = first / "B.java"
+    if touch == "rewrite":
+        b.write_text("class B {}\n")
+    elif touch == "mtime":
+        os.utime(b, ns=(0, 0))
+    else:
+        b.unlink()
+    ws = apply_patch(workspace, patch)
+    assert "copying the project afresh" in caplog.text
+    assert ws != first and not first.exists()
+    assert tree_bytes(ws) == fresh_copy(project, patch, index)
+    workspace.remove()
+    assert list(tmp_tempdir.glob("repair-ws-*")) == []
+
+
+def test_file_changed_since_indexing_leaves_the_workspace_as_it_was(
+        tmp_tempdir):
+    """A patch rejected after earlier validations writes nothing: the
+    workspace keeps the previous patch's tree."""
+    project = tmp_tempdir / "project"
+    project.mkdir()
+    for rel, data in SOURCES.items():
+        (project / rel).write_bytes(data)
+    index = index_source(project, ["*.java"])
+    workspace = Workspace(project, index)
+    ws = apply_patch(workspace, Patch(edits=(EDITS[0],)))
+    before = tree_bytes(ws)
+    (project / "B.java").write_text("class B {}\n")
+    with pytest.raises(PatchApplicationError,
+                       match="file changed since indexing: B.java"):
+        apply_patch(workspace, Patch(edits=(EDITS[2],)))
+    assert workspace.path == ws and tree_bytes(ws) == before
+    workspace.remove()
 
 
 def harness_writing(tmp_path, records, sleep=0.0):
