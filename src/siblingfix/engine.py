@@ -55,10 +55,12 @@ class RepairConfig:
     def __post_init__(self):
         for f in fields(self):  # each value has its default's type
             check_type(f.name, getattr(self, f.name), type(f.default))
-        if min(self.k, self.attempts) < 1 or self.ingredients < 0:
-            raise ValueError("k and attempts must be >= 1, ingredients >= 0")
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
+        if min(self.k, self.attempts, self.cap, self.token_budget,
+               self.max_tokens) < 1 or self.ingredients < 0:
+            raise ValueError("k, attempts, cap, token_budget and max_tokens "
+                             "must be >= 1, ingredients >= 0")
+        if min(self.budget, self.test_timeout) <= 0:
+            raise ValueError("budget and test_timeout must be positive")
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError("theta must be in [-1, 1]")
         if not 0.0 <= self.alpha <= 1.0:

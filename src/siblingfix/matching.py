@@ -170,9 +170,9 @@ def scope_contexts(scope: list[Statement]) -> list[StatementContext]:
 def statement_contexts(index: SourceIndex, statements: list[Statement]
                        ) -> list[StatementContext]:
     """Context of each statement, in order, with one `scope_contexts` pass
-    per scope. A statement's scope is its enclosing method's statements, or
-    its file's when no method encloses it. A statement its scope does not
-    hold (one that runs past the end of its method) is placed after it."""
+    per scope. A statement's scope is the statements of its owner: the
+    innermost method at its start line, or else its file (see
+    `SourceFile.scopes`)."""
     by_scope: dict[tuple, list[int]] = {}
     for i, s in enumerate(statements):
         method = index.enclosing_method(s.file, s.start_line)
@@ -180,14 +180,11 @@ def statement_contexts(index: SourceIndex, statements: list[Statement]
     out: list[StatementContext | None] = [None] * len(statements)
     for (file, method), members in by_scope.items():
         scope = (index.statements_in_method(method) if method is not None
-                 else index.files[file].statements)
+                 else index.files[file].scopes[None])
         position = {id(s): p for p, s in enumerate(scope)}
         contexts = scope_contexts(scope)
         for i in members:
-            stmt = statements[i]
-            pos = position.get(id(stmt))
-            out[i] = (contexts[pos] if pos is not None
-                      else scope_contexts(scope + [stmt])[-1])
+            out[i] = contexts[position[id(statements[i])]]
     return out
 
 

@@ -79,8 +79,8 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
                 and all(isinstance(p, str) for p in include)):
             raise ValueError("include must be a list of glob strings")
         for pattern in include:
-            path = Path(pattern)
-            if not pattern or path.is_absolute() or ".." in path.parts:
+            glob_path = Path(pattern)
+            if not pattern or glob_path.is_absolute() or ".." in glob_path.parts:
                 raise ValueError(f"include pattern must be a non-empty path "
                                  f"inside the project: {pattern!r}")
         coverage = _resolve(base, data["coverage"])
@@ -161,16 +161,19 @@ def make_provider(spec: dict):
     raise DescriptorError(f"unknown provider type: {kind!r}")
 
 
-# Diff lines end at "\n" only, as the index counts them.
+# Diff lines end at "\n", as the index counts them; a CRLF line keeps its "\r".
 _LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
 def patch_to_diff(patch: Patch, index: SourceIndex) -> str:
-    """Unified diff of the patch against the indexed project text."""
+    """Unified diff of the patch against the indexed project text, with
+    each file's own line ending."""
     chunks = []
     for rel, after in sorted(patched_texts(patch, index).items()):
+        sf = index.files[rel]
         diff = difflib.unified_diff(
-            _LINE_RE.findall(index.files[rel].text), _LINE_RE.findall(after),
+            _LINE_RE.findall(sf.with_newline(sf.text)),
+            _LINE_RE.findall(sf.with_newline(after)),
             fromfile=f"a/{rel}", tofile=f"b/{rel}")
         chunks.append("".join(diff))
     return "".join(chunks)

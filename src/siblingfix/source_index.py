@@ -100,6 +100,11 @@ class SourceFile:
     statements: list[Statement]
     methods: list[MethodRef]
     classes: list[ClassRef]
+    newline: str = "\n"  # "\r\n" for a CRLF file; `text` has "\n" either way
+
+    def with_newline(self, text: str) -> str:
+        """`text`, a text of this file with LF line ends, given the file's own."""
+        return text if self.newline == "\n" else text.replace("\n", self.newline)
 
     # Lookup tables, built on first use and kept out of the dataclass fields
     # so equality still compares only what was indexed.
@@ -118,9 +123,13 @@ class SourceFile:
                              lambda m: (m.span_length, m.body_start))
 
     @cached_property
-    def statement_starts(self) -> list[int]:
-        """Start line of each statement; statements are in text order."""
-        return [s.start_line for s in self.statements]
+    def scopes(self) -> dict[MethodRef | None, list[Statement]]:
+        """Each owner's statements in text order. A statement's owner is the
+        method `method_by_line` gives at its start line, or None."""
+        scopes: dict[MethodRef | None, list[Statement]] = {}
+        for s in self.statements:
+            scopes.setdefault(_at(self.method_by_line, s.start_line), []).append(s)
+        return scopes
 
 
 @dataclass
@@ -151,10 +160,8 @@ class SourceIndex:
         return [c for sf in self.files.values() for c in sf.classes if c.name == name]
 
     def statements_in_method(self, ref: MethodRef) -> list[Statement]:
-        sf = self.files[ref.file]
-        lo = bisect_left(sf.statement_starts, ref.body_start)
-        hi = bisect_right(sf.statement_starts, ref.body_end, lo)
-        return [s for s in sf.statements[lo:hi] if s.end_line <= ref.body_end]
+        """The statements the method owns: the owner table's own list."""
+        return self.files[ref.file].scopes.get(ref, [])
 
 
 def _best_by_line(items, span, key) -> list:
@@ -428,7 +435,10 @@ def _collect_fields(sf: SourceFile, class_by_line: list) -> None:
 
 def _index_file(root: Path, rel: str) -> SourceFile | None:
     try:
-        text = (root / rel).read_text(encoding="utf-8")
+        with open(root / rel, encoding="utf-8") as fh:
+            text = fh.read()
+            # A file whose lines all end in CRLF keeps it when written back.
+            newline = "\r\n" if fh.newlines == "\r\n" else "\n"
     except OSError as exc:
         logger.warning("unreadable file skipped: %s: %s", rel, exc)
         return None
@@ -436,7 +446,8 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
     masked, literals = _mask(text)
     if masked.count("{") != masked.count("}"):
         logger.warning("unbalanced braces, indexed line-wise: %s", rel)
-        return SourceFile(text, digest, _linewise_statements(rel, text), [], [])
+        return SourceFile(text, digest, _linewise_statements(rel, text), [], [],
+                          newline)
     starts = _line_starts(text)
     pairs = _bracket_pairs(masked)
     classes = _find_classes(rel, masked, starts, pairs)
@@ -447,7 +458,7 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
     sf = SourceFile(text, digest,
                     _segment_statements(rel, text, masked, starts, literals),
                     _find_methods(rel, text, masked, starts, pairs, class_by_line),
-                    classes)
+                    classes, newline)
     _collect_fields(sf, class_by_line)
     return sf
 

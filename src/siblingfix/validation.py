@@ -197,7 +197,7 @@ def apply_patch(workspace: Workspace, patch: Patch) -> Path:
     for rel in workspace.edited - texts.keys():
         workspace.write(rel, (workspace.project_root / rel).read_bytes())
     for rel, text in texts.items():
-        workspace.write(rel, text.encode())
+        workspace.write(rel, index.files[rel].with_newline(text).encode())
     workspace.edited = set(texts)
     return workspace.path
 

@@ -61,7 +61,7 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 def fresh_copy(project: Path, patch, index) -> dict[str, bytes]:
     """What a fresh copy of `project` with `patch` applied holds."""
     tree = tree_bytes(project)
-    tree.update((rel, text.encode())
+    tree.update((rel, index.files[rel].with_newline(text).encode())
                 for rel, text in patched_texts(patch, index).items())
     return tree
 

@@ -85,6 +85,12 @@ def test_config_validation():
         RepairConfig(budget=0)
     with pytest.raises(ValueError):
         RepairConfig(alpha=7)
+    # `cap: -1` would drop the last suspicious location, and a zero test
+    # timeout would turn every validation into a timeout.
+    for bad in [{"cap": 0}, {"cap": -1}, {"token_budget": 0}, {"max_tokens": 0},
+                {"max_tokens": -5}, {"test_timeout": 0}, {"test_timeout": -1.5}]:
+        with pytest.raises(ValueError):
+            RepairConfig(**bad)
 
 
 def test_early_exit_after_first_plausible(mini_index, mini_coverage):

@@ -564,15 +564,13 @@ def _assigns_uncached(stmt, name):
 def _ref_extract_context(index, target):
     """extract_context as it was: for each variable the target uses, a
     backward scan of its scope for the nearest statement assigning it."""
+    sf = index.files[target.file]
     method = index.enclosing_method(target.file, target.start_line)
-    if method is not None:
-        scope = index.statements_in_method(method)
-    else:
-        scope = list(index.files[target.file].statements)
-    try:
-        pos = scope.index(target)
-    except ValueError:
-        pos = len(scope)
+    # A statement belongs to the innermost method at its start line, or to
+    # its file's statements that no method owns.
+    scope = [s for s in sf.statements
+             if index.enclosing_method(s.file, s.start_line) is method]
+    pos = scope.index(target)
     preceding = scope[:pos]
     variables = [i.name for i in identifiers_in(target) if i.kind == "variable"]
     chosen = []
@@ -699,18 +697,57 @@ def test_equal_statements_on_one_line_are_told_apart(tmp_path):
 
 
 def test_statement_past_its_method_end_keeps_its_own_text(tmp_path):
-    """A statement that starts in a one-line method and ends after it is
-    not among the method's statements; it follows them in its context.
-    The per-variable scan left the target out of its own context."""
+    """A statement that starts in a one-line method and ends after it
+    belongs to that method, the innermost one at its start line, and is
+    the last of the method's statements."""
     index = make_index(tmp_path, "class P {\n  void h() { a = 0; } int z\n"
                                  "      = a;\n}\n", "P.java")
     target = index.statement_at("P.java", 3)
     assert target.text == "int z\n      = a;"
     scope = index.statements_in_method(index.enclosing_method("P.java", 2))
-    assert target not in scope
-    assign = scope[-1]
+    assert target in scope
+    assign = scope[-2]
     assert extract_context(index, target).context == (assign, target)
-    assert _ref_extract_context(index, target).context == (assign,)
+    assert _ref_extract_context(index, target).context == (assign, target)
+
+
+def test_nested_method_locals_stay_out_of_the_outer_context(tmp_path):
+    """A local of an anonymous class's method is not a definition that
+    reaches a later statement of the method around it."""
+    index = make_index(tmp_path, (
+        "class A {\n"
+        "  int f(int n) {\n"
+        "    int x = n;\n"
+        "    Runnable r = new Runnable() {\n"
+        "      public void run() { int x = 7; use(x); }\n"
+        "    };\n"
+        "    return x + 1;\n"
+        "  }\n"
+        "}\n"), "A.java")
+    target = index.statement_at("A.java", 7)
+    assert target.text == "return x + 1;"
+    assert [s.text for s in extract_context(index, target).context] == [
+        "int x = n;", "return x + 1;"]
+    inner = index.statements_in_method(index.enclosing_method("A.java", 5))[-1]
+    assert inner.text == "use(x);"
+    assert [s.text for s in extract_context(index, inner).context] == [
+        "int x = 7;", "use(x);"]
+
+
+def test_class_level_statement_context_skips_method_locals(tmp_path):
+    """A field initializer's scope is its file's statements outside every
+    method, so a method's local of the same name does not reach it."""
+    index = make_index(tmp_path, (
+        "class A {\n"
+        "  int base = 3;\n"
+        "  void f() {\n"
+        "    int base = 9;\n"
+        "  }\n"
+        "  int scaled = base * 2;\n"
+        "}\n"), "A.java")
+    target = index.statement_at("A.java", 6)
+    assert [s.text for s in extract_context(index, target).context] == [
+        "int base = 3;", "int scaled = base * 2;"]
 
 
 def test_extract_context_over_600_distinct_locals(tmp_path):

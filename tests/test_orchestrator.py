@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,7 @@ from siblingfix.orchestrator import (DescriptorError, load_descriptor,
                                      make_backend, make_provider, patch_to_diff,
                                      run)
 from siblingfix.source_index import index_source
+from siblingfix.validation import Workspace, apply_patch
 
 
 def test_load_descriptor_defaults():
@@ -61,8 +63,11 @@ def test_missing_coverage_is_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [{"theta": 1.5}, {"alpha": 7},
-                                 {"temperature": -0.5}],
-                         ids=["theta", "alpha", "temperature"])
+                                 {"temperature": -0.5}, {"cap": 0},
+                                 {"token_budget": 0}, {"max_tokens": 0},
+                                 {"test_timeout": 0}],
+                         ids=["theta", "alpha", "temperature", "cap",
+                              "token-budget", "max-tokens", "test-timeout"])
 def test_bad_config_value_is_exit_2_before_any_harness_run(tmp_path, bad):
     data = json.loads(DESCRIPTOR.read_text())
     data["project_root"] = str(FIXTURES / "project")
@@ -78,6 +83,42 @@ def test_bad_config_value_is_exit_2_before_any_harness_run(tmp_path, bad):
     assert run_dir is None and not (tmp_path / "runs").exists()
     assert "bad config value" in report["error"]
     assert not marker.exists()
+
+
+def test_zero_harness_timeout_is_exit_2(tmp_path, capsys):
+    desc = write_descriptor(
+        tmp_path, harness={"command": "python3 harness.py", "timeout": 0})
+    code = main(["run", str(desc), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert not (tmp_path / "runs").exists()
+    assert "bad config value" in capsys.readouterr().err
+
+
+def test_crlf_file_keeps_its_line_ends(tmp_tempdir):
+    """A CRLF file is indexed with "\n" ends, written back patched with
+    CRLF throughout, and diffed against its own bytes, so the diff applies
+    to the original."""
+    original = (b"class B {\r\n  int h() {\r\n    return 3;\r\n  }\r\n"
+                b"  int k() {\r\n    return 4;\r\n  }\r\n}\r\n")
+    project = tmp_tempdir / "project"
+    project.mkdir()
+    (project / "B.java").write_bytes(original)
+    index = index_source(project, ["*.java"])
+    assert "\r" not in index.files["B.java"].text
+    patch = Patch(edits=(PatchEdit("B.java", "h",
+                                   "  int h() {\n    return 30;\n  }"),))
+    workspace = Workspace(project, index)
+    try:
+        written = (apply_patch(workspace, patch) / "B.java").read_bytes()
+    finally:
+        workspace.remove()
+    assert written == original.replace(b"return 3;", b"return 30;")
+    assert written.count(b"\n") == written.count(b"\r\n") == 8
+    lines = original.decode().splitlines(keepends=True)
+    body = re.findall(r"[^\n]*\n", patch_to_diff(patch, index))[3:]
+    assert [l for l in body if l[0] in "-+"] == [
+        "-    return 3;\r\n", "+    return 30;\r\n"]
+    assert all(l[1:] in lines for l in body if l[0] in " -")
 
 
 def test_make_backend_and_provider():

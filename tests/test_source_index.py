@@ -299,7 +299,7 @@ def _scan_enclosing_method(sf, line):
 
 def _scan_statements_in_method(sf, ref):
     return [s for s in sf.statements
-            if ref.body_start <= s.start_line and s.end_line <= ref.body_end]
+            if _scan_enclosing_method(sf, s.start_line) is ref]
 
 
 @settings(max_examples=150, deadline=None)
@@ -318,6 +318,26 @@ def test_lookup_tables_match_linear_scans(tmp_path_factory, text):
             _scan_statements_in_method(sf, ref)
     for s in sf.statements:
         assert s.masked == mask_code(s.text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FILE)
+def test_scopes_partition_statements_by_owner(tmp_path_factory, text):
+    """Each statement is in exactly one scope, that of the innermost method
+    at its start line (None if none), and each scope is in text order."""
+    tmp = tmp_path_factory.mktemp("scopes")
+    (tmp / "T.java").write_text(text, encoding="utf-8")
+    index = index_source(tmp, ["*.java"])
+    sf = index.files["T.java"]
+    order = {id(s): i for i, s in enumerate(sf.statements)}
+    owned = [s for scope in sf.scopes.values() for s in scope]
+    assert sorted(map(id, owned)) == sorted(map(id, sf.statements))
+    for owner, scope in sf.scopes.items():
+        assert [order[id(s)] for s in scope] == sorted(order[id(s)] for s in scope)
+        for s in scope:
+            assert index.enclosing_method("T.java", s.start_line) is owner
+        if owner is not None:
+            assert index.statements_in_method(owner) is scope
 
 
 def test_lookup_tables_stay_out_of_equality(tmp_path):
