@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import logging
 import re
+import signal
 import sys
+import threading
 
 from .orchestrator import run
 
@@ -23,6 +25,16 @@ def parse_duration(value: str) -> float:
     if total <= 0:
         raise argparse.ArgumentTypeError("duration must be positive")
     return total
+
+
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the main thread as an interrupt, so a run stops
+    the way Ctrl-C stops it: harness group killed, workspace removed,
+    report written, embedding cache flushed."""
+
+
+def _terminate(signum, frame):
+    raise Terminated("SIGTERM")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +72,18 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s")
     # The other options override descriptor settings; None means not given.
     overrides = {k: v for k, v in args.items() if v is not None}
-    exit_code, report, run_dir = run(descriptor, overrides, out_dir=out)
+    # Only the main thread may set a handler; elsewhere SIGTERM keeps its own.
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
+    try:
+        exit_code, report, run_dir = run(descriptor, overrides, out_dir=out)
+    except KeyboardInterrupt as exc:  # the report is written: exit 128 + N
+        signum = signal.SIGTERM if isinstance(exc, Terminated) else signal.SIGINT
+        print(f"interrupted by {signum.name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
     if run_dir is not None:
         print(f"run directory: {run_dir}")
         print(f"plausible patches: {len(report.get('plausible', []))} "

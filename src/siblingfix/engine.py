@@ -86,7 +86,7 @@ class RepairState:
     attempt_log: list[AttemptRecord] = field(default_factory=list)
     candidate_counts: dict[str, dict[str, int]] = field(default_factory=dict)
     stopped: str = "exhausted"  # plausible | budget | exhausted |
-                                # backend-error | error
+                                # backend-error | interrupted | error
     error: str | None = None
     requests: int = 0       # LLM requests sent
     prompt_chars: int = 0   # characters over all prompts sent

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .matching import MethodGroup, tfidf_similarities, tokenize
 from .source_index import ClassRef, SourceIndex, Statement, identifiers_in
@@ -35,14 +36,19 @@ def _receiver_of(stmt: Statement, member: str) -> str | None:
     return m.group(1) if m else None
 
 
-def _declared_type(index: SourceIndex, file: str, var: str) -> str | None:
-    """Type token of `var`'s declaration, searched across the file."""
+def _declared_type(index: SourceIndex, stmt: Statement, var: str) -> str | None:
+    """Type token of `var`'s declaration, searched in the statement's own
+    scope, then among its file's statements outside every method, then
+    across the file; the first match wins."""
     pattern = re.compile(rf"([A-Za-z_$][\w$]*)\s*(?:<[^>]*>)?\s*(?:\[\s*\])?\s+"
                          rf"{re.escape(var)}\s*[;=,)]")
-    for stmt in index.files[file].statements:
-        if var not in stmt.masked:  # the pattern needs `var` verbatim
+    sf = index.files[stmt.file]
+    owner = index.enclosing_method(stmt.file, stmt.start_line)
+    owners = (owner, None) if owner is not None else (None,)
+    for other in chain(*(sf.scopes.get(o, ()) for o in owners), sf.statements):
+        if var not in other.masked:  # the pattern needs `var` verbatim
             continue
-        m = pattern.search(stmt.masked)
+        m = pattern.search(other.masked)
         if m and m.group(1) not in ("return", "new"):
             return m.group(1)
     return None
@@ -102,7 +108,7 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
                 receiver = _receiver_of(stmt, ref.name)
                 resolved: list[ClassRef] = []
                 if receiver:
-                    type_token = _declared_type(index, stmt.file, receiver)
+                    type_token = _declared_type(index, stmt, receiver)
                     if type_token:
                         resolved = index.classes_by_name(type_token)
                 if not resolved:

@@ -200,8 +200,8 @@ class TokenPool:
     When the target's statement is a pool member with the same context, as
     `extract_context` makes it from the pool's index, the corpus of
     `token_match` (pool minus target, plus target) is exactly the pool, so
-    IDF, vectors and norms are the same for every such target and are
-    computed once, on first use. Any other target is ranked by a pool of
+    IDF, vectors, norms and postings are the same for every such target and
+    are computed once, on first use. Any other target is ranked by a pool of
     that corpus, built for the call.
     """
 
@@ -232,28 +232,59 @@ class TokenPool:
 
         vectors = tfidf_vectors([Counter(chain.from_iterable(map(tokens, c.context)))
                                  for c in self.contexts])
-        return vectors, [_norm(v) for v in vectors], [c.key for c in self.contexts]
+        # Postings: each term of non-zero weight to the positions of the
+        # contexts that hold it. Weights are read from the vectors, so an
+        # entry costs one pointer to an int shared by its context's entries.
+        postings: dict[str, list[int]] = {}
+        for d, v in enumerate(vectors):
+            for t, w in v.items():
+                if w:
+                    held = postings.get(t)
+                    if held is None:
+                        postings[t] = [d]
+                    else:
+                        held.append(d)
+        return (vectors, [_norm(v) for v in vectors],
+                [c.key for c in self.contexts], postings)
 
     def ranked(self, target: StatementContext, limit: int
                ) -> list[tuple[float, StatementContext]]:
-        """`token_match`'s top `limit` (similarity, context) pairs.
+        """`token_match`'s top `limit` (similarity, context) pairs: the best
+        by similarity, then (file, line), then pool order, as a stable sort
+        of every other context's `_cosine` against the target (its first
+        vector, as in `tfidf_similarities`) keeps them.
 
-        The target is scored against every other context with itself as
-        `_cosine`'s first vector, as `tfidf_similarities` scores a query.
-        `heapq.nsmallest` over (-similarity, key, position) keeps the best
-        by similarity, then (file, line), then pool order. A scan, not an
-        inverted index: a target's tokens reach most of the pool, so
-        postings would prune little and cost more to build.
+        The target's postings give each context its dot product with the
+        target, summed in another order than `_cosine`'s. Two orders of
+        summing n non-negative products differ by about 2·n·2⁻⁵³ relative,
+        far inside the 1e-9 margin, so every context of the exact top
+        `limit` has an approximate cosine of at least the `limit`-th
+        largest × (1 − 1e-9). Only those are scored by `_cosine`. A context
+        that shares no weighted term scores +0.0 exactly, so when fewer than
+        `limit` score above zero the rest come in (file, line) order.
         """
         pos = self._positions.get(target.target)
         if pos is None or self.contexts[pos].context != target.context:
             return TokenPool([c for c in self.contexts if c.target != target.target]
                              + [target]).ranked(target, limit)
-        vectors, norms, keys = self._tfidf
+        vectors, norms, keys, postings = self._tfidf
         tv, tn = vectors[pos], norms[pos]
+        dots = [0.0] * len(vectors)
+        for t, w in tv.items():
+            for d in postings.get(t, ()):
+                dots[d] += w * vectors[d][t]
+        dots[pos] = 0.0
+        hits = [d for d, dot in enumerate(dots) if dot]
+        if 0 < limit < len(hits):
+            approx = [dots[d] / (tn * norms[d]) for d in hits]
+            cut = heapq.nlargest(limit, approx)[-1] * (1 - 1e-9)
+            hits = [d for d, a in zip(hits, approx) if a >= cut]
         best = heapq.nsmallest(limit, (
-            (-_cosine(tv, tn, v, nv), key, d)
-            for d, (v, nv, key) in enumerate(zip(vectors, norms, keys)) if d != pos))
+            (-_cosine(tv, tn, vectors[d], norms[d]), keys[d], d) for d in hits))
+        if len(best) < limit:  # -0.0 as the others store -similarity
+            best += heapq.nsmallest(limit - len(best), (
+                (-0.0, keys[d], d) for d, dot in enumerate(dots)
+                if not dot and d != pos))
         return [(-neg, self.contexts[d]) for neg, _, d in best]
 
 

@@ -230,10 +230,12 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
     """Execute a repair run. Returns (exit status, report, run directory).
 
     Once the run directory exists, report.json and then the embedding cache
-    are written on every path, with `stopped: "error"` if an exception ended
-    the run. An embedding store that cannot be opened, or a harness protocol
-    error, which only the baseline lets through, is an input error (exit 2);
-    any other exception propagates."""
+    are written on every path, with `stopped: "interrupted"` if a
+    `KeyboardInterrupt` (Ctrl-C, or SIGTERM through the CLI) ended the run
+    and `stopped: "error"` if another exception did. An embedding store
+    that cannot be opened, or a harness protocol error, which only the
+    baseline lets through, is an input error (exit 2); any other exception
+    propagates."""
     try:
         desc = load_descriptor(descriptor_path, overrides)
         index = index_source(desc.project_root, desc.include)
@@ -261,7 +263,9 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
                 harness_command=desc.harness_command, config=desc.config,
                 cache=cache, run_dir=run_dir).repair_bug(suspicious, state)
         except BaseException as exc:
-            state.stopped, state.error = "error", f"{type(exc).__name__}: {exc}"
+            state.stopped = ("interrupted" if isinstance(exc, KeyboardInterrupt)
+                             else "error")
+            state.error = f"{type(exc).__name__}: {exc}"
             if not isinstance(exc, HarnessProtocolError):
                 raise
             print(f"error: {exc}", file=sys.stderr)

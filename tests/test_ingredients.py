@@ -118,8 +118,9 @@ def test_class_name_receiver_resolves_by_member_name(tmp_path):
     index = index_source(tmp_path, ["*.java"])
     # `Util` is a class name: no statement declares it, so resolution falls
     # back to the classes that declare the member `sum`.
-    assert _declared_type(index, "Calc.java", "Util") is None
-    assert _declared_type(index, "Calc.java", "y") == "int"
+    call = index.statement_at("Calc.java", 3)
+    assert _declared_type(index, call, "Util") is None
+    assert _declared_type(index, call, "y") == "int"
     out = extract_fix_ingredients(groups_for_line(index, "Calc.java", 3), index, n=5)
     assert {(i.declaring_class, i.signature_text) for i in out} == {
         ("Util", "static int sum(int a, int b)"),
@@ -169,3 +170,25 @@ def test_nested_class_field_names_its_own_class(tmp_path):
     out = extract_fix_ingredients(groups_for_line(index, "A.java", 7), index, n=0)
     assert out == [FixIngredient("field-declaration", "int b = 2;", "B",
                                  "A.java", 1.0, 4)]
+
+
+def test_receiver_type_comes_from_the_siblings_own_scope(tmp_path):
+    """A receiver declared in the sibling's own method names its class,
+    not a same-named local of another method earlier in the file; a field
+    declared outside every method comes next."""
+    (tmp_path / "Foo.java").write_text(
+        "class Foo {\n    int size;\n    void run() {\n    }\n}\n", encoding="utf-8")
+    (tmp_path / "Bar.java").write_text(
+        "class Bar {\n    int depth;\n    void run() {\n    }\n}\n", encoding="utf-8")
+    (tmp_path / "Use.java").write_text(
+        "class Use {\n    void f() {\n        Foo p = null;\n    }\n"
+        "    void g() {\n        Bar p = null;\n        p.run();\n    }\n"
+        "    void k() {\n        Foo q = null;\n    }\n"
+        "    void h() {\n        q.run();\n    }\n    Bar q = null;\n}\n",
+        encoding="utf-8")
+    index = index_source(tmp_path, ["*.java"])
+    for line in (7, 13):
+        out = extract_fix_ingredients(groups_for_line(index, "Use.java", line),
+                                      index, n=5)
+        fields = {i.signature_text for i in out if i.kind == "field-declaration"}
+        assert fields == {"int depth;"}, line

@@ -477,6 +477,104 @@ def test_token_pool_pads_with_zero_scores_in_key_order():
         assert _exact(short) == _exact(got[:limit])
 
 
+def _hexes(cands):
+    return [float.hex(c.token_similarity) for c in cands]
+
+
+def test_token_pool_ties_straddling_the_cut():
+    """Equal contexts score equal floats; where `limit` cuts a run of them,
+    the (file, line) order decides, as in the per-call sort."""
+    texts = ["alpha beta"] * 4 + ["alpha gamma"] * 5 + ["beta delta"] * 3 + \
+        ["omega"] * 2
+    pool = [ctx(t, f"f{(i * 5) % 7}.java", 1 + (i * 11) % 23)
+            for i, t in enumerate(texts)]
+    pool.append(ctx("alpha beta gamma", "t.java", 1))
+    straddled = 0
+    full = _indexed_equals_per_call(pool, pool[-1], len(pool))
+    for limit in range(1, len(pool) + 3):
+        got = _indexed_equals_per_call(pool, pool[-1], limit)
+        straddled += 0 < limit < len(full) and \
+            full[limit - 1].token_similarity == full[limit].token_similarity
+    assert straddled >= 5
+
+
+def test_token_pool_pads_fewer_positive_contexts_with_plus_zero():
+    """With fewer positive scores than `limit`, the rest are +0.0, never
+    -0.0, in (file, line) order."""
+    pool = [ctx("alpha", "b.java", 2), ctx("gamma", "a.java", 9),
+            ctx("alpha beta", "c.java", 1), ctx("delta", "a.java", 4),
+            ctx("eta", "a.java", 1), ctx("alpha beta", "t.java", 1)]
+    got = _indexed_equals_per_call(pool, pool[-1], 100)
+    assert _hexes(got)[2:] == [float.hex(0.0)] * 3 == ["0x0.0p+0"] * 3
+    assert [c.key for c in got[2:]] == [("a.java", 1), ("a.java", 4),
+                                        ("a.java", 9)]
+
+
+def test_token_pool_limit_at_or_beyond_the_pool():
+    pool = [ctx(t, "l.java", i + 1) for i, t in enumerate(
+        ["alpha beta", "beta gamma", "gamma delta", "alpha", "eta", "beta"])]
+    for target in pool:
+        for limit in (len(pool) - 1, len(pool), len(pool) + 3, 10 ** 6):
+            got = _indexed_equals_per_call(pool, target, limit)
+            assert len(got) == len(pool) - 1
+        assert _indexed_equals_per_call(pool, target, 0) == []
+
+
+def test_token_pool_target_with_no_tokens():
+    """A target with no tokens scores +0.0 against every context, which
+    come in (file, line) order."""
+    pool = [ctx("alpha beta", "b.java", 3), ctx("();", "t.java", 1),
+            ctx("gamma", "a.java", 5), ctx("beta", "a.java", 2)]
+    assert tokenize(pool[1].target.text) == []
+    for limit in (1, 2, 3, 5):
+        got = _indexed_equals_per_call(pool, pool[1], limit)
+        assert _hexes(got) == ["0x0.0p+0"] * min(limit, 3)
+        assert [c.key for c in got] == [("a.java", 2), ("a.java", 5),
+                                        ("b.java", 3)][:limit]
+
+
+def test_token_pool_target_only_of_terms_in_every_context():
+    """A target whose terms all have idf 0 has norm 0 and scores +0.0
+    against every context, while other targets still rank by their other
+    terms."""
+    texts = ["value", "value = alpha;", "value = beta;", "value(alpha, gamma);",
+             "print(value);"]
+    pool = [ctx(t, "v.java", i + 1) for i, t in enumerate(texts)]
+    for limit in (1, 3, 10):
+        got = _indexed_equals_per_call(pool, pool[0], limit)
+        assert _hexes(got) == ["0x0.0p+0"] * min(limit, 4)
+    got = _indexed_equals_per_call(pool, pool[1], 10)
+    assert [c.key[1] for c in got][:1] == [4]
+    assert _hexes(got)[1:] == ["0x0.0p+0"] * 3
+
+
+def test_token_pool_scores_about_limit_contexts_exactly(monkeypatch):
+    """On a pool of 2,000 contexts, a member ranking takes the exact cosine
+    of the `limit` best plus the contexts tied with the last of them, and
+    no others."""
+    import random
+    rng = random.Random(18)
+    words = [f"w{a}{b}" for a in "abcdefghijklmnop" for b in "qrstuvwxyz"]
+    pool = [ctx(" ".join(rng.choices(words, k=rng.randint(2, 9))),
+                f"g{i % 37}.java", 1 + i // 37) for i in range(2000)]
+    tokens = TokenPool(pool)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _cosine(*args)
+    for target in pool[::400]:
+        full = _per_call(target, pool, len(pool))
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(matching, "_cosine", counted)
+            got = _member_ranking(tokens, target, 10)
+        assert _exact(got) == full[:10]
+        kth = full[9][1]
+        ties = sum(hexed == kth for _, hexed, _ in full[10:])
+        assert 10 <= len(calls) <= 10 + ties
+
+
 def _left_sum(values):
     """Floats added left to right, as `sum` adds them before CPython 3.12."""
     total = 0.0

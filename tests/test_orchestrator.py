@@ -1,5 +1,13 @@
 import json
+import os
 import re
+import signal
+import sqlite3
+import subprocess
+import sys
+import threading
+import time
+from contextlib import closing
 
 import pytest
 
@@ -422,3 +430,76 @@ def test_report_lists_promising_patches_with_their_edits(tmp_path,
         "id": promising["patch_id"], "provenance": "generated",
         "parent_id": None, "edits": [["src/Estimator.java", "getRms"]]}]
     assert json.loads((run_dir / "report.json").read_text()) == report
+
+
+# Python ignores SIGINT when started with it ignored (as under `nohup` or
+# a background job), so the child puts back its default handler.
+_CLI_RUN = """import signal, sys
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from siblingfix.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("signum, status", [(signal.SIGTERM, 143),
+                                            (signal.SIGINT, 130)])
+def test_cli_signal_stops_the_harness_and_writes_the_report(tmp_path, signum,
+                                                            status):
+    """SIGTERM, like Ctrl-C, during an attempt's harness run kills the
+    harness's group, removes the workspace, writes report.json with
+    `stopped: "interrupted"` and keeps the embeddings computed so far."""
+    marks = tmp_path / "marks"
+    ws_tmp = tmp_path / "ws-tmp"
+    marks.mkdir()
+    ws_tmp.mkdir()
+    # The baseline runs the real harness; the first attempt's run forks a
+    # child that would write `late` a second later, then hangs.
+    desc = write_descriptor(tmp_path, harness={"command": (
+        f"if [ -e {marks}/baseline ]; then touch {marks}/hung; "
+        f"(sleep 1; touch {marks}/late) & sleep 30; "
+        f"else touch {marks}/baseline; python3 harness.py; fi"), "timeout": 60})
+    env = {**os.environ, "TMPDIR": str(ws_tmp), "PYTHONPATH": os.pathsep.join(
+        [str(FIXTURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CLI_RUN, "run", str(desc),
+         "--out", str(tmp_path / "runs")], env=env, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not (marks / "hung").exists() and proc.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert (marks / "hung").exists(), f"run exited with {proc.returncode}"
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate(timeout=30)
+    assert proc.returncode == status
+    assert f"interrupted by {signum.name}" in err.decode()
+    time.sleep(1.5)  # the signal came within the child's 1 s
+    assert not (marks / "late").exists()
+    assert list(ws_tmp.iterdir()) == []
+    [report_path] = (tmp_path / "runs").glob("*/report.json")
+    report = json.loads(report_path.read_text())
+    assert report["stopped"] == "interrupted"
+    assert report["attempt_log"] == []
+    with closing(sqlite3.connect(tmp_path / "embeddings.json")) as db:
+        assert db.execute("SELECT count(*) FROM embeddings").fetchone()[0] > 0
+
+
+def test_cli_restores_the_sigterm_handler(tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["run", str(DESCRIPTOR), "--out", str(tmp_path / "runs")]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_cli_off_the_main_thread_leaves_signals_alone(tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["run", str(DESCRIPTOR), "--out", str(tmp_path / "runs")])))
+    worker.start()
+    worker.join(timeout=60)
+    assert codes == [0]
+    assert signal.getsignal(signal.SIGTERM) is before
