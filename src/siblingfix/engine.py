@@ -166,7 +166,7 @@ class RepairEngine:
         by patch content. A run that gave no results, or malformed ones,
         leaves its log's tail in `harness/<patch id>.txt` of the run
         directory. `keep_workspaces` keeps a copy of the tree the harness
-        left."""
+        left, in a temporary directory whose name holds the patch id."""
         cached = self._validation_cache.get(patch.id)
         if cached is not None:
             return cached
@@ -178,8 +178,9 @@ class RepairEngine:
             raise
         finally:
             if self.config.keep_workspaces:
-                shutil.copytree(workspace, tempfile.mkdtemp(prefix="repair-ws-"),
-                                dirs_exist_ok=True)
+                kept = tempfile.mkdtemp(prefix=f"repair-ws-{patch.id}-")
+                shutil.copytree(workspace, kept, dirs_exist_ok=True)
+                logger.info("kept the workspace of patch %s: %s", patch.id, kept)
         self._save_log_tail(patch, report.log_tail)
         self._validation_cache[patch.id] = report
         return report

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from itertools import chain
 
 from .matching import MethodGroup, tfidf_similarities, tokenize
-from .source_index import ClassRef, SourceIndex, Statement, identifiers_in
+from .source_index import (ClassRef, FieldDecl, MethodRef, SourceIndex,
+                           Statement, identifiers_in)
 
 logger = logging.getLogger(__name__)
 
@@ -54,25 +55,14 @@ def _declared_type(index: SourceIndex, stmt: Statement, var: str) -> str | None:
     return None
 
 
-def _classes_declaring(index: SourceIndex, member: str) -> list[ClassRef]:
-    out = []
-    for sf in index.files.values():
-        for cls in sf.classes:
-            if any(m.name == member for m in cls.methods) or \
-                    any(f.name == member for f in cls.fields):
-                out.append(cls)
-    return out
-
-
-def _class_declarations(cls: ClassRef) -> list[FixIngredient]:
-    decls = []
-    for m in cls.methods:
-        decls.append(FixIngredient("method-declaration", m.signature_text,
-                                   cls.name, cls.file, 0.0, m.signature_line))
-    for f in cls.fields:
-        decls.append(FixIngredient("field-declaration", f.text,
-                                   cls.name, cls.file, 0.0, f.line))
-    return decls
+def _ingredient(cls: ClassRef | None, decl: MethodRef | FieldDecl,
+                score: float) -> FixIngredient:
+    if isinstance(decl, MethodRef):
+        return FixIngredient("method-declaration", decl.signature_text,
+                             cls.name if cls else "", decl.file, score,
+                             decl.signature_line)
+    return FixIngredient("field-declaration", decl.text, cls.name, cls.file,
+                         score, decl.line)
 
 
 def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
@@ -91,19 +81,11 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
             classes: dict[tuple[str, int, str], ClassRef] = {}
             for ref in refs:
                 # Directly referenced elements are themselves ingredients.
-                if ref.kind == "call":
-                    for m in index.all_methods_named(ref.name):
-                        add(FixIngredient(
-                            "method-declaration", m.signature_text,
-                            m.class_name or "", m.file, 1.0, m.signature_line))
-                else:
-                    for sf in index.files.values():
-                        for cls in sf.classes:
-                            for f in cls.fields:
-                                if f.name == ref.name:
-                                    add(FixIngredient(
-                                        "field-declaration", f.text, cls.name,
-                                        cls.file, 1.0, f.line))
+                entries = index.declarations.get(ref.name, [])
+                kind = MethodRef if ref.kind == "call" else FieldDecl
+                for cls, decl in entries:
+                    if isinstance(decl, kind):
+                        add(_ingredient(cls, decl, 1.0))
                 # Resolve declaring classes: receiver type first, then name.
                 receiver = _receiver_of(stmt, ref.name)
                 resolved: list[ClassRef] = []
@@ -112,7 +94,7 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
                     if type_token:
                         resolved = index.classes_by_name(type_token)
                 if not resolved:
-                    resolved = _classes_declaring(index, ref.name)
+                    resolved = [cls for cls, _ in entries if cls is not None]
                 if not resolved:
                     logger.debug("unresolvable reference %s at %s:%d",
                                  ref.name, stmt.file, stmt.start_line)
@@ -120,9 +102,9 @@ def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
                     classes[cls.file, cls.body_start, cls.name] = cls
             if n == 0 or not classes:
                 continue
-            decls = []
-            for key in sorted(classes):
-                decls.extend(_class_declarations(classes[key]))
+            decls = [_ingredient(cls, d, 0.0)
+                     for cls in map(classes.get, sorted(classes))
+                     for d in chain(cls.methods, cls.fields)]
             sims = tfidf_similarities(tokenize(stmt.text),
                                       [tokenize(d.signature_text) for d in decls])
             ranked = sorted(zip(sims, decls),

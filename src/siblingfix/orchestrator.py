@@ -12,11 +12,13 @@ import dataclasses
 import difflib
 import json
 import re
+import signal
 import sqlite3
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 from .checks import check_type
@@ -181,13 +183,12 @@ def patch_to_diff(patch: Patch, index: SourceIndex) -> str:
 
 def _make_run_dir(out_dir: Path) -> Path:
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    run_dir = out_dir / stamp
-    n = 1
-    while run_dir.exists():
-        run_dir = out_dir / f"{stamp}-{n}"
-        n += 1
-    run_dir.mkdir(parents=True)
-    return run_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for n in count():
+        run_dir = out_dir / (f"{stamp}-{n}" if n else stamp)
+        with suppress(FileExistsError):
+            run_dir.mkdir()
+            return run_dir
 
 
 def _suspicious_list(desc: ProjectDescriptor, coverage) -> list[SuspiciousLocation]:
@@ -271,16 +272,22 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
             print(f"error: {exc}", file=sys.stderr)
         finally:
             elapsed = time.monotonic() - start
-            diffs = [patch_to_diff(p, index) for p in state.plausible]
-            patches_dir = run_dir / "patches"
-            patches_dir.mkdir(exist_ok=True)
-            for i, diff in enumerate(diffs, 1):
-                (patches_dir / f"plausible_{i}.diff").write_text(
-                    diff, encoding="utf-8")
-            report = build_report(desc, suspicious, state, diffs, elapsed)
-            (run_dir / "report.json").write_text(
-                json.dumps(report, indent=2) + "\n", encoding="utf-8")
-            cache.flush()
+            # A SIGINT or SIGTERM arriving now is held until the writes end.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                          {signal.SIGINT, signal.SIGTERM})
+            try:
+                diffs = [patch_to_diff(p, index) for p in state.plausible]
+                patches_dir = run_dir / "patches"
+                patches_dir.mkdir(exist_ok=True)
+                for i, diff in enumerate(diffs, 1):
+                    (patches_dir / f"plausible_{i}.diff").write_text(
+                        diff, encoding="utf-8")
+                report = build_report(desc, suspicious, state, diffs, elapsed)
+                (run_dir / "report.json").write_text(
+                    json.dumps(report, indent=2) + "\n", encoding="utf-8")
+                cache.flush()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     exit_code = 0 if state.plausible else {"backend-error": 3,
                                             "error": 2}.get(state.stopped, 1)
     return exit_code, report, run_dir

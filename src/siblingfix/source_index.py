@@ -68,7 +68,6 @@ class MethodRef:
     signature_line: int
     body_start: int
     body_end: int
-    class_name: str | None
     signature_text: str
 
     @property
@@ -153,15 +152,28 @@ class SourceIndex:
     def methods_named(self, path: str, name: str) -> list[MethodRef]:
         return [m for m in self.files[path].methods if m.name == name]
 
-    def all_methods_named(self, name: str) -> list[MethodRef]:
-        return [m for sf in self.files.values() for m in sf.methods if m.name == name]
-
     def classes_by_name(self, name: str) -> list[ClassRef]:
         return [c for sf in self.files.values() for c in sf.classes if c.name == name]
 
     def statements_in_method(self, ref: MethodRef) -> list[Statement]:
         """The statements the method owns: the owner table's own list."""
         return self.files[ref.file].scopes.get(ref, [])
+
+    @cached_property
+    def declarations(self) -> dict[str, list[tuple[ClassRef | None,
+                                                   MethodRef | FieldDecl]]]:
+        """Per member name, each declaration of it with the class that owns
+        it (None for a method outside every class), in file order: a file's
+        `methods`, then its classes' `fields`. Built on first use."""
+        table: dict[str, list] = {}
+        for sf in self.files.values():
+            owner = {m: c for c in sf.classes for m in c.methods}
+            for m in sf.methods:
+                table.setdefault(m.name, []).append((owner.get(m), m))
+            for c in sf.classes:
+                for f in c.fields:
+                    table.setdefault(f.name, []).append((c, f))
+        return table
 
 
 def _best_by_line(items, span, key) -> list:
@@ -403,15 +415,12 @@ def _find_methods(path: str, text: str, masked: str, starts: list[int],
         body_end = _line_of(close, starts)
         brace_line = _line_of(brace, starts)
         body_start = min(sig_line, brace_line)
-        cls = _at(class_by_line, sig_line)
-        sig_text = _signature_text(text, start, close_paren)
         ref = MethodRef(
             file=path, name=name, signature_line=sig_line,
             body_start=body_start, body_end=body_end,
-            class_name=cls.name if cls else None,
-            signature_text=sig_text,
-        )
+            signature_text=_signature_text(text, start, close_paren))
         methods.append(ref)
+        cls = _at(class_by_line, sig_line)
         if cls:
             cls.methods.append(ref)
     return methods

@@ -2,8 +2,9 @@
 
 `FILE` builds whole files: nested and inner classes, one-line methods,
 several statements or methods on one line, multi-line statements, string
-and comment lookalikes, text blocks, anonymous classes, statements outside
-any class, and files whose braces do not balance.
+and comment lookalikes, text blocks, anonymous classes, calls and field
+accesses on a receiver, statements outside any class, and files whose
+braces do not balance.
 """
 
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ STATEMENT = st.one_of(
     st.builds("/* {0}\u2028sep */ use({0});".format, VAR),      # at these; "\n" does not
     st.builds('{} = """\n  say "hi" {{ ;\n  """;'.format, VAR),  # text block
     st.builds("if ({0} > 0) {{\n use({0});\n }}".format, VAR),
+    st.builds("{0}.f1 = n.g2({0});".format, VAR),  # a field access and a call
     st.builds("Runnable r = new Runnable() {{\n public void run() {{ use({}); }}\n}};"
               .format, VAR),
 )

@@ -513,5 +513,8 @@ def test_no_workspace_is_left_behind(mini_index, mini_coverage, tmp_tempdir,
     validated = len(engine._validation_cache)
     assert validated == (2 if stop == "plausible" else 1)
     assert len(kept) == (validated if keep else 0)
+    # Each copy is named after the patch it holds, as the attempt log is.
+    assert sorted(ws.name.split("-")[2] for ws in kept) == \
+        (sorted(engine._validation_cache) if keep else [])
     assert len({(ws / "src/Estimator.java").read_bytes() for ws in kept}) == \
         len(kept)

@@ -1,9 +1,15 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
-from siblingfix.ingredients import FixIngredient, extract_fix_ingredients
-from siblingfix.matching import MethodGroup, tokenize
-from siblingfix.source_index import index_source
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from siblingfix.ingredients import (FixIngredient, _declared_type, _receiver_of,
+                                    extract_fix_ingredients)
+from siblingfix.matching import MethodGroup, tfidf_similarities, tokenize
+from siblingfix.source_index import identifiers_in, index_source
+from strategies import FILE
 
 
 def groups_for_line(index, file, line):
@@ -192,3 +198,85 @@ def test_receiver_type_comes_from_the_siblings_own_scope(tmp_path):
                                       index, n=5)
         fields = {i.signature_text for i in out if i.kind == "field-declaration"}
         assert fields == {"int depth;"}, line
+
+
+def scan_ingredients(groups, index, n):
+    """`extract_fix_ingredients` by whole-index scans: each reference visits
+    every method, class and field of the index."""
+    result = {}
+
+    def add(ing):
+        result.setdefault((ing.kind, ing.source_file, ing.line,
+                           ing.signature_text), ing)
+
+    def owner(m):
+        return next((c for c in index.files[m.file].classes
+                     if any(x is m for x in c.methods)), None)
+
+    def class_declarations(cls):
+        return ([FixIngredient("method-declaration", m.signature_text, cls.name,
+                               cls.file, 0.0, m.signature_line)
+                 for m in cls.methods]
+                + [FixIngredient("field-declaration", f.text, cls.name,
+                                 cls.file, 0.0, f.line) for f in cls.fields])
+
+    for group in groups:
+        for stmt in sorted(group.siblings, key=lambda s: s.start_line):
+            classes = {}
+            for ref in identifiers_in(stmt):
+                if ref.kind == "variable":
+                    continue
+                for sf in index.files.values():
+                    if ref.kind == "call":
+                        for m in sf.methods:
+                            if m.name == ref.name:
+                                cls = owner(m)
+                                add(FixIngredient(
+                                    "method-declaration", m.signature_text,
+                                    cls.name if cls else "", m.file, 1.0,
+                                    m.signature_line))
+                    else:
+                        for cls in sf.classes:
+                            for f in cls.fields:
+                                if f.name == ref.name:
+                                    add(FixIngredient(
+                                        "field-declaration", f.text, cls.name,
+                                        cls.file, 1.0, f.line))
+                receiver = _receiver_of(stmt, ref.name)
+                type_token = receiver and _declared_type(index, stmt, receiver)
+                resolved = index.classes_by_name(type_token) if type_token else []
+                if not resolved:
+                    resolved = [
+                        cls for sf in index.files.values() for cls in sf.classes
+                        if any(m.name == ref.name for m in cls.methods)
+                        or any(f.name == ref.name for f in cls.fields)]
+                for cls in resolved:
+                    classes[cls.file, cls.body_start, cls.name] = cls
+            if n == 0 or not classes:
+                continue
+            decls = [d for key in sorted(classes)
+                     for d in class_declarations(classes[key])]
+            sims = tfidf_similarities(tokenize(stmt.text),
+                                      [tokenize(d.signature_text) for d in decls])
+            ranked = sorted(zip(sims, decls),
+                            key=lambda p: (-p[0], p[1].source_file, p[1].line))
+            for score, decl in ranked[:n]:
+                add(replace(decl, rank_score=score))
+    return list(result.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(FILE, min_size=1, max_size=3))
+def test_declarations_table_matches_whole_index_scans(tmp_path_factory, texts):
+    """Over every scope of a multi-file project, the ingredients read from
+    the declarations table equal the scans', in the same order."""
+    tmp = tmp_path_factory.mktemp("ingredients")
+    for i, text in enumerate(texts):
+        (tmp / f"F{i}.java").write_text(text, encoding="utf-8")
+    index = index_source(tmp, ["*.java"])
+    groups = [MethodGroup(method=owner, file=rel, siblings=stmts)
+              for rel, sf in index.files.items()
+              for owner, stmts in sf.scopes.items()]
+    for n in (0, 3):
+        assert extract_fix_ingredients(groups, index, n) == \
+            scan_ingredients(groups, index, n)

@@ -152,6 +152,19 @@ def test_run_directory_artifacts(tmp_path):
     assert diff == EXPECTED_DIFF.read_bytes()
 
 
+def test_run_directory_taken_after_the_check_gets_the_next_name(tmp_path,
+                                                                monkeypatch):
+    """A run that starts in the same second as another, into the same
+    `--out`, and finds its stamp taken only when it creates it, takes the
+    next free name."""
+    monkeypatch.setattr(orchestrator.time, "strftime",
+                        lambda fmt: "20260101-000000")
+    out = tmp_path / "runs"
+    (out / "20260101-000000").mkdir(parents=True)
+    monkeypatch.setattr(orchestrator.Path, "exists", lambda self: False)
+    assert orchestrator._make_run_dir(out) == out / "20260101-000000-1"
+
+
 def test_diff_lines_end_at_newline_only(tmp_path):
     (tmp_path / "F.java").write_text(
         "class F {\n  // page\x0cbreak\n  int f() {\n    return 1;\n  }\n}\n",
@@ -503,3 +516,20 @@ def test_cli_off_the_main_thread_leaves_signals_alone(tmp_path):
     worker.join(timeout=60)
     assert codes == [0]
     assert signal.getsignal(signal.SIGTERM) is before
+
+
+def test_signal_during_the_report_write_waits_for_it(tmp_path, monkeypatch):
+    """A SIGTERM that arrives while the report is being written is held
+    until the writes end: report.json is whole, and the CLI exits 143."""
+    expected = run(DESCRIPTOR, out_dir=tmp_path / "reference")[1]
+    build_report = orchestrator.build_report
+
+    def signalled_build_report(*args):
+        os.kill(os.getpid(), signal.SIGTERM)
+        return build_report(*args)
+
+    monkeypatch.setattr(orchestrator, "build_report", signalled_build_report)
+    assert main(["run", str(DESCRIPTOR), "--out", str(tmp_path / "runs")]) == 143
+    [report_path] = (tmp_path / "runs").glob("*/report.json")
+    report = json.loads(report_path.read_text())
+    assert report["attempt_log"] == expected["attempt_log"] != []

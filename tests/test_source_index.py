@@ -112,8 +112,6 @@ def test_each_member_belongs_to_its_innermost_class(tmp_path):
     assert [(c.name, [f.name for f in c.fields], [m.name for m in c.methods])
             for c in sf.classes] == [("A", ["a"], ["f"]), ("B", ["b"], ["g"]),
                                      ("C", [], []), ("B", ["z"], ["k"])]
-    assert [(m.name, m.class_name) for m in sf.methods] == [
-        ("g", "B"), ("f", "A"), ("k", "B")]
 
 
 def test_enclosing_method_unknown_file(tmp_path):
@@ -507,7 +505,7 @@ def _ref_owner(classes, line):
     return min(enclosing, key=lambda c: c.body_end - c.body_start) if enclosing else None
 
 
-def _ref_find_methods(path, text, masked, starts, classes):
+def _ref_find_methods(path, text, masked, starts):
     methods = []
     for m in _REF_SIGNATURE_NAME_RE.finditer(masked):
         name = m.group(1)
@@ -527,11 +525,10 @@ def _ref_find_methods(path, text, masked, starts, classes):
         if close is None:
             continue
         sig_line = _ref_line_of(m.start(), starts)
-        cls = _ref_owner(classes, sig_line)
         sig_text = _signature_text(text, m.start(), close_paren)
         methods.append(MethodRef(
             path, name, sig_line, min(sig_line, _ref_line_of(brace, starts)),
-            _ref_line_of(close, starts), cls.name if cls else None, sig_text))
+            _ref_line_of(close, starts), sig_text))
     return methods
 
 
@@ -558,7 +555,7 @@ def _ref_index_file(rel, text):
     starts = _ref_line_starts(text)
     statements = _ref_segment_statements(rel, text, masked, literals, starts)
     classes = _ref_find_classes(rel, masked, starts)
-    methods = _ref_find_methods(rel, text, masked, starts, classes)
+    methods = _ref_find_methods(rel, text, masked, starts)
     # Each method and field belongs to the innermost class holding its line.
     for cls in classes:
         cls.methods = [m for m in methods if _ref_owner(classes, m.signature_line) is cls]
