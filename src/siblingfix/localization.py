@@ -55,11 +55,11 @@ def load_coverage(path: str | Path) -> CoverageMatrix:
     """Parse the JSON-lines coverage protocol.
 
     Records: {"type": "test", "id": ..., "outcome": "pass"|"fail"} and
-    {"type": "cover", "test": ..., "file": <str>, "line": <int>}.
+    {"type": "cover", "test": ..., "file": <str>, "line": <int>}. A test
+    may be declared again only with the same outcome.
     """
     path = Path(path)
-    tests: list[tuple[str, str]] = []
-    ids: set[str] = set()
+    outcomes: dict[str, str] = {}
     covered: dict[str, set[Location]] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not raw.strip():
@@ -71,13 +71,13 @@ def load_coverage(path: str | Path) -> CoverageMatrix:
                 tid, outcome = rec["id"], rec["outcome"]
                 if outcome not in ("pass", "fail"):
                     raise ValueError(f"bad outcome {outcome!r}")
-                if tid not in ids:
-                    ids.add(tid)
-                    tests.append((tid, outcome))
-                    covered[tid] = set()
+                if outcomes.setdefault(tid, outcome) != outcome:
+                    raise ValueError(f"test {tid!r} declared {outcome!r} "
+                                     f"after {outcomes[tid]!r}")
+                covered.setdefault(tid, set())
             elif kind == "cover":
                 tid = rec["test"]
-                if tid not in ids:
+                if tid not in outcomes:
                     raise ValueError(f"coverage for undeclared test {tid!r}")
                 covered[tid].add((check_type("file", rec["file"], str),
                                   check_type("line", rec["line"], int)))
@@ -85,7 +85,7 @@ def load_coverage(path: str | Path) -> CoverageMatrix:
                 raise ValueError(f"unknown record type {kind!r}")
         except (KeyError, ValueError, TypeError) as exc:
             raise CoverageError(f"{path}:{lineno}: malformed record: {exc}") from exc
-    matrix = CoverageMatrix(tests=tests, covered=covered)
+    matrix = CoverageMatrix(tests=list(outcomes.items()), covered=covered)
     if not matrix.failing:
         raise CoverageError(f"{path}: zero failing tests, nothing to repair")
     return matrix

@@ -74,18 +74,18 @@ def float_sum(values) -> float:
 
 
 def _norm(v: dict[str, float]) -> float:
+    """Correctly rounded by `math.fsum`, so a vector's terms may come in any
+    order: token-identical contexts get the same norm."""
     values = v.values()
-    return math.sqrt(float_sum(map(mul, values, values)))
+    return math.sqrt(math.fsum(map(mul, values, values)))
 
 
 def _cosine(a: dict[str, float], na: float, b: dict[str, float],
             nb: float) -> float:
-    """Cosine from precomputed norms. The dot product walks the smaller
-    vector, and `a` when both have the same length, so swapping equal-length
-    arguments may change the last bits: `tfidf_similarities` and
+    """Cosine from precomputed norms. The dot product adds the products in
+    the query `a`'s term order, whatever `b`'s order, so contexts with the
+    same terms get the same float; `tfidf_similarities` and
     `TokenPool.ranked` both pass the query as `a`."""
-    if len(b) < len(a):
-        a, b = b, a
     dot = float_sum(map(mul, a.values(), map(b.get, a, repeat(0.0))))
     if na == 0.0 or nb == 0.0:
         return 0.0
@@ -255,13 +255,10 @@ class TokenPool:
         vector, as in `tfidf_similarities`) keeps them.
 
         The target's postings give each context its dot product with the
-        target, summed in another order than `_cosine`'s. Two orders of
-        summing n non-negative products differ by about 2·n·2⁻⁵³ relative,
-        far inside the 1e-9 margin, so every context of the exact top
-        `limit` has an approximate cosine of at least the `limit`-th
-        largest × (1 − 1e-9). Only those are scored by `_cosine`. A context
-        that shares no weighted term scores +0.0 exactly, so when fewer than
-        `limit` score above zero the rest come in (file, line) order.
+        target exactly as `_cosine` sums it: the same non-zero products in
+        the target's term order. A zero product, which `_cosine` skips,
+        adds +0.0 to a non-negative total and changes no bit. A context
+        that shares no weighted term scores +0.0.
         """
         pos = self._positions.get(target.target)
         if pos is None or self.contexts[pos].context != target.context:
@@ -273,18 +270,10 @@ class TokenPool:
         for t, w in tv.items():
             for d in postings.get(t, ()):
                 dots[d] += w * vectors[d][t]
-        dots[pos] = 0.0
-        hits = [d for d, dot in enumerate(dots) if dot]
-        if 0 < limit < len(hits):
-            approx = [dots[d] / (tn * norms[d]) for d in hits]
-            cut = heapq.nlargest(limit, approx)[-1] * (1 - 1e-9)
-            hits = [d for d, a in zip(hits, approx) if a >= cut]
+        # The heap holds -similarity, so a zero dot stores -0.0 to give +0.0.
         best = heapq.nsmallest(limit, (
-            (-_cosine(tv, tn, vectors[d], norms[d]), keys[d], d) for d in hits))
-        if len(best) < limit:  # -0.0 as the others store -similarity
-            best += heapq.nsmallest(limit - len(best), (
-                (-0.0, keys[d], d) for d, dot in enumerate(dots)
-                if not dot and d != pos))
+            (-dot / (tn * norms[d]) if dot else -0.0, keys[d], d)
+            for d, dot in enumerate(dots) if d != pos))
         return [(-neg, self.contexts[d]) for neg, _, d in best]
 
 

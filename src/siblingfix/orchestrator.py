@@ -113,6 +113,8 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
         spfl_location = _location(data["spfl"]) if mode == "spfl" else None
         pfl_locations = ([_location(l) for l in data.get("pfl") or []]
                          if mode == "pfl" else [])
+        if len(set(pfl_locations)) < len(pfl_locations):
+            raise ValueError("pfl lists a location twice")
     except KeyError as exc:
         raise DescriptorError(f"descriptor missing required key: {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -48,6 +48,22 @@ def test_duplicate_cover_record_dedupes(tmp_path):
     assert load_coverage(path).covered["t1"] == {("a", 1)}
 
 
+@pytest.mark.parametrize("first, again", [("fail", "pass"), ("pass", "fail")])
+def test_test_declared_again_with_another_outcome_is_fatal(tmp_path, first,
+                                                            again):
+    """Neither outcome of a conflicting pair is kept in silence; a repeat
+    with the same outcome is accepted."""
+    records = [{"type": "test", "id": "t1", "outcome": first},
+               {"type": "test", "id": "t2", "outcome": "fail"},
+               {"type": "test", "id": "t1", "outcome": first}]
+    assert load_coverage(write_coverage(tmp_path, records)).tests == [
+        ("t1", first), ("t2", "fail")]
+    records.append({"type": "test", "id": "t1", "outcome": again})
+    with pytest.raises(CoverageError, match=f":4: malformed record: test 't1' "
+                                            f"declared '{again}' after '{first}'"):
+        load_coverage(write_coverage(tmp_path, records))
+
+
 def test_zero_failing_is_fatal(tmp_path):
     path = write_coverage(tmp_path, [
         {"type": "test", "id": "t1", "outcome": "pass"},

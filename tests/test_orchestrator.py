@@ -345,6 +345,7 @@ def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
     {"provider": {"type": "local-hash", "dimension": True}},
     {"mode": "spfl", "spfl": {"file": "src/Estimator.java", "line": 22.7}},
     {"mode": "pfl", "pfl": [{"file": "src/Estimator.java", "line": "4"}]},
+    {"mode": "pfl", "pfl": [{"file": "src/Estimator.java", "line": 17}] * 2},
     {"harness": {"command": "python3 harness.py", "timeout": True}},
     {"harness": {"command": "python3 harness.py", "timeout": "30"}},
     {"backend": {"type": "scripted", "directory": str(FIXTURES / "responses"),
@@ -363,7 +364,7 @@ def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
         "ingredients-a-float", "token-budget-a-string",
         "test-timeout-a-string", "stop-on-first-plausible-a-string",
         "dimension-a-float", "dimension-a-bool", "spfl-line-a-float",
-        "pfl-line-a-string", "harness-timeout-a-bool",
+        "pfl-line-a-string", "pfl-location-repeated", "harness-timeout-a-bool",
         "harness-timeout-a-string", "on-missing-unknown",
         "harness-command-not-a-string", "api-key-env-not-a-string"])
 def test_malformed_descriptor_value_is_exit_2(tmp_path, capsys, request,
