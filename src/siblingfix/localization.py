@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,10 +33,6 @@ class CoverageMatrix:
     def failing(self) -> list[str]:
         return [t for t, outcome in self.tests if outcome == "fail"]
 
-    @property
-    def passing(self) -> list[str]:
-        return [t for t, outcome in self.tests if outcome == "pass"]
-
     def all_locations(self) -> set[Location]:
         out: set[Location] = set()
         for locs in self.covered.values():
@@ -51,6 +48,9 @@ class SuspiciousLocation:
     rank: int
 
 
+_DECODER = json.JSONDecoder()
+
+
 def load_coverage(path: str | Path) -> CoverageMatrix:
     """Parse the JSON-lines coverage protocol.
 
@@ -61,11 +61,24 @@ def load_coverage(path: str | Path) -> CoverageMatrix:
     path = Path(path)
     outcomes: dict[str, str] = {}
     covered: dict[str, set[Location]] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CoverageError(f"{path}: not UTF-8: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
         if not raw.strip():
             continue
         try:
-            rec = json.loads(raw)
+            # `raw_decode` skips the checks `json.loads` wraps it in. A line
+            # it does not take whole (a BOM, blanks around the record,
+            # trailing data or an error) goes to `json.loads`, which then
+            # returns or raises what it would have.
+            try:
+                rec, end = _DECODER.raw_decode(raw)
+            except ValueError:
+                end = -1
+            if end != len(raw):
+                rec = json.loads(raw)
             kind = rec["type"]
             if kind == "test":
                 tid, outcome = rec["id"], rec["outcome"]
@@ -105,22 +118,23 @@ def ochiai_rank(matrix: CoverageMatrix) -> list[SuspiciousLocation]:
     if not matrix.failing:
         raise CoverageError("ranking requires at least one failing test")
     failing = set(matrix.failing)
-    passing = set(matrix.passing)
-    ef: dict[Location, int] = {}
-    ep: dict[Location, int] = {}
+    ef: Counter[Location] = Counter()
+    ep: Counter[Location] = Counter()
     for tid, locs in matrix.covered.items():
-        bucket = ef if tid in failing else ep
-        for loc in locs:
-            bucket[loc] = bucket.get(loc, 0) + 1
+        (ef if tid in failing else ep).update(locs)
+    # `ochiai` inline, with ef + nf = len(failing): the same float. Sorting
+    # (-score, file, line) tuples needs no key function. Every zero score
+    # is the one 0.0, as `ochiai` returns it, not a new float per location.
+    n_failing = len(failing)
     scored = []
-    for loc in matrix.all_locations():
-        e_f = ef.get(loc, 0)
-        e_p = ep.get(loc, 0)
-        score = ochiai(e_f, e_p, len(failing) - e_f, len(passing) - e_p)
-        scored.append((loc, score))
-    scored.sort(key=lambda item: (-item[1], item[0][0], item[0][1]))
-    return [SuspiciousLocation(file=loc[0], line=loc[1], score=score, rank=i)
-            for i, (loc, score) in enumerate(scored, 1)]
+    for loc in ef.keys() | ep.keys():
+        e_f = ef[loc]
+        score = e_f / math.sqrt(n_failing * (e_f + ep[loc])) if e_f else 0.0
+        scored.append((-score, *loc))
+    scored.sort()
+    return [SuspiciousLocation(file=file, line=line, score=-neg if neg else 0.0,
+                               rank=i)
+            for i, (neg, file, line) in enumerate(scored, 1)]
 
 
 def apply_spfl(ranked: list[SuspiciousLocation],

@@ -29,11 +29,8 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_CLASS_RE = re.compile(r"\b(?:class|interface|enum|struct)\s+([A-Za-z_]\w*)")
-# A name before '(': the rest of a [\w$] run from its first [A-Za-z_], tried
-# only where a run starts, so a word is not rescanned from each position.
-_SIGNATURE_NAME_RE = re.compile(
-    r"(?<![\w$])(?:[^\W_A-Za-z]|\$)*([A-Za-z_][\w$]*)\s*\(")
+_CLASS_KEYWORDS = ("class", "interface", "enum", "struct")
+_CLASS_RE = re.compile(rf"\b(?:{'|'.join(_CLASS_KEYWORDS)})\s+([A-Za-z_]\w*)")
 # An identifier with the '.' before it and the '(' after it, if any, so one
 # match classifies it: a paren means a call, a dot alone a field access,
 # neither a variable. Neither is part of a name, so taking it hides none.
@@ -246,40 +243,13 @@ def _line_of(offset: int, starts: list[int]) -> int:
     return bisect_right(starts, offset)
 
 
-_BRACKET_RE = re.compile(r"[(){}]")
-
-
-def _bracket_pairs(masked: str) -> dict[int, int]:
-    """Offset of the matching ')' or '}' for each '(' or '{' that has one.
-
-    A stack pairs each close with the latest unclosed open of its kind and
-    skips a close that finds none; that is the pair a forward depth count
-    from the open would find.
-    """
-    pairs: dict[int, int] = {}
-    parens: list[int] = []
-    braces: list[int] = []
-    for m in _BRACKET_RE.finditer(masked):
-        i = m.start()
-        c = m.group()
-        if c == "(":
-            parens.append(i)
-        elif c == "{":
-            braces.append(i)
-        elif c == ")":
-            if parens:
-                pairs[parens.pop()] = i
-        elif braces:
-            pairs[braces.pop()] = i
-    return pairs
-
-
 _EVENT_RE = re.compile(r"[();{}]")
 _SIGNIFICANT_RE = re.compile(r"[^\s{}]")
 
 
 def _segment_statements(path: str, text: str, masked: str, starts: list[int],
-                        literals: list[int]) -> list[Statement]:
+                        literals: list[int]
+                        ) -> tuple[list[Statement], dict[int, int], dict[int, int]]:
     """Statement segmentation over the '(', ')', ';', '{' and '}' of `masked`.
 
     A statement ends at ';' (outside parentheses) or at '{' (block header).
@@ -287,9 +257,19 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
     A statement starts at the first character after the previous one that
     is neither blank nor a brace in `masked`, or at the opening quote of a
     string/char literal (`literals`); comments never start one.
+
+    The same walk pairs the brackets. Besides the statements it returns the
+    offset of the matching '(' for each ')' that has one, and of the
+    matching '}' for each '{' that has one. A stack pairs each close with
+    the latest unclosed open of its kind and skips a close that finds none;
+    that is the pair a forward depth count from the open would find.
     """
     n = len(masked)
     stmts: list[Statement] = []
+    paren_open: dict[int, int] = {}
+    brace_close: dict[int, int] = {}
+    parens: list[int] = []  # unclosed '(' offsets
+    braces: list[int] = []  # unclosed '{' offsets
     seg_start: int | None = None
     paren = 0
     after = 0  # the next statement starts at or after this offset
@@ -328,23 +308,29 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
             open_segment(i)
         if c == "(":
             paren += 1
+            parens.append(i)
         elif c == ")":
             paren = max(0, paren - 1)
+            if parens:
+                paren_open[i] = parens.pop()
         elif c == ";":
             if paren == 0:
                 flush(i, "simple")
         elif c == "{":
             flush(i, "block-header")
             paren = 0
+            braces.append(i)
         else:
             if seg_start is not None:
                 flush(i - 1, "other")
             paren = 0
+            if braces:
+                brace_close[braces.pop()] = i
     if seg_start is None:
         open_segment(n - 1)
     if seg_start is not None:
         flush(n - 1, "other")
-    return stmts
+    return stmts, paren_open, brace_close
 
 
 def _linewise_statements(path: str, text: str) -> list[Statement]:
@@ -356,10 +342,26 @@ def _linewise_statements(path: str, text: str) -> list[Statement]:
 
 
 def _find_classes(path: str, masked: str, starts: list[int],
-                  pairs: dict[int, int]) -> list[ClassRef]:
+                  brace_close: dict[int, int]) -> list[ClassRef]:
+    """The headers `_CLASS_RE.finditer` would find, tried only where
+    `str.find` sees a keyword. As with finditer, a header that starts
+    inside the previous one (`class enum B`) is not tried."""
+    candidates = []
+    for keyword in _CLASS_KEYWORDS:
+        i = masked.find(keyword)
+        while i >= 0:
+            candidates.append(i)
+            i = masked.find(keyword, i + len(keyword))  # none overlaps itself
     classes = []
-    for m in _CLASS_RE.finditer(masked):
-        close = pairs.get(masked.find("{", m.end()))
+    end = 0
+    for i in sorted(candidates):
+        if i < end:
+            continue
+        m = _CLASS_RE.match(masked, i)
+        if m is None:
+            continue
+        end = m.end()
+        close = brace_close.get(masked.find("{", end))
         if close is None:
             continue
         classes.append(ClassRef(
@@ -377,50 +379,65 @@ def _signature_text(text: str, name_pos: int, close_paren: int) -> str:
     return " ".join(raw.split())
 
 
-def _after_dot(masked: str, pos: int) -> bool:
-    """Whether the last non-blank character before `pos` is a '.'."""
-    k = pos - 1
-    while k >= 0 and masked[k].isspace():
-        k -= 1
-    return k >= 0 and masked[k] == "."
+_NAME_RE = re.compile(r"[A-Za-z_][\w$]*")
+# Matched in the reversed text from just before a '(': the blanks before the
+# '(', the [\w$] run before them, and the blanks and '.' before the run.
+_BACKWARD_NAME_RE = re.compile(r"\s*([\w$]*)\s*(\.?)")
 
 
-_BODY_OPEN_RE = re.compile(r"\s*(?:throws\s+[\w$.,\s]*)?\{")
+def _name_before(masked: str, back: str, paren: int) -> tuple[str, int, bool] | None:
+    """The name that `name(` (blanks allowed before the '(') gives the '('
+    at `paren`, its offset, and whether a '.' comes before it (blanks
+    allowed). The name is the rest of the [\\w$] run before the blanks,
+    from the run's first [A-Za-z_]; None if that run has none. `back` is
+    `masked[::-1]`, in which the run is read backwards."""
+    n = len(masked)
+    b = _BACKWARD_NAME_RE.match(back, n - paren)
+    run_start = n - b.end(1)
+    m = _NAME_RE.search(masked, run_start, n - b.start(1))
+    if m is None:
+        return None
+    return m.group(), m.start(), m.start() == run_start and bool(b.group(2))
+
+
+# A ')' and the '{' of a body after it, a throws clause allowed between.
+# `throws(?=\s)` keeps the scan linear on a long gap, where `throws\s+`
+# would backtrack between `\s+` and the class after it.
+_BODY_OPEN_RE = re.compile(r"\)\s*(?:throws(?=\s)[\w$.,\s]*)?\{")
 
 
 def _find_methods(path: str, text: str, masked: str, starts: list[int],
-                  pairs: dict[int, int], class_by_line: list) -> list[MethodRef]:
-    """The file's methods; each is also added to its owner's `methods`."""
-    methods: list[MethodRef] = []
-    for m in _SIGNATURE_NAME_RE.finditer(masked):
-        name = m.group(1)
-        if name in KEYWORDS:
-            continue
-        start = m.start(1)
-        # A call on a receiver (x.foo(...)) is not a declaration.
-        if _after_dot(masked, start):
-            continue
-        close_paren = pairs.get(m.end() - 1)
-        if close_paren is None:
-            continue
-        # Next significant char must be '{' (a throws clause may intervene).
-        t = _BODY_OPEN_RE.match(masked, close_paren + 1, close_paren + 200)
-        if not t:
-            continue
+                  paren_open: dict[int, int], brace_close: dict[int, int],
+                  class_by_line: list) -> list[MethodRef]:
+    """The file's methods in the order of their '('; each is also added to
+    its owner's `methods`. A method is a name, its parenthesized
+    parameters and a body; its ')' is found first, from the body's '{'."""
+    found: list[tuple[int, MethodRef]] = []
+    back = masked[::-1]
+    for t in _BODY_OPEN_RE.finditer(masked):
+        close_paren = t.start()
         brace = t.end() - 1
-        close = pairs.get(brace)
-        if close is None:
+        open_paren = paren_open.get(close_paren)
+        close = brace_close.get(brace)
+        if open_paren is None or close is None:
+            continue
+        named = _name_before(masked, back, open_paren)
+        if named is None:
+            continue
+        name, start, after_dot = named
+        # A call on a receiver (x.foo(...)) is not a declaration.
+        if name in KEYWORDS or after_dot:
             continue
         sig_line = _line_of(start, starts)
-        body_end = _line_of(close, starts)
-        brace_line = _line_of(brace, starts)
-        body_start = min(sig_line, brace_line)
-        ref = MethodRef(
+        found.append((open_paren, MethodRef(
             file=path, name=name, signature_line=sig_line,
-            body_start=body_start, body_end=body_end,
-            signature_text=_signature_text(text, start, close_paren))
-        methods.append(ref)
-        cls = _at(class_by_line, sig_line)
+            body_start=min(sig_line, _line_of(brace, starts)),
+            body_end=_line_of(close, starts),
+            signature_text=_signature_text(text, start, close_paren))))
+    found.sort()
+    methods = [ref for _, ref in found]
+    for ref in methods:
+        cls = _at(class_by_line, ref.signature_line)
         if cls:
             cls.methods.append(ref)
     return methods
@@ -448,7 +465,7 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
             text = fh.read()
             # A file whose lines all end in CRLF keeps it when written back.
             newline = "\r\n" if fh.newlines == "\r\n" else "\n"
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         logger.warning("unreadable file skipped: %s: %s", rel, exc)
         return None
     digest = text_digest(text)
@@ -458,16 +475,16 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
         return SourceFile(text, digest, _linewise_statements(rel, text), [], [],
                           newline)
     starts = _line_starts(text)
-    pairs = _bracket_pairs(masked)
-    classes = _find_classes(rel, masked, starts, pairs)
+    statements, paren_open, brace_close = _segment_statements(
+        rel, text, masked, starts, literals)
+    classes = _find_classes(rel, masked, starts, brace_close)
     # Per line, the innermost class holding it: the one owner of each
     # method and field declared on that line.
     class_by_line = _best_by_line(classes, lambda c: (c.body_start, c.body_end),
                                   lambda c: c.body_end - c.body_start)
-    sf = SourceFile(text, digest,
-                    _segment_statements(rel, text, masked, starts, literals),
-                    _find_methods(rel, text, masked, starts, pairs, class_by_line),
-                    classes, newline)
+    methods = _find_methods(rel, text, masked, starts, paren_open, brace_close,
+                            class_by_line)
+    sf = SourceFile(text, digest, statements, methods, classes, newline)
     _collect_fields(sf, class_by_line)
     return sf
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siblingfix.checks import check_type
 from siblingfix.localization import (CoverageError, CoverageMatrix,
                                      SuspiciousLocation, apply_spfl,
                                      load_coverage, ochiai, ochiai_rank)
@@ -96,6 +97,76 @@ def test_cover_record_of_the_wrong_type_reports_line(tmp_path, bad):
         load_coverage(path)
 
 
+def test_coverage_file_not_utf8_is_fatal(tmp_path):
+    path = tmp_path / "cov.jsonl"
+    path.write_bytes('{"type": "test", "id": "Andr\u00e9", "outcome": "fail"}\n'
+                     .encode("latin-1"))
+    with pytest.raises(CoverageError, match=f"^{path}: not UTF-8: 'utf-8' codec "):
+        load_coverage(path)
+
+
+def _ref_load_coverage(path):
+    """load_coverage's records and errors, each line read by json.loads."""
+    outcomes, covered = {}, {}
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
+            rec = json.loads(raw)
+            kind = rec["type"]
+            if kind == "test":
+                tid, outcome = rec["id"], rec["outcome"]
+                if outcome not in ("pass", "fail"):
+                    raise ValueError(f"bad outcome {outcome!r}")
+                if outcomes.setdefault(tid, outcome) != outcome:
+                    raise ValueError(f"test {tid!r} declared {outcome!r} "
+                                     f"after {outcomes[tid]!r}")
+                covered.setdefault(tid, set())
+            elif kind == "cover":
+                tid = rec["test"]
+                if tid not in outcomes:
+                    raise ValueError(f"coverage for undeclared test {tid!r}")
+                covered[tid].add((check_type("file", rec["file"], str),
+                                  check_type("line", rec["line"], int)))
+            else:
+                raise ValueError(f"unknown record type {kind!r}")
+        except (KeyError, ValueError, TypeError) as exc:
+            return f"{path}:{lineno}: malformed record: {exc}"
+    return list(outcomes.items()), covered
+
+
+_RECORD = st.sampled_from([
+    '{"type": "test", "id": "t2", "outcome": "pass"}',
+    '{"type": "test", "id": "t1", "outcome": "pass"}',
+    '{"type": "cover", "test": "t1", "file": "a", "line": 3}',
+    '{"type": "cover", "test": "t1", "file": "a", "line": NaN}',
+    '{"type": "cover", "test": "t1", "file": "a", "line": 1e400}',
+    '{"type": "cover", "test": "t9", "file": "a", "line": 3}',
+    '{"type": "cover", "test": "t1", "file": "a"}',
+    '{"type": "cover", "test": "t1", "file": "a", "line": 3',
+    '{"type": "bogus"}', '["type"]', '"test"', "NaN", "-Infinity", "7", "",
+    "not json", "{}", "{\"type\": \"test\", \"id\": \"t\\u00e9\"}"])
+_PAD = st.sampled_from(["", " ", "\t", "  ", "\ufeff", "\u00a0", "\x0c", "\r"])
+_TAIL = st.sampled_from(["", " ", "\t ", "x", "{}", " 1", ",", "]", "\u2028"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.tuples(_PAD, _RECORD, _TAIL).map("".join) | st.text(max_size=40))
+def test_coverage_line_reads_as_json_loads_reads_it(tmp_path_factory, line):
+    """Whatever a line holds, the fast path gives json.loads's record, or
+    the CoverageError text json.loads's error gives."""
+    path = tmp_path_factory.mktemp("cov") / "cov.jsonl"
+    path.write_text('{"type": "test", "id": "t1", "outcome": "fail"}\n' + line
+                    + "\n", encoding="utf-8")
+    want = _ref_load_coverage(path)
+    try:
+        matrix = load_coverage(path)
+    except CoverageError as exc:
+        assert str(exc) == want
+    else:
+        assert (matrix.tests, matrix.covered) == want
+
+
 def matrix_of(tests, covered):
     return CoverageMatrix(tests=tests, covered={t: set(l) for t, l in covered.items()})
 
@@ -162,9 +233,30 @@ def test_rank_matches_oracle_small_random():
         matrix = random_matrix(rng)
         got = ochiai_rank(matrix)
         expected = brute_force_rank(matrix)
-        assert [(g.file, g.line) for g in got] == [loc for loc, _ in expected]
-        for g, (_, score) in zip(got, expected):
-            assert g.score == pytest.approx(score, abs=1e-9)
+        assert [(g.file, g.line, g.score.hex()) for g in got] == \
+            [(*loc, score.hex()) for loc, score in expected]
+
+
+# Few files, lines and tests, so many locations tie on their counts, and
+# the (file, line) order decides their ranks.
+_TIED_MATRIX = st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from(["fail", "pass"]), min_size=n, max_size=n),
+    st.lists(st.sets(st.tuples(st.sampled_from(["a", "b", "b/c"]),
+                               st.integers(1, 6))), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TIED_MATRIX)
+def test_rank_matches_oracle_with_ties(outcomes_and_sets):
+    outcomes, sets = outcomes_and_sets
+    outcomes[0] = "fail"
+    matrix = CoverageMatrix(
+        tests=[(f"t{i}", o) for i, o in enumerate(outcomes)],
+        covered={f"t{i}": locs for i, locs in enumerate(sets)})
+    got = ochiai_rank(matrix)
+    assert [(g.file, g.line, g.score.hex()) for g in got] == \
+        [(*loc, score.hex()) for loc, score in brute_force_rank(matrix)]
+    assert [g.rank for g in got] == list(range(1, len(got) + 1))
 
 
 def ranking(n):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import signal
 import sqlite3
 import subprocess
@@ -410,6 +411,32 @@ def test_cover_record_of_the_wrong_type_is_exit_2(tmp_path, capsys, bad):
     assert not (tmp_path / "runs").exists()
     assert capsys.readouterr().err.startswith(
         f"error: {coverage}:{k + 1}: malformed record: ")
+
+
+def test_coverage_file_not_utf8_is_exit_2(tmp_path, capsys):
+    coverage = tmp_path / "coverage.jsonl"
+    coverage.write_bytes((FIXTURES / "coverage.jsonl").read_bytes()
+                         + '{"type": "test", "id": "Andr\u00e9", "outcome": "pass"}\n'
+                         .encode("latin-1"))
+    desc = write_descriptor(tmp_path, coverage=str(coverage))
+    code = main(["run", str(desc), "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert not (tmp_path / "runs").exists()
+    assert capsys.readouterr().err.startswith(f"error: {coverage}: not UTF-8: ")
+
+
+def test_latin1_source_file_is_skipped(tmp_tempdir, caplog):
+    """A source file that is not UTF-8 is left out of the index with a
+    warning; the run repairs the rest as before."""
+    project = tmp_tempdir / "project"
+    shutil.copytree(FIXTURES / "project", project)
+    (project / "src" / "Legacy.java").write_bytes(
+        "// Auteur: Andr\u00e9\nclass Legacy { }\n".encode("latin-1"))
+    desc = write_descriptor(tmp_tempdir, project_root=str(project))
+    code, report, run_dir = run(desc, out_dir=tmp_tempdir / "runs")
+    assert code == 0
+    assert "unreadable file skipped: src/Legacy.java" in caplog.text
+    assert [p["diff"] for p in report["plausible"]] == [EXPECTED_DIFF.read_text()]
 
 
 def test_report_is_written_before_the_cache_flush(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import string
+import time
 from collections import Counter
 
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siblingfix.llm import Patch, PatchEdit
-from siblingfix.source_index import (_CLASS_RE, _FIELD_NAME_RE, _SIGNATURE_NAME_RE,
-                                     KEYWORDS, ClassRef, FieldDecl, MethodRef,
+from siblingfix.source_index import (_CLASS_RE, _FIELD_NAME_RE, KEYWORDS,
+                                     ClassRef, FieldDecl, MethodRef,
                                      SourceFile, Statement,
-                                     _linewise_statements, _signature_text,
+                                     _linewise_statements, _name_before,
+                                     _signature_text,
                                      Identifier, identifiers_in, index_source,
                                      mask_code, variables_in)
 from siblingfix.validation import patched_texts
@@ -158,6 +160,60 @@ def test_one_line_method_body(tmp_path):
     index = index_source(tmp_path, ["*.java"])
     ref = index.methods_named("F.java", "g")[0]
     assert index.method_body(ref) == "int g(){ return 7; }"
+
+
+LONG_THROWS = """\
+class T {
+  int f(int x) throws java.util.concurrent.BrokenBarrierException,
+      java.util.concurrent.RejectedExecutionException, java.util.concurrent.TimeoutException,
+      java.lang.reflect.UndeclaredThrowableException {
+    return x;
+  }
+}
+"""
+
+COMMENT_BEFORE_BODY = """\
+class T {
+  int f(int x)
+      // The body opens on the line after these three comment lines, which
+      // the indexer masks to blanks before it looks for the brace that
+      // opens the body; no window on the blanks may hide the method.
+  {
+    return x;
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("text, body_end", [(LONG_THROWS, 6),
+                                             (COMMENT_BEFORE_BODY, 8)],
+                         ids=["long-throws", "comment-lines"])
+def test_long_gap_before_the_body_keeps_the_method(tmp_path, text, body_end):
+    close = text.index(")")
+    assert text.index("{", close) - close > 200
+    write(tmp_path, "T.java", text)
+    index = index_source(tmp_path, ["*.java"])
+    [m] = index.files["T.java"].methods
+    assert (m.name, m.body_start, m.body_end) == ("f", 2, body_end)
+    assert index.enclosing_method("T.java", body_end - 1) is m
+
+
+def test_throws_before_a_long_blank_gap_indexes_in_linear_time(tmp_path):
+    write(tmp_path, "T.java", "class T {\n  int f() throws" + " " * 200_000 + "\n}\n")
+    start = time.perf_counter()
+    sf = index_source(tmp_path, ["*.java"]).files["T.java"]
+    assert time.perf_counter() - start < 1.0
+    assert sf.methods == [] and [c.name for c in sf.classes] == ["T"]
+
+
+def test_undecodable_file_is_skipped(tmp_path, caplog):
+    write(tmp_path, "A.java", "class A { int f() { return 1; } }\n")
+    (tmp_path / "Legacy.java").write_bytes(
+        "// Auteur: Andr\u00e9\nclass Legacy { }\n".encode("latin-1"))
+    index = index_source(tmp_path, ["*.java"])
+    assert list(index.files) == ["A.java"]
+    assert "unreadable file skipped: Legacy.java: 'utf-8' codec can't decode" \
+        in caplog.text
 
 
 # Characters that str.splitlines() breaks at but the index does not.
@@ -516,8 +572,7 @@ def _ref_find_methods(path, text, masked, starts):
         close_paren = _ref_matching(masked, m.end() - 1, "(", ")")
         if close_paren is None:
             continue
-        t = re.match(r"\s*(?:throws\s+[\w$.,\s]*)?\{",
-                     masked[close_paren + 1:close_paren + 200])
+        t = re.match(r"\s*(?:throws\s+[\w$.,\s]*)?\{", masked[close_paren + 1:])
         if not t:
             continue
         brace = close_paren + t.end()
@@ -574,23 +629,36 @@ def test_mask_code_matches_character_loop(text):
     assert mask_code(text) == _ref_scan(text)[0]
 
 
-def _signature_names(pattern, text):
-    return [(m.group(1), m.start(1), m.end()) for m in pattern.finditer(text)]
-
-
 @settings(max_examples=300, deadline=None)
-@given(FILE | st.text(alphabet="aZ_9$\u00e9\u0663 \t\n(.=;", max_size=80))
+@given(FILE | st.text(alphabet="aZ_9$\u00e9\u0663 \t\n\u00a0(.=;", max_size=80))
 def test_signature_names_match_every_offset_search(text):
-    """Trying names only where a [\\w$] run starts finds what trying every
-    offset finds, also after a leading digit, '$' or non-ASCII letter."""
-    assert _signature_names(_SIGNATURE_NAME_RE, text) == \
-        _signature_names(_REF_SIGNATURE_NAME_RE, text)
+    """Reading the name backwards from each '(' finds what trying every
+    offset finds, also after a leading digit, '$' or non-ASCII letter, and
+    sees a '.' before it as the per-name check does."""
+    want = {m.end() - 1: (m.group(1), m.start(1),
+                          text[:m.start(1)].rstrip().endswith("."))
+            for m in _REF_SIGNATURE_NAME_RE.finditer(text)}
+    got = {i: _name_before(text, text[::-1], i)
+           for i, c in enumerate(text) if c == "("}
+    assert {i: named for i, named in got.items() if named} == want
 
 
 @settings(max_examples=300, deadline=None)
 @given(FILE | st.text(alphabet=_CODE_CHARS + "()=\t", max_size=120))
 # A name after '$' is read from its first letter, also after a '.'.
 @example(text="class C {\n  void f() { a.$b() { } }\n}\n")
+# Block headers whose keyword is no name, a name after '.', an anonymous
+# class body (still indexed as a method of its type's name) and '$' names.
+@example(text="class C {\n  void f() {\n    if (a) { }\n    while (b) { }\n"
+              "    try { } catch (E e) { }\n    synchronized (c) { }\n"
+              "    x.f() { }\n    Object o = new T() { };\n  }\n"
+              "  void $g(int $a) { }\n  int $9() { }\n}\n")
+# Nested parentheses: the methods come in the order of their '('.
+@example(text="class C {\n  void f(int a = g(b) { }) { }\n}\n")
+# Two class keywords in a row: the first header takes the second keyword
+# as its name, so no header starts at it.
+@example(text="class  enum B {\n  int x;\n}\n")
+@example(text="interface class struct S { }\nenum enum E { }\n")
 # Two classes named B, and a field in a nested class.
 @example(text="class A {\n  int a;\n  class B {\n    int b;\n    int g() { }\n  }\n}\n"
               "class C {\n  class B {\n    int z;\n    int k() { }\n  }\n}\n")
