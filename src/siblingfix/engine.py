@@ -96,6 +96,10 @@ class _BudgetExhausted(Exception):
     pass
 
 
+class BaselineError(RuntimeError):
+    """The unpatched project's run has no failing test to repair."""
+
+
 def _safe_name(file: str) -> str:
     return "".join(c if c.isalnum() else "_" for c in file)
 
@@ -194,8 +198,8 @@ class RepairEngine:
     def _ensure_baseline(self) -> None:
         self.baseline = self._validate(Patch(edits=()))
         if not self.baseline.failing:
-            raise RuntimeError("baseline run has no failing tests; "
-                               "coverage and harness disagree")
+            raise BaselineError("baseline run has no failing tests; "
+                                "coverage and harness disagree")
 
     def _build_pool(self) -> list[StatementContext]:
         """Contexts for every statement exercised by any test, in

@@ -104,12 +104,6 @@ def load_coverage(path: str | Path) -> CoverageMatrix:
     return matrix
 
 
-def ochiai(ef: int, ep: int, nf: int, np: int) -> float:
-    if ef == 0:
-        return 0.0
-    return ef / math.sqrt((ef + nf) * (ef + ep))
-
-
 def ochiai_rank(matrix: CoverageMatrix) -> list[SuspiciousLocation]:
     """Score every covered location and rank descending.
 
@@ -122,9 +116,9 @@ def ochiai_rank(matrix: CoverageMatrix) -> list[SuspiciousLocation]:
     ep: Counter[Location] = Counter()
     for tid, locs in matrix.covered.items():
         (ef if tid in failing else ep).update(locs)
-    # `ochiai` inline, with ef + nf = len(failing): the same float. Sorting
-    # (-score, file, line) tuples needs no key function. Every zero score
-    # is the one 0.0, as `ochiai` returns it, not a new float per location.
+    # Ochiai is ef / sqrt((ef + nf) * (ef + ep)), and ef + nf = len(failing).
+    # Sorting (-score, file, line) tuples needs no key function. Every zero
+    # score is the one 0.0, not a new float per location.
     n_failing = len(failing)
     scored = []
     for loc in ef.keys() | ep.keys():

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .checks import check_type
 from .embeddings import EmbeddingCache, LocalHashProvider, RemoteEmbeddingProvider
-from .engine import RepairConfig, RepairEngine, RepairState
+from .engine import BaselineError, RepairConfig, RepairEngine, RepairState
 from .llm import Patch, RemoteChatBackend, ScriptedBackend
 from .localization import (CoverageError, SuspiciousLocation, apply_spfl,
                            load_coverage, ochiai_rank)
@@ -236,9 +236,9 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
     are written on every path, with `stopped: "interrupted"` if a
     `KeyboardInterrupt` (Ctrl-C, or SIGTERM through the CLI) ended the run
     and `stopped: "error"` if another exception did. An embedding store
-    that cannot be opened, or a harness protocol error, which only the
-    baseline lets through, is an input error (exit 2); any other exception
-    propagates."""
+    that cannot be opened, a harness protocol error, which only the
+    baseline lets through, or a baseline with no failing test is an input
+    error (exit 2); any other exception propagates."""
     try:
         desc = load_descriptor(descriptor_path, overrides)
         index = index_source(desc.project_root, desc.include)
@@ -269,7 +269,7 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
             state.stopped = ("interrupted" if isinstance(exc, KeyboardInterrupt)
                              else "error")
             state.error = f"{type(exc).__name__}: {exc}"
-            if not isinstance(exc, HarnessProtocolError):
+            if not isinstance(exc, (HarnessProtocolError, BaselineError)):
                 raise
             print(f"error: {exc}", file=sys.stderr)
         finally:

@@ -264,48 +264,15 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
     the latest unclosed open of its kind and skips a close that finds none;
     that is the pair a forward depth count from the open would find.
     """
-    n = len(masked)
-    stmts: list[Statement] = []
     paren_open: dict[int, int] = {}
     brace_close: dict[int, int] = {}
     parens: list[int] = []  # unclosed '(' offsets
     braces: list[int] = []  # unclosed '{' offsets
-    seg_start: int | None = None
+    bounds: list[tuple[int, str]] = []  # (last offset, kind) of each statement
     paren = 0
-    after = 0  # the next statement starts at or after this offset
-    first = -1  # first start candidate at or after `after`, n if none
-
-    def flush(end: int, kind: str) -> None:
-        nonlocal seg_start, after
-        if seg_start is not None:
-            stmts.append(Statement(
-                file=path,
-                start_line=_line_of(seg_start, starts),
-                end_line=_line_of(end, starts),
-                text=text[seg_start:end + 1],
-                kind=kind,
-            ))
-        seg_start = None
-        after = end + 1
-
-    def open_segment(limit: int) -> None:
-        # Search only when `after` has passed the cached candidate, so each
-        # stretch of text is searched once.
-        nonlocal seg_start, first
-        if first < after:
-            m = _SIGNIFICANT_RE.search(masked, after)
-            first = m.start() if m else n
-            k = bisect_left(literals, after)
-            if k < len(literals):
-                first = min(first, literals[k])
-        if first <= limit:
-            seg_start = first
-
     for m in _EVENT_RE.finditer(masked):
         i = m.start()
         c = m.group()
-        if seg_start is None:
-            open_segment(i)
         if c == "(":
             paren += 1
             parens.append(i)
@@ -315,21 +282,31 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
                 paren_open[i] = parens.pop()
         elif c == ";":
             if paren == 0:
-                flush(i, "simple")
+                bounds.append((i, "simple"))
         elif c == "{":
-            flush(i, "block-header")
+            bounds.append((i, "block-header"))
             paren = 0
             braces.append(i)
         else:
-            if seg_start is not None:
-                flush(i - 1, "other")
+            bounds.append((i - 1, "other"))
             paren = 0
             if braces:
                 brace_close[braces.pop()] = i
-    if seg_start is None:
-        open_segment(n - 1)
-    if seg_start is not None:
-        flush(n - 1, "other")
+    bounds.append((len(masked) - 1, "other"))
+    # Each statement's start is searched for once, in the stretch between
+    # the previous bound and its own; a stretch with none makes no statement.
+    stmts: list[Statement] = []
+    after = 0
+    for end, kind in bounds:
+        m = _SIGNIFICANT_RE.search(masked, after, end + 1)
+        start = m.start() if m else end + 1
+        k = bisect_left(literals, after)
+        if k < len(literals):
+            start = min(start, literals[k])
+        if start <= end:
+            stmts.append(Statement(path, _line_of(start, starts),
+                                   _line_of(end, starts), text[start:end + 1], kind))
+        after = end + 1
     return stmts, paren_open, brace_close
 
 

@@ -270,19 +270,25 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
 
 def _read_results(results_path: Path) -> list[TestResult]:
     """The results file's records, one test each."""
+    try:
+        lines = results_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise HarnessProtocolError(f"{results_path}: not UTF-8: {exc}") from exc
     results = []
     seen = set()
-    for lineno, raw in enumerate(
-            results_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         if not raw.strip():
             continue
         try:
-            rec = json.loads(raw)
-            frames = [StackFrame(f["unit"], f["method"], f["file"],
+            rec = check_type("record", json.loads(raw), dict)
+            frames = [StackFrame(*(check_type(f"frame {key}", f[key], str)
+                                   for key in ("unit", "method", "file")),
                                  check_type("frame line", f["line"], int))
                       for f in rec.get("frames", [])]
-            result = TestResult(rec["test"], rec["status"],
-                                rec.get("message", ""), frames)
+            result = TestResult(check_type("test", rec["test"], str),
+                                rec["status"],
+                                check_type("message", rec.get("message", ""), str),
+                                frames)
             if result.status not in ("pass", "fail", "error"):
                 raise ValueError(f"bad status {result.status!r}")
         except (KeyError, ValueError, TypeError) as exc:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from siblingfix.checks import check_type
 from siblingfix.localization import (CoverageError, CoverageMatrix,
                                      SuspiciousLocation, apply_spfl,
-                                     load_coverage, ochiai, ochiai_rank)
+                                     load_coverage, ochiai_rank)
 
 
 def write_coverage(tmp_path, records):
@@ -172,9 +172,16 @@ def matrix_of(tests, covered):
 
 
 def test_ochiai_known_values():
-    assert ochiai(1, 0, 0, 5) == 1.0
-    assert ochiai(0, 3, 2, 0) == 0.0
-    assert ochiai(2, 2, 0, 0) == pytest.approx(2 / math.sqrt(2 * 4), abs=1e-12)
+    """The one location's score, for ef/ep failing/passing tests that cover
+    it and nf/np that do not."""
+    for ef, ep, nf, np, score in [(1, 0, 0, 5, 1.0),
+                                  (0, 3, 2, 0, 0.0),  # 0.0 itself, not -0.0
+                                  (2, 2, 0, 0, 2 / math.sqrt(2 * 4))]:
+        outcomes = ["fail"] * (ef + nf) + ["pass"] * (ep + np)
+        tests = [(f"t{i}", o) for i, o in enumerate(outcomes)]
+        covering = [f"t{i}" for i in [*range(ef), *range(ef + nf, ef + nf + ep)]]
+        ranked = ochiai_rank(matrix_of(tests, {t: [("a", 1)] for t in covering}))
+        assert [float.hex(r.score) for r in ranked] == [float.hex(score)]
 
 
 def test_rank_perfect_and_zero_scores():

@@ -291,6 +291,21 @@ def test_baseline_harness_protocol_error_is_exit_2_with_report(tmp_path,
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_baseline_with_no_failing_test_is_exit_2_with_report(tmp_path, capsys):
+    """A harness that passes every test, as on an already fixed tree."""
+    desc = write_descriptor(tmp_path, harness={
+        "command": 'echo \'{"test": "t_smoke", "status": "pass"}\' > "$RESULTS_PATH"'})
+    code, report, run_dir = run(desc, out_dir=tmp_path / "runs")
+    assert code == 2
+    assert json.loads((run_dir / "report.json").read_text()) == report
+    assert report["stopped"] == "error"
+    assert report["error"] == ("BaselineError: baseline run has no failing "
+                               "tests; coverage and harness disagree")
+    assert report["attempt_log"] == [] and report["plausible"] == []
+    assert capsys.readouterr().err == (
+        "error: baseline run has no failing tests; coverage and harness disagree\n")
+
+
 def test_unexpected_error_propagates_after_report_and_cache(tmp_path,
                                                             monkeypatch):
     class CrashingBackend:

@@ -662,6 +662,15 @@ def test_signature_names_match_every_offset_search(text):
 # Two classes named B, and a field in a nested class.
 @example(text="class A {\n  int a;\n  class B {\n    int b;\n    int g() { }\n  }\n}\n"
               "class C {\n  class B {\n    int z;\n    int k() { }\n  }\n}\n")
+# A literal opens the statement right after a '}' and right after a ';'.
+@example(text='class C {\n  void f() { x(); } "s" + t;\n  a; \'c\'; b;\n}\n')
+# A stretch before a '}' that holds only a comment makes no statement; one
+# that holds only a literal does.
+@example(text="class C {\n  void f() { /* c */ }\n  void g() { // c\n  }\n}\n")
+@example(text='class C {\n  void f() { "s" }\n  void g() { \'c\' }\n}\n')
+@example(text="")
+@example(text=" { {\n\t} }\n{}\n")
+@example(text='class C { }\n"x{')  # an unterminated string at the end
 def test_index_matches_character_loop(tmp_path_factory, text):
     tmp = tmp_path_factory.mktemp("oracle")
     (tmp / "T.java").write_text(text, encoding="utf-8")

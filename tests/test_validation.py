@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -406,6 +407,37 @@ def test_run_tests_frame_line_must_be_an_int(tmp_path, line):
     harness = harness_writing(tmp_path, [
         {"test": "t1", "status": "fail", "message": "", "frames": frames}])
     with pytest.raises(HarnessProtocolError, match=":1: frame line must be int"):
+        run_tests(tmp_path, harness)
+
+
+@pytest.mark.parametrize("line, match", [
+    (b'{"test": "t1", "status": "fail", "message": "Andr\xe9"}', ": not UTF-8: "),
+    (b"[1, 2]", ":1: record must be dict, not list"),
+    (b'"t"', ":1: record must be dict, not str"),
+    (b'{"test": ["a"], "status": "pass"}', ":1: test must be str, not list"),
+    (b'{"test": 5, "status": "pass"}', ":1: test must be str, not int"),
+    (b'{"test": "t1", "status": "fail", "message": ["x"]}',
+     ":1: message must be str, not list"),
+    (b'{"test": "t1", "status": "fail", "frames": [{"unit": ["a"], '
+     b'"method": "m", "file": "F.java", "line": 1}]}',
+     ":1: frame unit must be str, not list"),
+    (b'{"test": "t1", "status": "fail", "frames": [{"unit": "U", '
+     b'"method": 3, "file": "F.java", "line": 1}]}',
+     ":1: frame method must be str, not int"),
+    (b'{"test": "t1", "status": "fail", "frames": [{"unit": "U", '
+     b'"method": "m", "file": null, "line": 1}]}',
+     ":1: frame file must be str, not NoneType"),
+], ids=["latin1-message", "list-record", "string-record", "list-test",
+        "int-test", "list-message", "list-frame-unit", "int-frame-method",
+        "null-frame-file"])
+def test_results_that_break_the_protocol_are_protocol_errors(tmp_path, line,
+                                                              match):
+    """Each of these results files is a protocol error that names the file,
+    and the line where one is at fault."""
+    (tmp_path / "results.bin").write_bytes(line + b"\n")
+    harness = HarnessConfig(command='cat results.bin > "$RESULTS_PATH"',
+                            expected_tests=["t1"])
+    with pytest.raises(HarnessProtocolError, match=re.escape(match)):
         run_tests(tmp_path, harness)
 
 
