@@ -8,12 +8,10 @@ summed, and the vector L2-normalized.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import math
 import sqlite3
 from array import array
-from contextlib import closing
 from functools import lru_cache
 from itertools import repeat
 from operator import mul, truediv
@@ -23,9 +21,6 @@ from .llm import BackendError, RemoteClient
 from .matching import CandidateSibling, StatementContext, float_sum, tokenize
 
 logger = logging.getLogger(__name__)
-
-# The first 16 bytes of every SQLite database file.
-_SQLITE_HEADER = b"SQLite format 3\x00"
 
 
 class EmbeddingError(BackendError):
@@ -44,12 +39,6 @@ def _cosine(a: list[float], na: float, b: list[float], nb: float) -> float:
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float_sum(map(mul, a, b)) / (na * nb)
-
-
-def _is_vector(value) -> bool:
-    """A list of numbers: what a provider reply and the store must hold."""
-    return isinstance(value, list) and all(
-        isinstance(x, (int, float)) for x in value)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -98,7 +87,8 @@ class RemoteEmbeddingProvider(RemoteClient):
         def read(reply):
             rows = sorted(reply["data"], key=lambda r: r["index"])
             vectors = [row["embedding"] for row in rows]
-            if not all(map(_is_vector, vectors)):
+            if not all(isinstance(v, list) and all(
+                    isinstance(x, (int, float)) for x in v) for v in vectors):
                 raise ValueError("malformed embedding vector in reply")
             return vectors
         return self._post({"input": texts, "model": self.model}, read)
@@ -123,20 +113,19 @@ def _connect(path: Path) -> sqlite3.Connection:
     return db
 
 
-def _write(db: sqlite3.Connection, rows) -> None:
-    """Store (key, vector) rows in one transaction."""
-    with db:
-        db.executemany("INSERT OR REPLACE INTO embeddings VALUES (?, ?)",
-                       [(k, array("d", v).tobytes()) for k, v in rows])
-
-
-def _unpack(blob) -> list[float] | None:
-    """A stored vector: doubles in machine byte order, read back exactly."""
-    if not isinstance(blob, bytes) or len(blob) % 8:
+def _unpack(key, blob) -> tuple[str, list[float]] | None:
+    """A stored row read back exactly: its key as UTF-8 text and its vector
+    as doubles in machine byte order. None for a row that holds no such
+    key or vector."""
+    if key is None or blob is None or len(blob) % 8:
+        return None
+    try:
+        key = key.decode()
+    except UnicodeDecodeError:
         return None
     vec = array("d")
     vec.frombytes(blob)
-    return vec.tolist()
+    return key, vec.tolist()
 
 
 class EmbeddingCache:
@@ -144,11 +133,11 @@ class EmbeddingCache:
 
     Keys are scoped by provider name and model. `flush` appends the vectors
     put since the last flush in one transaction, and `embed` flushes after
-    each batch, so a killed run loses at most the batch in flight. A store
-    in the JSON format of earlier versions is read once and migrated. A
-    corrupt store, or a stored entry that is not a vector, is dropped on
-    load with a warning and recomputed. Each vector's norm is computed once
-    and kept beside it.
+    each batch, so a killed run loses at most the batch in flight. A file
+    that SQLite cannot read as a store is replaced with an empty store,
+    with a warning. A row whose key is not UTF-8 text, or whose vector is
+    not a BLOB of whole doubles, is dropped on load with a warning and
+    recomputed. Each vector's norm is computed once and kept beside it.
 
     The store is opened, or created if absent, by the constructor, and
     its one connection is held until `close`. The connection frees its
@@ -168,43 +157,28 @@ class EmbeddingCache:
             self._load(self.store_path)
 
     def _load(self, path: Path) -> None:
-        is_store, rows = False, []
+        rows = []
         try:
-            with path.open("rb") as fh:
-                is_store = fh.read(len(_SQLITE_HEADER)) == _SQLITE_HEADER
-            if is_store:
-                self._db = _connect(path)
-                rows = [(k, _unpack(v)) for k, v in
-                        self._db.execute("SELECT key, vector FROM embeddings")]
-                self._db.execute("PRAGMA shrink_memory")
-            else:
-                loaded = json.loads(path.read_text(encoding="utf-8"))
-                if not isinstance(loaded, dict):
-                    raise ValueError("not a JSON object")
-                rows = [(k, array("d", v).tolist() if _is_vector(v) else None)
-                        for k, v in loaded.items()]
-        except FileNotFoundError:
-            pass  # absent: created below
+            self._db = _connect(path)
+            # Keys and vectors are read as bytes, so a row that is not
+            # UTF-8 is dropped, not raised.
+            rows = [_unpack(k, v) for k, v in self._db.execute(
+                "SELECT CAST(key AS BLOB), CASE typeof(vector)"
+                " WHEN 'blob' THEN vector END FROM embeddings")]
         except sqlite3.OperationalError:
             self.close()
             raise  # unreadable or locked, not known to be corrupt
-        except (ValueError, OverflowError, sqlite3.DatabaseError):
+        except (sqlite3.DatabaseError, ValueError):
+            # ValueError: a damaged schema's message that is not UTF-8.
             logger.warning("corrupt embedding cache ignored: %s", path)
             self.close()
-            is_store, rows = False, []
-        self._data = {k: v for k, v in rows
-                      if isinstance(k, str) and v is not None}
+            path.unlink()
+            self._db = _connect(path)
+        self._db.execute("PRAGMA shrink_memory")
+        self._data = dict(filter(None, rows))
         if len(self._data) < len(rows):
             logger.warning("%d corrupt embedding cache entries dropped: %s",
                            len(rows) - len(self._data), path)
-        if not is_store:
-            # Create the store, or replace the file whole: no run sees half.
-            tmp = path.with_name(path.name + ".tmp")
-            tmp.unlink(missing_ok=True)
-            with closing(_connect(tmp)) as db:
-                _write(db, self._data.items())
-            tmp.replace(path)
-            self._db = _connect(path)
 
     @staticmethod
     def key(provider, text: str) -> str:
@@ -230,7 +204,10 @@ class EmbeddingCache:
         """Append the vectors put since the last flush to the store."""
         if not self._pending:
             return
-        _write(self._db, self._pending.items())
+        rows = [(k, array("d", v).tobytes()) for k, v in self._pending.items()]
+        with self._db:
+            self._db.executemany(
+                "INSERT OR REPLACE INTO embeddings VALUES (?, ?)", rows)
         self._db.execute("PRAGMA shrink_memory")
         self._pending.clear()
 

@@ -173,19 +173,13 @@ def statement_contexts(index: SourceIndex, statements: list[Statement]
     per scope. A statement's scope is the statements of its owner: the
     innermost method at its start line, or else its file (see
     `SourceFile.scopes`)."""
-    by_scope: dict[tuple, list[int]] = {}
-    for i, s in enumerate(statements):
-        method = index.enclosing_method(s.file, s.start_line)
-        by_scope.setdefault((s.file, method), []).append(i)
-    out: list[StatementContext | None] = [None] * len(statements)
-    for (file, method), members in by_scope.items():
-        scope = (index.statements_in_method(method) if method is not None
-                 else index.files[file].scopes[None])
-        position = {id(s): p for p, s in enumerate(scope)}
-        contexts = scope_contexts(scope)
-        for i in members:
-            out[i] = contexts[position[id(statements[i])]]
-    return out
+    contexts: dict[int, StatementContext] = {}
+    for s in statements:
+        if id(s) not in contexts:
+            scope = index.files[s.file].scopes[
+                index.enclosing_method(s.file, s.start_line)]
+            contexts.update((id(c.target), c) for c in scope_contexts(scope))
+    return [contexts[id(s)] for s in statements]
 
 
 def extract_context(index: SourceIndex, target: Statement) -> StatementContext:

@@ -5,11 +5,14 @@ import random
 import sqlite3
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import closing
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, write_descriptor
@@ -264,9 +267,10 @@ def test_cache_is_provider_scoped():
 SQLITE_HEADER = b"SQLite format 3\x00"
 
 
-def test_corrupt_cache_entry_recomputed(tmp_path, caplog):
-    """A JSON store of earlier versions is migrated to SQLite on load, and
-    its entry that is not a vector is dropped and recomputed."""
+def test_json_cache_replaced_and_recomputed(tmp_path, caplog):
+    """A cache in the JSON format of earlier versions is not a store: it is
+    replaced with an empty store, with a warning, and each of its vectors
+    is computed again."""
     provider = CountingProvider()
     good = provider.embed_batch(["y"])[0]
     provider.calls = 0
@@ -274,19 +278,15 @@ def test_corrupt_cache_entry_recomputed(tmp_path, caplog):
     store.write_text(json.dumps({EmbeddingCache.key(provider, "x"): "garbage",
                                  EmbeddingCache.key(provider, "y"): good}))
     with closing(EmbeddingCache(store)) as cache:
-        assert list(cache._data) == [EmbeddingCache.key(provider, "y")]
-        assert "1 corrupt embedding cache entries dropped" in caplog.text
+        assert cache._data == {}
+        assert "corrupt embedding cache ignored" in caplog.text
         assert store.read_bytes()[:16] == SQLITE_HEADER
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
-        assert stored(store) == cache._data
-        (vec, hit) = embed(["x", "y"], provider, cache)
-    assert provider.calls == 1
-    assert len(vec) == provider.dimension
-    assert hit == good
-    # The recomputed vector was written with its batch.
-    assert stored(store) == {
-        EmbeddingCache.key(provider, "x"): vec,
-        EmbeddingCache.key(provider, "y"): good}
+        x, y = embed(["x", "y"], provider, cache)
+    assert provider.calls == 2
+    assert y == good
+    assert stored(store) == {EmbeddingCache.key(provider, "x"): x,
+                             EmbeddingCache.key(provider, "y"): good}
 
 
 def test_corrupt_store_ignored(tmp_path):
@@ -314,7 +314,7 @@ def test_random_bytes_store_ignored_with_warning(tmp_path, caplog, content):
 def test_unreadable_store_left_in_place(tmp_path):
     store = tmp_path / "cache.json"
     store.mkdir()
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(sqlite3.OperationalError):
         EmbeddingCache(store)
     assert store.is_dir()
     with pytest.raises(sqlite3.OperationalError):
@@ -370,6 +370,99 @@ def test_corrupt_store_row_recomputed(tmp_path, caplog):
         x, y, z = embed(["x", "y", "z"], provider, cache)
     assert provider.calls == 2
     assert stored(store) == dict(zip(keys, (x, y, z)))
+
+
+@pytest.mark.parametrize("column", ["key", "vector"])
+def test_undecodable_store_row_recomputed(tmp_path, caplog, column):
+    """A row whose key, or whose TEXT vector, is not UTF-8 is a corrupt
+    row: dropped with a warning and recomputed."""
+    provider = CountingProvider()
+    store = tmp_path / "cache.db"
+    with closing(EmbeddingCache(store)) as cache:
+        embed(["alpha", "beta"], provider, cache)
+    with sqlite3.connect(store) as db:
+        db.execute(f"UPDATE embeddings SET {column} ="
+                   " CAST(X'80626164' AS TEXT) WHERE rowid = 1")
+    db.close()
+    provider.calls = 0
+    keys = [EmbeddingCache.key(provider, t) for t in ("alpha", "beta")]
+    with closing(EmbeddingCache(store)) as cache:
+        assert list(cache._data) == keys[1:]
+        assert "1 corrupt embedding cache entries dropped" in caplog.text
+        vectors = embed(["alpha", "beta"], provider, cache)
+    assert provider.calls == 1
+    assert stored(store) == dict(zip(keys, vectors))
+
+
+@lru_cache(maxsize=None)
+def real_store() -> bytes:
+    """The bytes of a store of 200 rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.db"
+        with closing(EmbeddingCache(path)) as cache:
+            embed([f"text {i}" for i in range(200)], LocalHashProvider(8),
+                  cache)
+        return path.read_bytes()
+
+
+def damaged(kind, arg) -> bytes:
+    """A file for the cache path: the first `arg` bytes of the real store
+    ("cut"), the store with each (position, mask) of `arg` XORed in
+    ("flip"), the bytes `arg` ("bytes"), or the store with the `)` that
+    closes its CREATE TABLE text overwritten with a byte that is not UTF-8
+    ("schema")."""
+    store = bytearray(real_store())
+    if kind == "cut":
+        return bytes(store[:arg])
+    if kind == "flip":
+        for pos, mask in arg:
+            store[pos % len(store)] ^= mask
+        return bytes(store)
+    if kind == "bytes":
+        return arg
+    end = store.index(b"NOT NULL)") + len(b"NOT NULL")
+    store[end] = 0x80
+    return bytes(store)
+
+
+_CACHE_FILES = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("flip"), st.lists(
+        st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)),
+        min_size=1, max_size=20)),
+    st.tuples(st.just("bytes"), st.binary(max_size=4096)),
+    st.tuples(st.just("bytes"),
+              st.binary(max_size=4096).map(SQLITE_HEADER.__add__)))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_CACHE_FILES)
+@example(("bytes", b""))
+@example(("bytes", json.dumps({"k": [0.5, 1.0], "j": "garbage"}).encode()))
+@example(("schema", None))
+def test_any_file_at_the_cache_path_loads_is_replaced_or_raises(caplog, case):
+    """Whatever file is at the cache path, the cache loads it, replaces it
+    with an empty store with a warning, or raises `OperationalError` and
+    leaves it as it is."""
+    content = damaged(*case)
+    caplog.clear()
+    with tempfile.TemporaryDirectory() as tmp:
+        store = Path(tmp) / "cache.db"
+        store.write_bytes(content)
+        try:
+            cache = EmbeddingCache(store)
+        except sqlite3.OperationalError as exc:
+            assert "Could not decode" not in str(exc)
+            assert store.read_bytes() == content
+            return
+        with closing(cache):
+            if "corrupt embedding cache ignored" in caplog.text:
+                assert cache._data == {}
+                assert stored(store) == {}
+            for key, vec in cache._data.items():
+                assert isinstance(key, str) and isinstance(vec, list)
+                assert all(isinstance(x, float) for x in vec)
 
 
 def test_store_round_trips_every_float(tmp_path):
