@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 
+from .engine import RepairConfig
 from .orchestrator import run
 
 _DURATION_RE = re.compile(r"^(?:(\d+)h)?(?:(\d+)m)?(?:(\d+(?:\.\d+)?)s?)?$")
@@ -46,16 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a repair run from a descriptor")
     p.add_argument("descriptor", help="path to the JSON project descriptor")
     p.add_argument("--mode", choices=["sbfl", "spfl", "pfl"], default=None)
+    cfg = RepairConfig
     p.add_argument("--theta", type=float, default=None,
-                   help="embedding similarity threshold (default 0.75)")
+                   help=f"embedding similarity threshold (default {cfg.theta})")
     p.add_argument("--alpha", type=float, default=None,
-                   help="Jaccard similarity threshold (default 0.30)")
+                   help=f"Jaccard similarity threshold (default {cfg.alpha})")
     p.add_argument("--attempts", type=int, default=None,
-                   help="repair attempts per phase (default 5)")
+                   help=f"repair attempts per phase (default {cfg.attempts})")
     p.add_argument("--ingredients", type=int, default=None,
-                   help="max fix ingredients per sibling line (default 10)")
+                   help="max fix ingredients per sibling line "
+                        f"(default {cfg.ingredients})")
     p.add_argument("--budget", type=parse_duration, default=None,
-                   help="wall-clock budget, e.g. 5h, 30m, 90s (default 5h)")
+                   help="wall-clock budget, e.g. 5h, 30m, 90s "
+                        f"(default {cfg.budget / 3600:g}h)")
     p.add_argument("--stop-on-first-plausible", action="store_true",
                    default=None)
     p.add_argument("--keep-workspaces", action="store_true", default=None)

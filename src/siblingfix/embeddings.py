@@ -17,6 +17,7 @@ from itertools import repeat
 from operator import mul, truediv
 from pathlib import Path
 
+from .checks import check_type
 from .llm import BackendError, RemoteClient
 from .matching import CandidateSibling, StatementContext, float_sum, tokenize
 
@@ -55,6 +56,8 @@ class LocalHashProvider:
     batch_size = 1024
 
     def __init__(self, dimension: int = 512):
+        if check_type("provider dimension", dimension, int) < 1:
+            raise ValueError("provider dimension must be >= 1")
         self.dimension = dimension
         self.model = f"hash-{dimension}"
 
@@ -76,24 +79,20 @@ class RemoteEmbeddingProvider(RemoteClient):
     """POST {"input": texts, "model": name} -> {"data": [{"index", "embedding"}]}."""
 
     name = "remote"
+    batch_size = 64
     timeout, error, what = 120, EmbeddingError, "embedding provider"
 
     def __init__(self, url: str, model: str, api_key_env: str = "EMBED_API_KEY",
-                 batch_size: int = 64, **kwargs):
+                 **kwargs):
         super().__init__(url, model, api_key_env, **kwargs)
-        self.batch_size = batch_size
 
     def embed_batch(self, texts: list[str]) -> list[list[float]]:
         def read(reply):
             rows = sorted(reply["data"], key=lambda r: r["index"])
-            vectors = [row["embedding"] for row in rows]
-            if not all(isinstance(v, list) and all(
-                    isinstance(x, (int, float)) for x in v) for v in vectors):
-                raise ValueError("malformed embedding vector in reply")
-            return vectors
+            return [[check_type("embedding value", x, float) for x in
+                     check_type("embedding", row["embedding"], list)]
+                    for row in rows]
         return self._post({"input": texts, "model": self.model}, read)
-
-
 
 
 def _connect(path: Path) -> sqlite3.Connection:
@@ -160,6 +159,10 @@ class EmbeddingCache:
         rows = []
         try:
             self._db = _connect(path)
+            columns = {row[1] for row in self._db.execute(
+                "PRAGMA table_info(embeddings)")}
+            if not {"key", "vector"} <= columns:
+                raise sqlite3.DatabaseError("no key or vector column")
             # Keys and vectors are read as bytes, so a row that is not
             # UTF-8 is dropped, not raised.
             rows = [_unpack(k, v) for k, v in self._db.execute(

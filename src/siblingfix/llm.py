@@ -13,6 +13,8 @@ from pathlib import Path
 
 import requests
 
+from .checks import check_type
+
 logger = logging.getLogger(__name__)
 
 PATCH_MARKER_RE = re.compile(r"^=== PATCH file=(\S+) method=(\S+) ===[ \t]*$",
@@ -96,13 +98,13 @@ class RemoteClient:
     set the request `timeout`, the `error` raised once retries run out, and
     `what` they request, for log and error messages."""
 
+    max_retries = 3
+
     def __init__(self, url: str, model: str, api_key_env: str,
-                 max_retries: int = 3, session: requests.Session | None = None,
-                 sleep=time.sleep):
-        self.url = url
-        self.model = model
-        self.api_key_env = api_key_env
-        self.max_retries = max_retries
+                 session: requests.Session | None = None, sleep=time.sleep):
+        self.url = check_type("url", url, str)
+        self.model = check_type("model", model, str)
+        self.api_key_env = check_type("api_key_env", api_key_env, str)
         self.session = session or requests.Session()
         self._sleep = sleep
 
@@ -143,8 +145,8 @@ class RemoteChatBackend(RemoteClient):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        return self._post(
-            body, lambda reply: reply["choices"][0]["message"]["content"])
+        return self._post(body, lambda reply: check_type(
+            "reply content", reply["choices"][0]["message"]["content"], str))
 
 
 def parse_patch(response: str) -> Patch:

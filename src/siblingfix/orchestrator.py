@@ -43,8 +43,8 @@ class ProjectDescriptor:
     include: list[str]
     coverage_path: Path
     harness_command: str
-    backend_spec: dict
-    provider_spec: dict
+    backend: ScriptedBackend | RemoteChatBackend
+    provider: LocalHashProvider | RemoteEmbeddingProvider
     mode: str  # sbfl | spfl | pfl
     spfl_location: tuple[str, int] | None
     pfl_locations: list[tuple[str, int]]
@@ -91,18 +91,8 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
         backend_spec = dict(data["backend"])
         if backend_spec.get("type") == "scripted":
             backend_spec["directory"] = str(_resolve(base, backend_spec["directory"]))
-            on_missing = backend_spec.get("on_missing", "error")
-            if on_missing not in ScriptedBackend.ON_MISSING:
-                raise ValueError(f"unknown on_missing: {on_missing!r}")
-        provider_spec = dict(data.get("provider", {"type": "local-hash"}))
-        for spec in (backend_spec, provider_spec):
-            if spec.get("type") == "remote":
-                for key in ("url", "model"):
-                    check_type(key, spec[key], str)
-                check_type("api_key_env", spec.get("api_key_env", ""), str)
-        if ("dimension" in provider_spec and check_type(
-                "provider dimension", provider_spec["dimension"], int) < 1):
-            raise ValueError("provider dimension must be >= 1")
+        backend = make_backend(backend_spec)
+        provider = make_provider(dict(data.get("provider", {})))
         cache_path = data.get("cache")
         cache_path = _resolve(base, cache_path) if cache_path else None
         cfg = dict(data.get("config", {}))
@@ -138,30 +128,33 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
 
     return ProjectDescriptor(
         project_root=root, include=include, coverage_path=coverage,
-        harness_command=command, backend_spec=backend_spec,
-        provider_spec=provider_spec, mode=mode, spfl_location=spfl_location,
+        harness_command=command, backend=backend, provider=provider,
+        mode=mode, spfl_location=spfl_location,
         pfl_locations=pfl_locations, config=config, cache_path=cache_path)
+
+
+def _given(spec: dict, *keys: str) -> dict:
+    """The settings among `keys` that `spec` gives; constructors default the rest."""
+    return {key: spec[key] for key in keys if key in spec}
 
 
 def make_backend(spec: dict):
     kind = spec.get("type")
     if kind == "scripted":
-        return ScriptedBackend(spec["directory"],
-                               on_missing=spec.get("on_missing", "error"))
+        return ScriptedBackend(spec["directory"], **_given(spec, "on_missing"))
     if kind == "remote":
-        return RemoteChatBackend(url=spec["url"], model=spec["model"],
-                                 api_key_env=spec.get("api_key_env", "LLM_API_KEY"))
+        return RemoteChatBackend(spec["url"], spec["model"],
+                                 **_given(spec, "api_key_env"))
     raise DescriptorError(f"unknown backend type: {kind!r}")
 
 
 def make_provider(spec: dict):
     kind = spec.get("type", "local-hash")
     if kind == "local-hash":
-        return LocalHashProvider(dimension=spec.get("dimension", 512))
+        return LocalHashProvider(**_given(spec, "dimension"))
     if kind == "remote":
-        return RemoteEmbeddingProvider(
-            url=spec["url"], model=spec["model"],
-            api_key_env=spec.get("api_key_env", "EMBED_API_KEY"))
+        return RemoteEmbeddingProvider(spec["url"], spec["model"],
+                                       **_given(spec, "api_key_env"))
     raise DescriptorError(f"unknown provider type: {kind!r}")
 
 
@@ -244,8 +237,6 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         index = index_source(desc.project_root, desc.include)
         coverage = load_coverage(desc.coverage_path)
         suspicious = _suspicious_list(desc, coverage)
-        backend = make_backend(desc.backend_spec)
-        provider = make_provider(desc.provider_spec)
         try:
             cache = EmbeddingCache(desc.cache_path)
         except (OSError, sqlite3.OperationalError) as exc:
@@ -262,7 +253,7 @@ def run(descriptor_path: str | Path, overrides: dict | None = None,
         try:
             RepairEngine(
                 project_root=str(desc.project_root), index=index,
-                coverage=coverage, backend=backend, provider=provider,
+                coverage=coverage, backend=desc.backend, provider=desc.provider,
                 harness_command=desc.harness_command, config=desc.config,
                 cache=cache, run_dir=run_dir).repair_bug(suspicious, state)
         except BaseException as exc:

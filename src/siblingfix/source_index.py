@@ -1,6 +1,6 @@
-"""Lightweight structural indexer for brace languages.
+"""Lightweight structural indexer for Java.
 
-Segments Java/C-like source files into statements, methods, and classes
+Segments Java source files into statements, methods, and classes
 without any language toolchain. Strings and comments are masked before
 brace counting so spans stay correct. Files whose braces do not balance
 fall back to line-wise indexing with a warning.
@@ -22,14 +22,13 @@ KEYWORDS = frozenset(
     """
     abstract assert boolean break byte case catch char class const continue
     default do double else enum extends final finally float for goto if
-    implements import instanceof int interface long native new package
-    private protected public return short static strictfp struct super
-    switch synchronized this throw throws transient try typedef union
-    unsigned signed sizeof var void volatile while true false null
+    implements import instanceof int interface long native new package private
+    protected public return short static strictfp super switch synchronized
+    this throw throws transient try var void volatile while true false null
     """.split()
 )
 
-_CLASS_KEYWORDS = ("class", "interface", "enum", "struct")
+_CLASS_KEYWORDS = ("class", "interface", "enum")
 _CLASS_RE = re.compile(rf"\b(?:{'|'.join(_CLASS_KEYWORDS)})\s+([A-Za-z_]\w*)")
 # An identifier with the '.' before it and the '(' after it, if any, so one
 # match classifies it: a paren means a call, a dot alone a field access,

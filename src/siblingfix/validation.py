@@ -250,22 +250,20 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
             waiter.join()
     exit_code = -1 if timed_out else proc.returncode
     if timed_out:
-        results = [TestResult(t, "timeout", "harness timeout")
-                   for t in harness.expected_tests]
-        return TestReport(results=results, harness_exit=exit_code,
-                          log_tail=_tail(log_path))
-    if not results_path.exists():
+        status, message = "timeout", "harness timeout"
+    elif not results_path.exists():
         logger.warning("harness produced no results file (exit %d)", exit_code)
-        results = [TestResult(t, "error", "harness produced no results")
-                   for t in harness.expected_tests]
-        return TestReport(results=results, harness_exit=exit_code,
-                          log_tail=_tail(log_path))
-    try:
-        results = _read_results(results_path)
-    except HarnessProtocolError as exc:
-        exc.log_tail = _tail(log_path)
-        raise
-    return TestReport(results=results, harness_exit=exit_code)
+        status, message = "error", "harness produced no results"
+    else:
+        try:
+            results = _read_results(results_path)
+        except HarnessProtocolError as exc:
+            exc.log_tail = _tail(log_path)
+            raise
+        return TestReport(results=results, harness_exit=exit_code)
+    return TestReport(results=[TestResult(t, status, message)
+                               for t in harness.expected_tests],
+                      harness_exit=exit_code, log_tail=_tail(log_path))
 
 
 def _read_results(results_path: Path) -> list[TestResult]:

@@ -58,6 +58,12 @@ def test_local_provider_deterministic():
                         abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("dimension", [0, -3, 7.9, True])
+def test_local_provider_refuses_bad_dimension(dimension):
+    with pytest.raises((TypeError, ValueError), match="provider dimension"):
+        LocalHashProvider(dimension)
+
+
 def test_embed_empty_batch():
     assert embed([], LocalHashProvider(), EmbeddingCache()) == []
 
@@ -304,6 +310,21 @@ def test_random_bytes_store_ignored_with_warning(tmp_path, caplog, content):
     store = tmp_path / "cache.json"
     store.write_bytes(content)
     provider = CountingProvider()
+    with closing(EmbeddingCache(store)) as cache:
+        assert cache._data == {}
+        assert "corrupt embedding cache ignored" in caplog.text
+        (vec,) = embed(["x"], provider, cache)
+    assert stored(store) == {EmbeddingCache.key(provider, "x"): vec}
+
+
+@pytest.mark.parametrize("column", ["key", "vector"])
+def test_store_without_key_or_vector_column_replaced(tmp_path, caplog, column):
+    provider = CountingProvider()
+    store = tmp_path / "cache.db"
+    with closing(EmbeddingCache(store)) as cache:
+        embed(["x"], provider, cache)
+    with closing(sqlite3.connect(store)) as db:
+        db.execute(f"ALTER TABLE embeddings RENAME COLUMN {column} TO kez")
     with closing(EmbeddingCache(store)) as cache:
         assert cache._data == {}
         assert "corrupt embedding cache ignored" in caplog.text
@@ -623,7 +644,8 @@ def test_remote_provider_sends_bearer_key_and_backs_off(monkeypatch):
 
 def test_remote_provider_retries_malformed_reply():
     for reply in ({"data": [None]},
-                  {"data": [{"index": 0, "embedding": "x"}]}):
+                  {"data": [{"index": 0, "embedding": "x"}]},
+                  {"data": [{"index": 0, "embedding": [True, 0.5]}]}):
         sleeps = []
         session = FakeSession([FakeResponse(reply)] * 4)
         provider = RemoteEmbeddingProvider("http://x", "m", session=session,
@@ -632,3 +654,12 @@ def test_remote_provider_retries_malformed_reply():
             provider.embed_batch(["a"])
         assert session.calls == 4
         assert sleeps == [1, 2, 4]
+
+
+@pytest.mark.parametrize("setting", [{"url": 5}, {"model": None},
+                                     {"api_key_env": 5}],
+                         ids=["url-an-int", "model-null", "api-key-env-an-int"])
+def test_remote_provider_checks_its_settings(setting):
+    args = {"url": "http://x", "model": "m", **setting}
+    with pytest.raises(TypeError, match=next(iter(setting))):
+        RemoteEmbeddingProvider(**args)

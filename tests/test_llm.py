@@ -217,9 +217,20 @@ def test_remote_backend_sends_bearer_key_and_backs_off(monkeypatch):
 
 
 def test_remote_backend_retries_malformed_reply():
-    session = FakeSession([FakeResponse({"choices": [None]})] * 4)
-    backend = RemoteChatBackend("http://x", "model", session=session,
-                                sleep=lambda s: None)
-    with pytest.raises(BackendError):
-        backend.complete(CompletionRequest(prompt="p"))
-    assert session.calls == 4
+    for reply in ({"choices": [None]},
+                  {"choices": [{"message": {"content": None}}]}):
+        session = FakeSession([FakeResponse(reply)] * 4)
+        backend = RemoteChatBackend("http://x", "model", session=session,
+                                    sleep=lambda s: None)
+        with pytest.raises(BackendError):
+            backend.complete(CompletionRequest(prompt="p"))
+        assert session.calls == 4
+
+
+@pytest.mark.parametrize("setting", [{"url": 5}, {"model": None},
+                                     {"api_key_env": 5}],
+                         ids=["url-an-int", "model-null", "api-key-env-an-int"])
+def test_remote_backend_checks_its_settings(setting):
+    args = {"url": "http://x", "model": "model", **setting}
+    with pytest.raises(TypeError, match=next(iter(setting))):
+        RemoteChatBackend(**args)

@@ -135,10 +135,27 @@ def test_make_backend_and_provider():
     assert backend.on_missing == "error"
     provider = make_provider({"type": "local-hash", "dimension": 16})
     assert provider.dimension == 16
+    # A setting the spec leaves out takes its constructor's default.
+    assert make_provider({}).dimension == 512
+    remote = {"type": "remote", "url": "http://x", "model": "m"}
+    assert make_backend(remote).api_key_env == "LLM_API_KEY"
+    assert make_provider(remote).api_key_env == "EMBED_API_KEY"
     with pytest.raises(DescriptorError):
         make_backend({"type": "quantum"})
     with pytest.raises(DescriptorError):
         make_provider({"type": "quantum"})
+
+
+@pytest.mark.parametrize("changes", [{"backend": {"type": "quantum"}},
+                                     {"provider": {"type": "quantum"}}],
+                         ids=["backend", "provider"])
+def test_unknown_component_type_is_exit_2(tmp_path, capsys, changes):
+    desc = write_descriptor(tmp_path, **changes)
+    with pytest.raises(DescriptorError, match="unknown .* type: 'quantum'"):
+        load_descriptor(desc)
+    assert main(["run", str(desc), "--out", str(tmp_path / "runs")]) == 2
+    assert not (tmp_path / "runs").exists()
+    assert capsys.readouterr().err.startswith("error: unknown ")
 
 
 def test_run_directory_artifacts(tmp_path):

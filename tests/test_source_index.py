@@ -148,6 +148,31 @@ def test_identifiers_chained_access():
     assert len(ids) == 4
 
 
+def test_words_reserved_only_in_c_are_java_names(tmp_path):
+    """`union`, `sizeof`, `unsigned` and `signed` are keywords of C, not of
+    Java, where a method or a variable may have such a name."""
+    text = ("class Sets {\n"
+            "  static int union(int a, int b) {\n"
+            "    return a | b;\n"
+            "  }\n"
+            "  int sizeof(int[] xs) {\n"
+            "    int unsigned = signed + 1;\n"
+            "    return xs.length;\n"
+            "  }\n"
+            "}\n")
+    write(tmp_path, "Sets.java", text)
+    index = index_source(tmp_path, ["*.java"])
+    assert [m.name for m in index.files["Sets.java"].methods] == [
+        "union", "sizeof"]
+    ids = identifiers_in(stmt("int unsigned = signed + 1;"))
+    assert [(i.kind, i.name) for i in ids] == [
+        ("variable", "unsigned"), ("variable", "signed")]
+    body = "  static int union(int a, int b) {\n    return a & b;\n  }"
+    patch = Patch(edits=(PatchEdit("Sets.java", "union", body),))
+    assert patched_texts(patch, index) == {
+        "Sets.java": text.replace("a | b", "a & b")}
+
+
 def test_method_body_roundtrip(tmp_path):
     write(tmp_path, "F.java", "class F {\n  int f() {\n    return 1;\n  }\n}\n")
     index = index_source(tmp_path, ["*.java"])
