@@ -2,8 +2,10 @@
 and iterative repair with promising-patch carry-over.
 
 All LLM and validation calls are serialized; each attempt's prompt depends
-on the previous verdict. The wall-clock budget is checked before every
-attempt, and an in-flight validation is allowed to finish.
+on the previous verdict. The sibling pool is built while the baseline
+harness runs, and one writer thread writes the run directory's files. The
+wall-clock budget is checked before every attempt, and an in-flight
+validation is allowed to finish.
 """
 
 from __future__ import annotations
@@ -11,8 +13,11 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import queue
 import shutil
+import signal
 import tempfile
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -122,6 +127,40 @@ _ATTEMPT_FAILURES = {
 }
 
 
+class _FileWriter:
+    """Writes queued files in order on one thread, started by the first
+    write with SIGINT and SIGTERM blocked, so they reach the caller's thread.
+    The thread stops at its first error, kept in `error`; `write` raises it."""
+
+    def __init__(self):
+        self.queue, self.thread, self.error = queue.SimpleQueue(), None, None
+
+    def write(self, path: Path, text: str) -> None:
+        if self.error is not None:
+            raise self.error
+        if self.thread is None:
+            self.thread = threading.Thread(target=self._run, daemon=True)
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                          {signal.SIGINT, signal.SIGTERM})
+            try:
+                self.thread.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        self.queue.put((path, text))
+
+    def _run(self) -> None:
+        try:
+            for path, text in iter(self.queue.get, None):
+                path.write_text(text, encoding="utf-8")
+        except Exception as exc:
+            self.error = exc
+
+    def close(self) -> None:  # returns once the thread has written all or failed
+        if self.thread is not None:
+            self.queue.put(None)
+            self.thread.join()
+
+
 class RepairEngine:
     def __init__(self, project_root: str, index: SourceIndex,
                  coverage: CoverageMatrix, backend, provider,
@@ -149,6 +188,7 @@ class RepairEngine:
         self._attempt_counters: dict[str, int] = {}
         self._validation_cache: dict[str, TestReport] = {}
         self._deadline = math.inf  # armed by repair_bug from config.budget
+        self._writer = _FileWriter()  # one per repair_bug
 
     # -- plumbing ---------------------------------------------------------
 
@@ -158,25 +198,28 @@ class RepairEngine:
 
     def _save(self, sub: str, loc_id: str, attempt: int, text: str) -> None:
         if self.run_dir:
-            (self.run_dir / sub / attempt_file(loc_id, attempt)).write_text(
-                text, encoding="utf-8")
+            self._writer.write(self.run_dir / sub / attempt_file(loc_id, attempt),
+                               text)
 
     def _next_attempt(self, loc_id: str) -> int:
         self._attempt_counters[loc_id] = self._attempt_counters.get(loc_id, 0) + 1
         return self._attempt_counters[loc_id]
 
-    def _validate(self, patch: Patch) -> TestReport:
+    def _validate(self, patch: Patch, meanwhile=None) -> TestReport:
         """Apply and test a patch in the run's workspace, caching reports
         by patch content. A run that gave no results, or malformed ones,
         leaves its log's tail in `harness/<patch id>.txt` of the run
         directory. `keep_workspaces` keeps a copy of the tree the harness
-        left, in a temporary directory whose name holds the patch id."""
+        left, in a temporary directory whose name holds the patch id.
+        `meanwhile` is as for `run_tests`; a cache hit calls it at once."""
         cached = self._validation_cache.get(patch.id)
         if cached is not None:
+            if meanwhile is not None:
+                meanwhile()
             return cached
         workspace = apply_patch(self.workspace, patch)
         try:
-            report = run_tests(workspace, self.harness)
+            report = run_tests(workspace, self.harness, meanwhile)
         except HarnessProtocolError as exc:
             self._save_log_tail(patch, exc.log_tail)
             raise
@@ -193,10 +236,10 @@ class RepairEngine:
         if tail and self.run_dir:
             tails = self.run_dir / "harness"
             tails.mkdir(exist_ok=True)
-            (tails / f"{patch.id}.txt").write_text(tail, encoding="utf-8")
+            self._writer.write(tails / f"{patch.id}.txt", tail)
 
-    def _ensure_baseline(self) -> None:
-        self.baseline = self._validate(Patch(edits=()))
+    def _ensure_baseline(self, meanwhile=None) -> None:
+        self.baseline = self._validate(Patch(edits=()), meanwhile)
         if not self.baseline.failing:
             raise BaselineError("baseline run has no failing tests; "
                                 "coverage and harness disagree")
@@ -336,12 +379,15 @@ class RepairEngine:
                    state: RepairState | None = None) -> RepairState:
         """Try each suspicious location until a plausible patch is found,
         filling `state` in place if given, so an escaping exception keeps it.
-        The workspace is removed on every exit."""
+        The workspace is removed and run-directory files are written on every
+        exit; a failed write is raised unless another exception is leaving."""
         state = state if state is not None else RepairState()
         self._deadline = time.monotonic() + self.config.budget
+        writer = self._writer = _FileWriter()
         try:
-            self._ensure_baseline()
-            pool = TokenPool(self._build_pool())
+            contexts: list[StatementContext] = []
+            self._ensure_baseline(lambda: contexts.extend(self._build_pool()))
+            pool = TokenPool(contexts)
             for loc in suspicious[:self.config.cap]:
                 self._check_budget()
                 if loc.file not in self.index.files:
@@ -380,4 +426,7 @@ class RepairEngine:
             state.error = str(exc)
         finally:
             self.workspace.remove()
+            writer.close()
+        if writer.error is not None:
+            raise writer.error
         return state

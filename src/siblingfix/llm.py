@@ -145,8 +145,10 @@ class RemoteChatBackend(RemoteClient):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        # A lone surrogate fails to encode, a ValueError: the reply is retried.
         return self._post(body, lambda reply: check_type(
-            "reply content", reply["choices"][0]["message"]["content"], str))
+            "reply content", reply["choices"][0]["message"]["content"], str
+        ).encode().decode())
 
 
 def parse_patch(response: str) -> Patch:

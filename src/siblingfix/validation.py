@@ -217,10 +217,13 @@ def _kill_group(proc: subprocess.Popen) -> None:
         os.killpg(proc.pid, signal.SIGKILL)
 
 
-def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
+def run_tests(workspace: str | Path, harness: HarnessConfig,
+              meanwhile=None) -> TestReport:
     """Run the harness command; its RESULTS_PATH file is authoritative.
     A run that times out or writes no results keeps its log's tail, as
-    does the `HarnessProtocolError` of a run whose results are malformed."""
+    does the `HarnessProtocolError` of a run whose results are malformed.
+    `meanwhile()` runs once the harness has started; the timeout, counted
+    from the start, is acted on once it returns."""
     workspace = Path(workspace)
     results_path = workspace / ".repair-results.jsonl"
     log_path = workspace / ".repair-harness.log"
@@ -231,16 +234,19 @@ def run_tests(workspace: str | Path, harness: HarnessConfig) -> TestReport:
     # Its stdout and stderr go to .repair-harness.log, not a pipe, and only
     # the shell is waited on: a detached child cannot hold the run. A thread
     # blocks in the wait; `Popen.wait(timeout)` would poll, sleeping up to 50 ms.
-    # An exception that leaves the wait, such as KeyboardInterrupt, kills the
-    # group first: the terminal's SIGINT does not reach another session.
+    # An exception that leaves `meanwhile` or the wait, such as KeyboardInterrupt,
+    # kills the group first: the terminal's SIGINT does not reach another session.
     with log_path.open("wb") as log, \
             subprocess.Popen(harness.command, shell=True, cwd=workspace,
                              env=env, start_new_session=True, stdout=log,
                              stderr=subprocess.STDOUT) as proc:
         waiter = threading.Thread(target=proc.wait, daemon=True)
+        deadline = time.monotonic() + harness.timeout
         waiter.start()
         try:
-            waiter.join(harness.timeout)
+            if meanwhile is not None:
+                meanwhile()
+            waiter.join(max(0.0, deadline - time.monotonic()))
         except BaseException:
             _kill_group(proc)
             raise

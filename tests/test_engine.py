@@ -1,7 +1,10 @@
 import hashlib
 import json
 import re
+import signal
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,20 +15,20 @@ from siblingfix import (EmbeddingCache, LocalHashProvider, RepairConfig,
                         RepairEngine, SuspiciousLocation, engine as engine_module,
                         index_source, ochiai_rank, parse_patch)
 from siblingfix.embeddings import EmbeddingError
-from siblingfix.engine import location_id
-from siblingfix.llm import BackendError, ScriptedBackend
+from siblingfix.engine import RepairState, location_id
+from siblingfix.llm import BackendError, ScriptedBackend, attempt_file
 from siblingfix.localization import CoverageMatrix
 from siblingfix.orchestrator import run
 
 pytestmark = pytest.mark.usefixtures("tmp_tempdir")
 
 
-def make_engine(mini_index, mini_coverage, backend, **cfg):
+def make_engine(mini_index, mini_coverage, backend, run_dir=None, **cfg):
     config = RepairConfig(**cfg)
     return RepairEngine(
         project_root=str(PROJECT), index=mini_index, coverage=mini_coverage,
         backend=backend, provider=LocalHashProvider(), cache=EmbeddingCache(),
-        harness_command="python3 harness.py", config=config)
+        harness_command="python3 harness.py", config=config, run_dir=run_dir)
 
 
 def test_location_id():
@@ -518,3 +521,166 @@ def test_no_workspace_is_left_behind(mini_index, mini_coverage, tmp_tempdir,
         (sorted(engine._validation_cache) if keep else [])
     assert len({(ws / "src/Estimator.java").read_bytes() for ws in kept}) == \
         len(kept)
+
+
+class RecordingBackend:
+    """Answers as `inner` does, keeping each prompt sent and each response
+    received under its attempt file name."""
+
+    def __init__(self, inner):
+        self.inner, self.prompts, self.responses = inner, {}, {}
+
+    def complete(self, request):
+        name = attempt_file(request.location_id, request.attempt)
+        self.prompts[name] = request.prompt
+        self.responses[name] = self.inner.complete(request)
+        return self.responses[name]
+
+
+class InterruptingBackend(ProseBackend):
+    """Prose, then a KeyboardInterrupt at the second request."""
+
+    def __init__(self):
+        self.requests = 0
+
+    def complete(self, request):
+        self.requests += 1
+        if self.requests == 2:
+            raise KeyboardInterrupt
+        return super().complete(request)
+
+
+# As STOPS, with two attempts per phase where the backend has them to give.
+WRITER_STOPS = {
+    "plausible": (STOPS["plausible"][0], {"attempts": 1}),
+    "exhausted": (ProseBackend, {"cap": 1, "attempts": 2}),
+    "budget": STOPS["budget"],
+    "backend-error": STOPS["backend-error"],
+    "interrupted": (InterruptingBackend, {"cap": 1, "attempts": 2}),
+}
+
+
+@pytest.mark.parametrize("stop", WRITER_STOPS)
+def test_run_directory_holds_every_prompt_and_response(mini_index, mini_coverage,
+                                                       tmp_path, stop):
+    """However a run ends, once repair_bug has returned or raised, the run
+    directory holds the exact text of every prompt sent and every response
+    received, among them those of each attempt the log names, and no
+    writer thread is left."""
+    backend_factory, cfg = WRITER_STOPS[stop]
+    backend = RecordingBackend(backend_factory())
+    run_dir = tmp_path / "run"
+    engine = make_engine(mini_index, mini_coverage, backend, run_dir=run_dir,
+                         **cfg)
+    state = RepairState()
+    if stop == "interrupted":
+        with pytest.raises(KeyboardInterrupt):
+            engine.repair_bug(ochiai_rank(mini_coverage), state)
+    else:
+        assert engine.repair_bug(ochiai_rank(mini_coverage), state).stopped == stop
+    assert {attempt_file(r.location, r.attempt) for r in state.attempt_log} <= \
+        backend.responses.keys()
+    for sub, sent in (("prompts", backend.prompts),
+                      ("responses", backend.responses)):
+        assert {p.name: p.read_text(encoding="utf-8")
+                for p in (run_dir / sub).iterdir()} == sent
+    thread = engine._writer.thread
+    assert thread is None or not thread.is_alive()
+
+
+@pytest.mark.parametrize("backend, cfg", [
+    (FixBackend, {"attempts": 2, "cap": 1}),
+    (lambda: ScriptedBackend(RESPONSES), {"attempts": 1}),
+], ids=["at-next-write", "at-close"])
+def test_failed_write_is_raised(mini_index, mini_coverage, tmp_path, backend, cfg):
+    """A run-directory write that fails is raised from repair_bug: at the
+    next write, or once the run's files are written. The run goes at most
+    one request past the attempt whose write failed, here the first."""
+    run_dir = tmp_path / "run"
+    engine = make_engine(mini_index, mini_coverage, backend(), run_dir=run_dir,
+                         **cfg)
+    (run_dir / "responses").rmdir()
+    (run_dir / "responses").write_text("", encoding="utf-8")
+    state = RepairState()
+    with pytest.raises(NotADirectoryError):
+        engine.repair_bug(ochiai_rank(mini_coverage), state)
+    assert 1 <= state.requests <= 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the thread's mask from /proc")
+def test_writer_thread_blocks_sigint_and_sigterm(mini_index, mini_coverage,
+                                                 tmp_path):
+    """The writer thread blocks SIGINT and SIGTERM, so they reach the main
+    thread's harness wait; the main thread's mask is as it was."""
+    masks = []
+
+    class MaskReadingBackend(ProseBackend):
+        def complete(self, request):
+            thread = engine._writer.thread  # started by the prompt's write
+            status = Path(f"/proc/self/task/{thread.native_id}/status").read_text()
+            masks.append(int(re.search(r"^SigBlk:\s*(\w+)$", status, re.M)[1], 16))
+            return super().complete(request)
+
+    before = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    engine = make_engine(mini_index, mini_coverage, MaskReadingBackend(),
+                         run_dir=tmp_path / "run", attempts=2, cap=1)
+    engine.repair_bug(ochiai_rank(mini_coverage))
+    assert masks
+    for mask in masks:
+        assert mask >> (signal.SIGINT - 1) & 1 and mask >> (signal.SIGTERM - 1) & 1
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == before
+
+
+def test_pool_is_built_while_the_baseline_harness_runs(mini_index, mini_coverage,
+                                                       tmp_path, monkeypatch):
+    """The sibling pool's build starts before the baseline harness run, one
+    second long, ends."""
+    end = tmp_path / "harness-end"
+    starts = []
+    build = RepairEngine._build_pool
+    monkeypatch.setattr(RepairEngine, "_build_pool",
+                        lambda self: starts.append(time.time()) or build(self))
+    engine = make_engine(mini_index, mini_coverage, ProseBackend(), budget=0.5)
+    engine.harness.command = (
+        "sleep 1; python3 harness.py; "
+        f"python3 -c 'import time; print(repr(time.time()))' > '{end}'")
+    assert engine.repair_bug(ochiai_rank(mini_coverage)).stopped == "budget"
+    assert len(starts) == 1 and starts[0] < float(end.read_text())
+
+
+def test_interrupt_while_the_pool_is_built_kills_the_baseline_harness(
+        mini_index, mini_coverage, tmp_tempdir, monkeypatch):
+    """A KeyboardInterrupt from the pool build leaves repair_bug at once; the
+    baseline harness's process group is killed and the workspace removed."""
+    def interrupted(self):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(RepairEngine, "_build_pool", interrupted)
+    late = tmp_tempdir / "late"
+    engine = make_engine(mini_index, mini_coverage, ProseBackend(),
+                         test_timeout=60.0)
+    engine.harness.command = f"(sleep 1; touch '{late}') & sleep 30"
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        engine.repair_bug(ochiai_rank(mini_coverage))
+    assert time.monotonic() - start < 2
+    assert engine.workspace.path is None
+    assert not list(tmp_tempdir.glob("repair-ws-*"))
+    time.sleep(1.5)  # the interrupt came well within the harness's 1 s
+    assert not late.exists()
+
+
+def test_ensure_baseline_calls_meanwhile_once_each_time(mini_index, mini_coverage,
+                                                        monkeypatch):
+    """`meanwhile` runs once per call: during the harness run, then on the
+    validation-cache hit of the second call."""
+    runs = []
+    run_tests = engine_module.run_tests
+    monkeypatch.setattr(engine_module, "run_tests",
+                        lambda *args: runs.append(args) or run_tests(*args))
+    engine = make_engine(mini_index, mini_coverage, ProseBackend())
+    calls = []
+    for _ in range(2):
+        engine._ensure_baseline(lambda: calls.append(len(runs)))
+    engine.workspace.remove()
+    assert len(runs) == 1 and calls == [1, 1]

@@ -218,7 +218,8 @@ def test_remote_backend_sends_bearer_key_and_backs_off(monkeypatch):
 
 def test_remote_backend_retries_malformed_reply():
     for reply in ({"choices": [None]},
-                  {"choices": [{"message": {"content": None}}]}):
+                  {"choices": [{"message": {"content": None}}]},
+                  {"choices": [{"message": {"content": "half an emoji \ud83d"}}]}):
         session = FakeSession([FakeResponse(reply)] * 4)
         backend = RemoteChatBackend("http://x", "model", session=session,
                                     sleep=lambda s: None)

@@ -17,7 +17,7 @@ from conftest import (DESCRIPTOR, EXPECTED_DIFF, FIXTURES,
 from siblingfix import orchestrator
 from siblingfix.cli import main, parse_duration
 from siblingfix.embeddings import EmbeddingCache
-from siblingfix.llm import Patch, PatchEdit
+from siblingfix.llm import Patch, PatchEdit, RemoteChatBackend
 from siblingfix.orchestrator import (DescriptorError, load_descriptor,
                                      make_backend, make_provider, patch_to_diff,
                                      run)
@@ -241,6 +241,30 @@ def test_backend_fatal_is_exit_3(tmp_path):
     code, report, _ = run(desc, out_dir=tmp_path / "runs")
     assert code == 3
     assert report["stopped"] == "backend-error"
+
+
+def test_completion_that_is_not_utf8_is_exit_3(tmp_path, monkeypatch):
+    """A completion holding a lone surrogate cannot be saved or hashed: it
+    is retried, then the run stops with a backend error and its report."""
+    class SurrogateSession:
+        def post(self, *args, **kwargs):
+            return self
+
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return {"choices": [{"message": {"content": "half an emoji \ud83d"}}]}
+
+    monkeypatch.setattr(orchestrator, "make_backend", lambda spec: RemoteChatBackend(
+        "http://x", "m", session=SurrogateSession(), sleep=lambda s: None))
+    code, report, run_dir = run(write_descriptor(tmp_path),
+                                out_dir=tmp_path / "runs")
+    assert code == 3
+    assert report["stopped"] == "backend-error"
+    assert "completion failed after retries" in report["error"]
+    assert json.loads((run_dir / "report.json").read_text()) == report
+    assert not any((run_dir / "responses").iterdir())
 
 
 def test_embedding_cache_persisted(tmp_path):

@@ -290,6 +290,22 @@ def test_run_tests_timeout(tmp_path):
     assert {r.test for r in report.results} == {"t1", "t2"}
 
 
+def test_run_tests_timeout_counts_through_meanwhile(tmp_path):
+    """`meanwhile` runs once, while the harness does. A harness that
+    outlives its timeout meanwhile is a timeout once `meanwhile` returns:
+    the timeout counts from the harness's start."""
+    harness = harness_writing(tmp_path, [], sleep=5.0)
+    harness.timeout = 0.3
+    calls = []
+    start = time.monotonic()
+    report = run_tests(tmp_path, harness,
+                       meanwhile=lambda: calls.append(time.sleep(0.6)))
+    assert 0.6 <= time.monotonic() - start < 2
+    assert calls == [None]
+    assert [r.status for r in report.results] == ["timeout", "timeout"]
+    assert report.harness_exit == -1
+
+
 def test_run_tests_timeout_kills_the_process_group(tmp_path):
     harness = HarnessConfig(command="(sleep 1; touch late) & sleep 30",
                             timeout=0.3, expected_tests=["t1"])
