@@ -159,12 +159,14 @@ class EmbeddingCache:
         rows = []
         try:
             self._db = _connect(path)
-            columns = {row[1] for row in self._db.execute(
-                "PRAGMA table_info(embeddings)")}
-            if not {"key", "vector"} <= columns:
+            # Column names, keys and vectors are read as bytes, so a
+            # schema that is not UTF-8 reads as corrupt and a row that is
+            # not UTF-8 is dropped, not raised.
+            columns = {name for name, in self._db.execute(
+                "SELECT CAST(name AS BLOB)"
+                " FROM pragma_table_info('embeddings')")}
+            if not {b"key", b"vector"} <= columns:
                 raise sqlite3.DatabaseError("no key or vector column")
-            # Keys and vectors are read as bytes, so a row that is not
-            # UTF-8 is dropped, not raised.
             rows = [_unpack(k, v) for k, v in self._db.execute(
                 "SELECT CAST(key AS BLOB), CASE typeof(vector)"
                 " WHEN 'blob' THEN vector END FROM embeddings")]

@@ -462,6 +462,7 @@ _CACHE_FILES = st.one_of(
 @example(("bytes", b""))
 @example(("bytes", json.dumps({"k": [0.5, 1.0], "j": "garbage"}).encode()))
 @example(("schema", None))
+@example(("flip", [(4013, 128)]))  # a column name that is not UTF-8
 def test_any_file_at_the_cache_path_loads_is_replaced_or_raises(caplog, case):
     """Whatever file is at the cache path, the cache loads it, replaces it
     with an empty store with a warning, or raises `OperationalError` and
