@@ -13,8 +13,8 @@ import math
 import sqlite3
 from array import array
 from functools import lru_cache
-from itertools import repeat
-from operator import mul, truediv
+from itertools import compress
+from operator import mul
 from pathlib import Path
 
 from .checks import check_type
@@ -29,17 +29,35 @@ class EmbeddingError(BackendError):
 
 
 def _norm(v: list[float]) -> float:
-    return math.sqrt(float_sum(map(mul, v, v)))
+    """The L2 norm, adding squares of the non-zero components only, in
+    index order: `float_sum` skips zero squares anyway."""
+    nonzero = list(compress(v, v))
+    return math.sqrt(float_sum(map(mul, nonzero, nonzero)))
 
 
-def _cosine(a: list[float], na: float, b: list[float], nb: float) -> float:
-    """The cosine of `a` and `b` given their norms, so each vector's norm
-    is computed once however many vectors it is compared with."""
+def _support(v: list[float]) -> list[int]:
+    """The indices of `v`'s non-zero components, in order."""
+    return list(compress(range(len(v)), v))
+
+
+def _cosine(a: list[float], na: float, b: list[float], nb: float,
+            support: list[int]) -> float:
+    """The cosine of `a` and `b` given their norms and `a`'s `_support`, so
+    each is computed once however many vectors `a` is compared with.
+
+    The dot product adds the products at `a`'s non-zero components only,
+    in index order: elsewhere a finite `b[i]` gives a zero product, which
+    `float_sum` skips, so the float is the dense sum's. A `b` of another
+    length, or whose norm is not finite (an inf or NaN component, where
+    `0.0 * b[i]` is NaN), takes the dense sum."""
     if a == b:
         return 1.0 if any(a) else 0.0
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return float_sum(map(mul, a, b)) / (na * nb)
+    if len(a) != len(b) or not math.isfinite(nb):
+        return float_sum(map(mul, a, b)) / (na * nb)
+    return float_sum(map(mul, map(a.__getitem__, support),
+                         map(b.__getitem__, support))) / (na * nb)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -68,9 +86,11 @@ class LocalHashProvider:
             vec = [0.0] * dimension
             for token in tokenize(text):
                 vec[_bucket(token, dimension)] += 1.0
+            # Counts are >= 0, so only the non-zero components change, and
+            # a vector with none (norm 0) is left as it is.
             norm = _norm(vec)
-            if norm > 0.0:
-                vec = list(map(truediv, vec, repeat(norm)))
+            for i in _support(vec):
+                vec[i] /= norm
             out.append(vec)
         return out
 
@@ -261,9 +281,10 @@ def embedding_match(target: StatementContext, candidates: list[CandidateSibling]
     keys, vectors = _embed(texts, provider, cache)
     norms = list(map(cache.norm, keys, vectors))
     target_vec, target_norm = vectors[0], norms[0]
+    support = _support(target_vec)
     kept = []
     for cand, vec, norm in zip(candidates, vectors[1:], norms[1:]):
-        sim = _cosine(target_vec, target_norm, vec, norm)
+        sim = _cosine(target_vec, target_norm, vec, norm, support)
         cand.embedding_similarity = sim
         if sim >= theta:
             kept.append(cand)

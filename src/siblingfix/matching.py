@@ -10,10 +10,11 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from collections import Counter
+import sys
+from collections import Counter, _count_elements
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import mul
 
 from .source_index import MethodRef, SourceIndex, Statement, variables_in
@@ -33,18 +34,26 @@ def tokenize(text: str) -> list[str]:
 @lru_cache(maxsize=1 << 16)
 def _split_word(word: str) -> tuple[str, ...]:
     """The tokens of one word. A run's words are its project's words, so
-    most repeat and each distinct one is split once."""
-    return tuple(p.lower() for part in word.split("_")
+    most repeat and each distinct one is split once. Tokens are interned,
+    so equal tokens are one string: compact vectors, lookups by identity."""
+    return tuple(sys.intern(p.lower()) for part in word.split("_")
                  for p in _PIECE_RE.findall(part))
 
 
-def tfidf_vectors(counts: list[Counter[str]]) -> list[dict[str, float]]:
+def _idf(counts: list[dict[str, int]]) -> dict[str, float]:
+    """ln(N/df) of each term of the docs' term counts."""
+    n = len(counts)
+    return {t: math.log(n / c)
+            for t, c in Counter(chain.from_iterable(counts)).items()}
+
+
+def tfidf_vectors(counts: list[dict[str, int]],
+                  idf: dict[str, float] | None = None) -> list[dict[str, float]]:
     """Sparse TF-IDF vectors from each doc's term counts: tf = raw count,
-    idf = ln(N/df). A vector's terms are in its counts' order."""
-    df: Counter[str] = Counter()
-    for doc in counts:
-        df.update(doc.keys())
-    idf = {t: math.log(len(counts) / c) for t, c in df.items()}
+    idf = ln(N/df) (`_idf(counts)` unless given). A vector's terms are in
+    its counts' order."""
+    if idf is None:
+        idf = _idf(counts)
     return [{t: c * idf[t] for t, c in doc.items()} for doc in counts]
 
 
@@ -129,9 +138,11 @@ class MethodGroup:
 _ASSIGN_OPS = r"(?:=(?!=)|\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|\+\+|--)"
 # The names a statement assigns (`x = ...`, `a[i] += ...`, `n++`) or
 # declares without an initializer (`int x;`, `String s)`, `T v:`). A word
-# character never starts either suffix, so each match is a whole word.
+# character never starts either suffix, so each match is a whole word, and
+# the assigned name is taken atomically (a lookahead and a backreference;
+# possessive quantifiers need 3.11), with no retry of its shorter prefixes.
 _ASSIGNED_RE = re.compile(
-    rf"(?<![\w.$])([A-Za-z_$][\w$]*)(?=\s*(?:\[[^\]]*\])?\s*{_ASSIGN_OPS})")
+    rf"(?<![\w.$])(?=([A-Za-z_$][\w$]*))\1(?=\s*(?:\[[^\]]*\])?\s*{_ASSIGN_OPS})")
 _DECLARED_RE = re.compile(r"[\w>\]]\s+([A-Za-z_$][\w$]*)(?=\s*(?:[;,=)]|:))")
 
 
@@ -212,34 +223,39 @@ class TokenPool:
     def _tfidf(self):
         # A context's tokens are its statements' tokens in order: `rendered`
         # joins them with "\n", which no word spans. So each distinct
-        # statement is tokenized once, and one string object per distinct
-        # token keeps the vectors compact.
-        vocab: dict[str, str] = {}
+        # statement is tokenized once, and a context's terms are counted
+        # into a plain dict by `Counter`'s own loop, in first-occurrence
+        # order, with no `Counter` built per context.
         memo: dict[int, list[str]] = {}
 
         def tokens(stmt: Statement) -> list[str]:
             got = memo.get(id(stmt))
             if got is None:
-                got = memo[id(stmt)] = [vocab.setdefault(t, t)
-                                        for t in tokenize(stmt.text)]
+                got = memo[id(stmt)] = tokenize(stmt.text)
             return got
 
-        vectors = tfidf_vectors([Counter(chain.from_iterable(map(tokens, c.context)))
-                                 for c in self.contexts])
-        # Postings: each term of non-zero weight to the positions of the
-        # contexts that hold it. Weights are read from the vectors, so an
-        # entry costs one pointer to an int shared by its context's entries.
-        postings: dict[str, list[int]] = {}
-        for d, v in enumerate(vectors):
-            for t, w in v.items():
-                if w:
-                    held = postings.get(t)
-                    if held is None:
-                        postings[t] = [d]
-                    else:
-                        held.append(d)
+        counts: list[dict[str, int]] = []
+        for c in self.contexts:
+            counts.append(doc := {})
+            _count_elements(doc, chain.from_iterable(map(tokens, c.context)))
+        idf = _idf(counts)
+        vectors = tfidf_vectors(counts, idf)
+        # Postings: each term of non-zero weight (df below N) to the
+        # positions of the contexts that hold it, in pool order. Weights are
+        # read from the vectors, so an entry costs one pointer to an int.
+        postings: dict[str, list[int]] = {t: [] for t, w in idf.items() if w}
+        for d, doc in enumerate(counts):
+            for t in doc:
+                held = postings.get(t)
+                if held is not None:
+                    held.append(d)
         return (vectors, [_norm(v) for v in vectors],
                 [c.key for c in self.contexts], postings)
+
+    @cached_property
+    def _by_key(self) -> list[int]:
+        """The pool's positions in (file, line) order, then pool order."""
+        return sorted(range(len(self.contexts)), key=self._tfidf[2].__getitem__)
 
     def ranked(self, target: StatementContext, limit: int
                ) -> list[tuple[float, StatementContext]]:
@@ -253,6 +269,11 @@ class TokenPool:
         the target's term order. A zero product, which `_cosine` skips,
         adds +0.0 to a non-negative total and changes no bit. A context
         that shares no weighted term scores +0.0.
+
+        Only contexts with a non-zero dot product enter the heap. Weights
+        are >= 0, so each of their scores sorts before every +0.0; if fewer
+        than `limit` score, the zero-score contexts follow in (file, line)
+        and pool order, as the sort places them.
         """
         pos = self._positions.get(target.target)
         if pos is None or self.contexts[pos].context != target.context:
@@ -264,11 +285,16 @@ class TokenPool:
         for t, w in tv.items():
             for d in postings.get(t, ()):
                 dots[d] += w * vectors[d][t]
-        # The heap holds -similarity, so a zero dot stores -0.0 to give +0.0.
-        best = heapq.nsmallest(limit, (
-            (-dot / (tn * norms[d]) if dot else -0.0, keys[d], d)
-            for d, dot in enumerate(dots) if d != pos))
-        return [(-neg, self.contexts[d]) for neg, _, d in best]
+        dots[pos] = 0.0  # the target is not its own sibling
+        # The heap holds -similarity, so the best comes first.
+        best = [(-neg, self.contexts[d]) for neg, _, d in heapq.nsmallest(
+            limit, ((-dot / (tn * norms[d]), keys[d], d)
+                    for d, dot in enumerate(dots) if dot))]
+        if len(best) < limit:
+            zeros = (d for d in self._by_key if not dots[d] and d != pos)
+            best += [(0.0, self.contexts[d])
+                     for d in islice(zeros, limit - len(best))]
+        return best
 
 
 def token_match(target: StatementContext, pool: TokenPool,

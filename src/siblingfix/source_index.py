@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,7 +25,7 @@ KEYWORDS = frozenset(
     default do double else enum extends final finally float for goto if
     implements import instanceof int interface long native new package private
     protected public return short static strictfp super switch synchronized
-    this throw throws transient try var void volatile while true false null
+    this throw throws transient try void volatile while true false null
     """.split()
 )
 
@@ -52,7 +53,8 @@ class Statement:
 
     @cached_property
     def masked(self) -> str:
-        """`mask_code(self.text)`, computed once per statement."""
+        """`mask_code(self.text)`, computed once per statement, unless its
+        file's `scopes` gave it a slice of the file's mask first."""
         masked = mask_code(self.text)
         return self.text if masked == self.text else masked  # share if equal
 
@@ -96,6 +98,10 @@ class SourceFile:
     methods: list[MethodRef]
     classes: list[ClassRef]
     newline: str = "\n"  # "\r\n" for a CRLF file; `text` has "\n" either way
+    # The file's `mask_code` and each statement's start offset, if the
+    # segmenter made the statements; `scopes` slices masked texts from them.
+    mask: str | None = field(default=None, compare=False, repr=False)
+    offsets: array | None = field(default=None, compare=False, repr=False)
 
     def with_newline(self, text: str) -> str:
         """`text`, a text of this file with LF line ends, given the file's own."""
@@ -120,7 +126,17 @@ class SourceFile:
     @cached_property
     def scopes(self) -> dict[MethodRef | None, list[Statement]]:
         """Each owner's statements in text order. A statement's owner is the
-        method `method_by_line` gives at its start line, or None."""
+        method `method_by_line` gives at its start line, or None.
+
+        Building it also stores each statement's `masked` text, where
+        `cached_property` keeps it, as a slice of the file's mask. A
+        statement holds whole each comment and literal it touches, so the
+        slice is `mask_code(text)`, and the file is masked once in all."""
+        if self.mask is not None:
+            for s, start in zip(self.statements, self.offsets):
+                text = s.text
+                masked = self.mask[start:start + len(text)]
+                vars(s).setdefault("masked", text if masked == text else masked)
         scopes: dict[MethodRef | None, list[Statement]] = {}
         for s in self.statements:
             scopes.setdefault(_at(self.method_by_line, s.start_line), []).append(s)
@@ -248,7 +264,8 @@ _SIGNIFICANT_RE = re.compile(r"[^\s{}]")
 
 def _segment_statements(path: str, text: str, masked: str, starts: list[int],
                         literals: list[int]
-                        ) -> tuple[list[Statement], dict[int, int], dict[int, int]]:
+                        ) -> tuple[list[Statement], array, dict[int, int],
+                                   dict[int, int]]:
     """Statement segmentation over the '(', ')', ';', '{' and '}' of `masked`.
 
     A statement ends at ';' (outside parentheses) or at '{' (block header).
@@ -257,11 +274,12 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
     is neither blank nor a brace in `masked`, or at the opening quote of a
     string/char literal (`literals`); comments never start one.
 
-    The same walk pairs the brackets. Besides the statements it returns the
-    offset of the matching '(' for each ')' that has one, and of the
-    matching '}' for each '{' that has one. A stack pairs each close with
-    the latest unclosed open of its kind and skips a close that finds none;
-    that is the pair a forward depth count from the open would find.
+    The same walk pairs the brackets. Besides the statements and their
+    start offsets it returns the offset of the matching '(' for each ')'
+    that has one, and of the matching '}' for each '{' that has one. A
+    stack pairs each close with the latest unclosed open of its kind and
+    skips a close that finds none; that is the pair a forward depth count
+    from the open would find.
     """
     paren_open: dict[int, int] = {}
     brace_close: dict[int, int] = {}
@@ -295,6 +313,7 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
     # Each statement's start is searched for once, in the stretch between
     # the previous bound and its own; a stretch with none makes no statement.
     stmts: list[Statement] = []
+    offsets = array("l")
     after = 0
     for end, kind in bounds:
         m = _SIGNIFICANT_RE.search(masked, after, end + 1)
@@ -305,8 +324,9 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
         if start <= end:
             stmts.append(Statement(path, _line_of(start, starts),
                                    _line_of(end, starts), text[start:end + 1], kind))
+            offsets.append(start)
         after = end + 1
-    return stmts, paren_open, brace_close
+    return stmts, offsets, paren_open, brace_close
 
 
 def _linewise_statements(path: str, text: str) -> list[Statement]:
@@ -451,7 +471,7 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
         return SourceFile(text, digest, _linewise_statements(rel, text), [], [],
                           newline)
     starts = _line_starts(text)
-    statements, paren_open, brace_close = _segment_statements(
+    statements, offsets, paren_open, brace_close = _segment_statements(
         rel, text, masked, starts, literals)
     classes = _find_classes(rel, masked, starts, brace_close)
     # Per line, the innermost class holding it: the one owner of each
@@ -460,7 +480,8 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
                                   lambda c: c.body_end - c.body_start)
     methods = _find_methods(rel, text, masked, starts, paren_open, brace_close,
                             class_by_line)
-    sf = SourceFile(text, digest, statements, methods, classes, newline)
+    sf = SourceFile(text, digest, statements, methods, classes, newline,
+                    masked, offsets)
     _collect_fields(sf, class_by_line)
     return sf
 

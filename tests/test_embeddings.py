@@ -19,7 +19,8 @@ from conftest import FIXTURES, write_descriptor
 from siblingfix import embeddings
 from siblingfix.embeddings import (EmbeddingCache, EmbeddingError,
                                    LocalHashProvider, RemoteEmbeddingProvider,
-                                   _cosine, _norm, embed, embedding_match)
+                                   _cosine, _norm, _support, embed,
+                                   embedding_match)
 from siblingfix.engine import RepairConfig
 from siblingfix.matching import CandidateSibling, StatementContext
 from siblingfix.orchestrator import run
@@ -34,8 +35,8 @@ def stored(path) -> dict:
 
 
 def cosine(a, b):
-    """The cosine of two vectors, each norm computed on the spot."""
-    return _cosine(a, _norm(a), b, _norm(b))
+    """The cosine of two vectors, norms and support computed on the spot."""
+    return _cosine(a, _norm(a), b, _norm(b), _support(a))
 
 
 class CountingProvider(LocalHashProvider):
@@ -56,6 +57,22 @@ def test_local_provider_deterministic():
     assert len(a) == 32
     assert math.isclose(math.sqrt(sum(c * c for c in a)), 1.0,
                         abs_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.text(alphabet="aBc_9 .(", max_size=60))
+def test_local_provider_divides_counts_by_their_norm(dimension, text):
+    """Each component is its token count over the plain formula's norm,
+    bit for bit; a text with no tokens gives the zero vector."""
+    from siblingfix.embeddings import _bucket
+    from siblingfix.matching import tokenize
+    counts = [0.0] * dimension
+    for token in tokenize(text):
+        counts[_bucket(token, dimension)] += 1.0
+    norm = _ref_norm(counts)
+    want = [x / norm for x in counts] if norm else counts
+    got = LocalHashProvider(dimension).embed_batch([text])[0]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 @pytest.mark.parametrize("dimension", [0, -3, 7.9, True])
@@ -223,8 +240,44 @@ def test_cosine_and_norm_equal_generator_formulas(case):
     sums of the plain formula."""
     a, b = case
     assert float.hex(_norm(a)) == float.hex(_ref_norm(a))
-    assert float.hex(_cosine(a, _norm(a), b, _norm(b))) == float.hex(
-        _ref_cosine(a, b))
+    assert float.hex(cosine(a, b)) == float.hex(_ref_cosine(a, b))
+
+
+_ODD = _COMPONENT | st.sampled_from(
+    [-0.0, 1e-200, 1e200, math.inf, -math.inf, math.nan]) | st.floats()
+
+
+def _rows(target):
+    """Candidate vectors against `target`: any of its length, any of another
+    length, and ones that are zero wherever `target` is not."""
+    d = len(target)
+    off_support = st.lists(_ODD, min_size=d, max_size=d).map(
+        lambda r: [0.0 if t else x for t, x in zip(target, r)])
+    return st.lists(st.lists(_ODD, min_size=d, max_size=d)
+                    | st.lists(_ODD, max_size=d + 3) | off_support, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(
+    lambda d: st.lists(_ODD, min_size=d, max_size=d)).flatmap(
+    lambda t: st.tuples(st.just(t), _rows(t))))
+@example(([1.0, 0.0, 2.0], [[3.0, math.inf, 0.5], [0.0, math.nan, 0.0],
+                            [1.0, 2.0], [0.0, 5.0, 0.0, 7.0]]))
+def test_sparse_sums_equal_the_dense_formula(case):
+    """Summing over the target's non-zero components only gives the dense
+    formula's float, bit for bit, and NaN where it gives NaN: for vectors
+    of unequal length, with inf or NaN components, and with zeros at the
+    target's non-zero positions."""
+    target_vec, rows = case
+    vectors = {"t": target_vec, **{f"c{i}": r for i, r in enumerate(rows)}}
+    candidates = cands(*[(f"c{i}", "c.java", i + 1) for i in range(len(rows))])
+    embedding_match(ctx("t", "t.java", 1), candidates, -1.0,
+                    FixedProvider(vectors), EmbeddingCache())
+    want = [float.hex(_ref_cosine(target_vec, r)) for r in rows]
+    assert [float.hex(c.embedding_similarity) for c in candidates] == want
+    assert [float.hex(cosine(target_vec, r)) for r in rows] == want
+    for v in [target_vec, *rows]:
+        assert float.hex(_norm(v)) == float.hex(_ref_norm(v))
 
 
 def test_embedding_match_computes_each_norm_once(monkeypatch):

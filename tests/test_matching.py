@@ -539,6 +539,36 @@ def test_token_pool_ties_straddling_the_cut():
     assert straddled >= 5
 
 
+def test_token_pool_heaps_only_scoring_contexts(monkeypatch):
+    """On 2,000 contexts in 50 families with disjoint vocabularies, a target
+    scores against the 39 others of its family. Only those enter the
+    ranking heap, and the zero-score padding follows in (file, line) order,
+    the per-call ranking's keys and floats."""
+    def word(n):
+        return "".join(string.ascii_lowercase[n // 26 ** k % 26] for k in range(3))
+    pool = []
+    for f in range(50):
+        vocab = [word(3 * f + j) for j in range(3)]
+        pool += [ctx(f"{vocab[i % 3]} {vocab[(i + 1) % 3]}",
+                     f"f{(f * 7) % 50:02}.java", 1 + (i * 13) % 40)
+                 for i in range(40)]
+    tokens = TokenPool(pool)
+    fed = []
+    nsmallest = matching.heapq.nsmallest
+
+    def counted(n, iterable):
+        items = list(iterable)
+        fed.append(len(items))
+        return nsmallest(n, items)
+    for target in pool[::397]:
+        monkeypatch.setattr(matching.heapq, "nsmallest", counted)
+        got = _member_ranking(tokens, target, 100)
+        monkeypatch.undo()
+        assert fed.pop() == 39 and not fed
+        assert [c.token_similarity > 0.0 for c in got] == [True] * 39 + [False] * 61
+        assert _exact(got) == _per_call(target, pool, 100)
+
+
 def test_token_pool_pads_fewer_positive_contexts_with_plus_zero():
     """With fewer positive scores than `limit`, the rest are +0.0, never
     -0.0, in (file, line) order."""
@@ -771,6 +801,8 @@ _PIECES = st.sampled_from(["a", "b1", "$c", "d$", "\u00e9", "9", ".", " ", "\t",
 @settings(max_examples=300, deadline=None)
 @given(FILE | st.lists(_PIECES, max_size=16).map("".join))
 @example("i--;")  # "--" is the only sign of this assignment
+@example("accumulatedWeightedResidualSum[index] += partialDerivativeOfTheModel * "
+         "x; iterationCounterForTheOuterLoop++; int notAssignedButDeclaredHere;")
 def test_defined_names_match_per_name_search(text):
     """A name is defined by a statement exactly when the per-name search
     says it is assigned or declared there, for every identifier of the text."""

@@ -173,6 +173,15 @@ def test_words_reserved_only_in_c_are_java_names(tmp_path):
         "Sets.java": text.replace("a | b", "a & b")}
 
 
+def test_var_is_a_java_name(tmp_path):
+    """`var` is a contextual keyword (JLS 3.9), not a reserved one: a method
+    and a variable may be named `var`."""
+    write(tmp_path, "V.java", "class V {\n  int var(int var) { return var + 1; }\n}\n")
+    index = index_source(tmp_path, ["*.java"])
+    assert [m.name for m in index.files["V.java"].methods] == ["var"]
+    assert variables_in(stmt("return var + 1;")) == ["var"]
+
+
 def test_method_body_roundtrip(tmp_path):
     write(tmp_path, "F.java", "class F {\n  int f() {\n    return 1;\n  }\n}\n")
     index = index_source(tmp_path, ["*.java"])
@@ -396,6 +405,21 @@ def test_lookup_tables_match_linear_scans(tmp_path_factory, text):
         assert index.statements_in_method(ref) == \
             _scan_statements_in_method(sf, ref)
     for s in sf.statements:
+        assert s.masked == mask_code(s.text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FILE)
+def test_masked_slices_equal_mask_code(tmp_path_factory, text):
+    """Once `scopes` is built, each statement's masked text, a slice of its
+    file's mask, is `mask_code` of its own text. A file indexed line-wise
+    keeps no mask, and its statements mask their own text."""
+    tmp = tmp_path_factory.mktemp("slices")
+    (tmp / "T.java").write_text(text, encoding="utf-8")
+    sf = index_source(tmp, ["*.java"]).files["T.java"]
+    sf.scopes
+    for s in sf.statements:
+        assert ("masked" in vars(s)) == (sf.mask is not None)
         assert s.masked == mask_code(s.text)
 
 
