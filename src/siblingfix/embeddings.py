@@ -13,7 +13,7 @@ import math
 import sqlite3
 from array import array
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from operator import mul
 from pathlib import Path
 
@@ -28,33 +28,39 @@ class EmbeddingError(BackendError):
     """Embedding provider failure."""
 
 
-def _norm(v: list[float]) -> float:
-    """The L2 norm, adding squares of the non-zero components only, in
-    index order: `float_sum` skips zero squares anyway."""
-    nonzero = list(compress(v, v))
-    return math.sqrt(float_sum(map(mul, nonzero, nonzero)))
+def _norm(v: list[float], sparse: bool = False) -> float:
+    """The L2 norm. `sparse` adds the squares of the non-zero components
+    only, in index order, which gives the same float (`float_sum` skips
+    zero squares anyway) and is faster when most components are zero."""
+    if sparse:
+        v = list(compress(v, v))
+    return math.sqrt(float_sum(map(mul, v, v)))
 
 
-def _support(v: list[float]) -> list[int]:
-    """The indices of `v`'s non-zero components, in order."""
-    return list(compress(range(len(v)), v))
+def _support(v: list[float]) -> list[int] | None:
+    """The indices of `v`'s non-zero components, in order, if at most half
+    are non-zero; else None. A sum over the indices of more than half the
+    components is slower than the dense sum (two lookups per product)."""
+    support = list(compress(range(len(v)), v))
+    return support if 2 * len(support) <= len(v) else None
 
 
 def _cosine(a: list[float], na: float, b: list[float], nb: float,
-            support: list[int]) -> float:
+            support: list[int] | None) -> float:
     """The cosine of `a` and `b` given their norms and `a`'s `_support`, so
     each is computed once however many vectors `a` is compared with.
 
-    The dot product adds the products at `a`'s non-zero components only,
-    in index order: elsewhere a finite `b[i]` gives a zero product, which
-    `float_sum` skips, so the float is the dense sum's. A `b` of another
-    length, or whose norm is not finite (an inf or NaN component, where
-    `0.0 * b[i]` is NaN), takes the dense sum."""
+    With a support, the dot product adds the products at `a`'s non-zero
+    components only, in index order: elsewhere a finite `b[i]` gives a
+    zero product, which `float_sum` skips, so the float is the dense sum's.
+    It takes the dense sum without a support, for a `b` of another length,
+    and for a `b` whose norm is not finite (an inf or NaN component, where
+    `0.0 * b[i]` is NaN)."""
     if a == b:
         return 1.0 if any(a) else 0.0
     if na == 0.0 or nb == 0.0:
         return 0.0
-    if len(a) != len(b) or not math.isfinite(nb):
+    if support is None or len(a) != len(b) or not math.isfinite(nb):
         return float_sum(map(mul, a, b)) / (na * nb)
     return float_sum(map(mul, map(a.__getitem__, support),
                          map(b.__getitem__, support))) / (na * nb)
@@ -88,8 +94,8 @@ class LocalHashProvider:
                 vec[_bucket(token, dimension)] += 1.0
             # Counts are >= 0, so only the non-zero components change, and
             # a vector with none (norm 0) is left as it is.
-            norm = _norm(vec)
-            for i in _support(vec):
+            norm = _norm(vec, sparse=True)
+            for i in compress(range(dimension), vec):
                 vec[i] /= norm
             out.append(vec)
         return out
@@ -218,11 +224,12 @@ class EmbeddingCache:
         if self.store_path:
             self._pending[key] = vec
 
-    def norm(self, key: str, vector: list[float]) -> float:
-        """The norm of `vector`, the vector of `key`, computed once per key."""
+    def norm(self, key: str, vector: list[float], sparse: bool = False) -> float:
+        """The norm of `vector`, the vector of `key`, computed once per key
+        (`sparse` as for `_norm`)."""
         norm = self._norms.get(key)
         if norm is None:
-            norm = self._norms[key] = _norm(vector)
+            norm = self._norms[key] = _norm(vector, sparse)
         return norm
 
     def flush(self) -> None:
@@ -274,14 +281,17 @@ def embedding_match(target: StatementContext, candidates: list[CandidateSibling]
                     theta: float, provider,
                     cache: EmbeddingCache) -> list[CandidateSibling]:
     """Retain candidates whose embedding cosine vs the target is >= theta.
-    Each distinct vector's norm is computed once per cache."""
+    Each distinct vector's norm is computed once per cache. The sums skip
+    zero components when the target's are mostly zero (`_support`), as
+    the local-hash provider's are; dense vectors take the dense sums."""
     if not candidates:
         return []
     texts = [target.rendered] + [c.context.rendered for c in candidates]
     keys, vectors = _embed(texts, provider, cache)
-    norms = list(map(cache.norm, keys, vectors))
-    target_vec, target_norm = vectors[0], norms[0]
+    target_vec = vectors[0]
     support = _support(target_vec)
+    norms = list(map(cache.norm, keys, vectors, repeat(support is not None)))
+    target_norm = norms[0]
     kept = []
     for cand, vec, norm in zip(candidates, vectors[1:], norms[1:]):
         sim = _cosine(target_vec, target_norm, vec, norm, support)

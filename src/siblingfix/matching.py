@@ -10,7 +10,6 @@ from __future__ import annotations
 import heapq
 import math
 import re
-import sys
 from collections import Counter, _count_elements
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -34,26 +33,17 @@ def tokenize(text: str) -> list[str]:
 @lru_cache(maxsize=1 << 16)
 def _split_word(word: str) -> tuple[str, ...]:
     """The tokens of one word. A run's words are its project's words, so
-    most repeat and each distinct one is split once. Tokens are interned,
-    so equal tokens are one string: compact vectors, lookups by identity."""
-    return tuple(sys.intern(p.lower()) for part in word.split("_")
+    most repeat and each distinct one is split once."""
+    return tuple(p.lower() for part in word.split("_")
                  for p in _PIECE_RE.findall(part))
 
 
-def _idf(counts: list[dict[str, int]]) -> dict[str, float]:
-    """ln(N/df) of each term of the docs' term counts."""
-    n = len(counts)
-    return {t: math.log(n / c)
-            for t, c in Counter(chain.from_iterable(counts)).items()}
-
-
-def tfidf_vectors(counts: list[dict[str, int]],
-                  idf: dict[str, float] | None = None) -> list[dict[str, float]]:
+def tfidf_vectors(counts: list[dict[str, int]]) -> list[dict[str, float]]:
     """Sparse TF-IDF vectors from each doc's term counts: tf = raw count,
-    idf = ln(N/df) (`_idf(counts)` unless given). A vector's terms are in
-    its counts' order."""
-    if idf is None:
-        idf = _idf(counts)
+    idf = ln(N/df). A vector's terms are in its counts' order."""
+    n = len(counts)
+    idf = {t: math.log(n / c)
+           for t, c in Counter(chain.from_iterable(counts)).items()}
     return [{t: c * idf[t] for t, c in doc.items()} for doc in counts]
 
 
@@ -219,13 +209,17 @@ class TokenPool:
     def __len__(self) -> int:
         return len(self.contexts)
 
-    @cached_property
-    def _tfidf(self):
-        # A context's tokens are its statements' tokens in order: `rendered`
-        # joins them with "\n", which no word spans. So each distinct
-        # statement is tokenized once, and a context's terms are counted
-        # into a plain dict by `Counter`'s own loop, in first-occurrence
-        # order, with no `Counter` built per context.
+    def _term_counts(self) -> list[dict[str, int]]:
+        """Each context's term counts, in first-occurrence order.
+
+        A context's tokens are its statements' tokens in order: `rendered`
+        joins them with "\n", which no word spans. So each distinct
+        statement is tokenized once, and each token is a string of
+        `_split_word`'s cached tuples, shared by all its occurrences. Terms
+        are counted into a plain dict by the loop `Counter` itself runs:
+        `_count_elements` is in `collections` on every CPython 3 (the C
+        helper where built, else Python), and it saves building a `Counter`
+        per context."""
         memo: dict[int, list[str]] = {}
 
         def tokens(stmt: Statement) -> list[str]:
@@ -238,17 +232,25 @@ class TokenPool:
         for c in self.contexts:
             counts.append(doc := {})
             _count_elements(doc, chain.from_iterable(map(tokens, c.context)))
-        idf = _idf(counts)
-        vectors = tfidf_vectors(counts, idf)
-        # Postings: each term of non-zero weight (df below N) to the
-        # positions of the contexts that hold it, in pool order. Weights are
-        # read from the vectors, so an entry costs one pointer to an int.
-        postings: dict[str, list[int]] = {t: [] for t, w in idf.items() if w}
-        for d, doc in enumerate(counts):
-            for t in doc:
-                held = postings.get(t)
-                if held is not None:
-                    held.append(d)
+        return counts
+
+    @cached_property
+    def _tfidf(self):
+        # The counts and the token lists are freed before the postings are
+        # built.
+        vectors = tfidf_vectors(self._term_counts())
+        # Postings: each term of non-zero weight to the positions of the
+        # contexts that hold it. Weights are read from the vectors, so an
+        # entry costs one pointer to an int shared by its context's entries.
+        postings: dict[str, list[int]] = {}
+        for d, v in enumerate(vectors):
+            for t, w in v.items():
+                if w:
+                    held = postings.get(t)
+                    if held is None:
+                        postings[t] = [d]
+                    else:
+                        held.append(d)
         return (vectors, [_norm(v) for v in vectors],
                 [c.key for c in self.contexts], postings)
 

@@ -129,14 +129,16 @@ class SourceFile:
         method `method_by_line` gives at its start line, or None.
 
         Building it also stores each statement's `masked` text, where
-        `cached_property` keeps it, as a slice of the file's mask. A
-        statement holds whole each comment and literal it touches, so the
-        slice is `mask_code(text)`, and the file is masked once in all."""
+        `cached_property` keeps it, as a slice of the file's mask, and then
+        drops the mask and the offsets. A statement holds whole each
+        comment and literal it touches, so the slice is `mask_code(text)`,
+        and the file is masked once in all."""
         if self.mask is not None:
             for s, start in zip(self.statements, self.offsets):
                 text = s.text
                 masked = self.mask[start:start + len(text)]
                 vars(s).setdefault("masked", text if masked == text else masked)
+            self.mask = self.offsets = None
         scopes: dict[MethodRef | None, list[Statement]] = {}
         for s in self.statements:
             scopes.setdefault(_at(self.method_by_line, s.start_line), []).append(s)

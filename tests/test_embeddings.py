@@ -263,11 +263,17 @@ def _rows(target):
     lambda t: st.tuples(st.just(t), _rows(t))))
 @example(([1.0, 0.0, 2.0], [[3.0, math.inf, 0.5], [0.0, math.nan, 0.0],
                             [1.0, 2.0], [0.0, 5.0, 0.0, 7.0]]))
+@example(([0.0, 1.0, 0.0, 0.0, 2.0, 0.0],
+          [[math.inf, 3.0, 0.0, math.nan, 0.5, 0.0],
+           [0.0, 0.0, 4.0, 0.0, 0.0, 1.0], [1.0, 2.0],
+           [0.0, -1.0, 0.0, 0.0, math.nan, 0.0]]))
 def test_sparse_sums_equal_the_dense_formula(case):
     """Summing over the target's non-zero components only gives the dense
     formula's float, bit for bit, and NaN where it gives NaN: for vectors
     of unequal length, with inf or NaN components, and with zeros at the
-    target's non-zero positions."""
+    target's non-zero positions. `embedding_match` takes the sparse sums
+    only for a mostly-zero target; here they are also forced on every
+    target."""
     target_vec, rows = case
     vectors = {"t": target_vec, **{f"c{i}": r for i, r in enumerate(rows)}}
     candidates = cands(*[(f"c{i}", "c.java", i + 1) for i in range(len(rows))])
@@ -276,8 +282,22 @@ def test_sparse_sums_equal_the_dense_formula(case):
     want = [float.hex(_ref_cosine(target_vec, r)) for r in rows]
     assert [float.hex(c.embedding_similarity) for c in candidates] == want
     assert [float.hex(cosine(target_vec, r)) for r in rows] == want
+    every = list(range(len(target_vec)))
+    nonzero = [i for i in every if target_vec[i]]
+    for support in (nonzero, every):
+        assert [float.hex(_cosine(target_vec, _norm(target_vec), r, _norm(r),
+                                  support)) for r in rows] == want
     for v in [target_vec, *rows]:
         assert float.hex(_norm(v)) == float.hex(_ref_norm(v))
+        assert float.hex(_norm(v, sparse=True)) == float.hex(_ref_norm(v))
+
+
+def test_support_is_kept_only_for_mostly_zero_vectors():
+    """A dense vector (a remote provider's) takes the dense sums: a sum over
+    more than half the indices costs more than it saves."""
+    assert _support([0.0, 2.0, 0.0, -1.0]) == [1, 3]
+    assert _support([0.0, 2.0, 3.0, -1.0]) is None
+    assert _support([]) == []
 
 
 def test_embedding_match_computes_each_norm_once(monkeypatch):
@@ -287,9 +307,9 @@ def test_embedding_match_computes_each_norm_once(monkeypatch):
     vectors = {t: [float(i % 3), 1.0, float(i)] for i, t in enumerate(texts)}
     calls = []
 
-    def counted_norm(v):
+    def counted_norm(v, sparse=False):
         calls.append(v)
-        return _norm(v)
+        return _norm(v, sparse)
     monkeypatch.setattr(embeddings, "_norm", counted_norm)
     cache, provider = EmbeddingCache(), FixedProvider(vectors)
     for target, pool in [("t1", "abc"), ("t2", "bcd"), ("t3", "abcd"),

@@ -412,14 +412,17 @@ def test_lookup_tables_match_linear_scans(tmp_path_factory, text):
 @given(FILE)
 def test_masked_slices_equal_mask_code(tmp_path_factory, text):
     """Once `scopes` is built, each statement's masked text, a slice of its
-    file's mask, is `mask_code` of its own text. A file indexed line-wise
-    keeps no mask, and its statements mask their own text."""
+    file's mask, is `mask_code` of its own text, and the file keeps no mask.
+    A file indexed line-wise has no mask, and its statements mask their own
+    text."""
     tmp = tmp_path_factory.mktemp("slices")
     (tmp / "T.java").write_text(text, encoding="utf-8")
     sf = index_source(tmp, ["*.java"]).files["T.java"]
+    sliced = sf.mask is not None
     sf.scopes
+    assert sf.mask is None and sf.offsets is None
     for s in sf.statements:
-        assert ("masked" in vars(s)) == (sf.mask is not None)
+        assert ("masked" in vars(s)) == sliced
         assert s.masked == mask_code(s.text)
 
 
