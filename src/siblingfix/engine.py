@@ -189,6 +189,7 @@ class RepairEngine:
         self._validation_cache: dict[str, TestReport] = {}
         self._deadline = math.inf  # armed by repair_bug from config.budget
         self._writer = _FileWriter()  # one per repair_bug
+        self._ingredients: dict = {}  # each sibling line's, one per repair_bug
 
     # -- plumbing ---------------------------------------------------------
 
@@ -356,7 +357,8 @@ class RepairEngine:
         filtered = jaccard_filter(list(candidates), target, self.config.alpha)
         groups = group_by_method(filtered, self.index)
         ingredients = extract_fix_ingredients(groups, self.index,
-                                              self.config.ingredients)
+                                              self.config.ingredients,
+                                              self._ingredients)
         self._run_phases(state, loc_id, "sim", groups, ingredients)
 
     # -- Algorithm: iterative repair --------------------------------------
@@ -369,7 +371,8 @@ class RepairEngine:
             if self.config.stop_on_first_plausible and state.plausible:
                 return
             ingredients = extract_fix_ingredients([group], self.index,
-                                                  self.config.ingredients)
+                                                  self.config.ingredients,
+                                                  self._ingredients)
             state.promising = self._dedupe(self._run_phases(
                 state, loc_id, "iter", [group], ingredients))
 
@@ -384,6 +387,7 @@ class RepairEngine:
         state = state if state is not None else RepairState()
         self._deadline = time.monotonic() + self.config.budget
         writer = self._writer = _FileWriter()
+        self._ingredients = {}
         try:
             contexts: list[StatementContext] = []
             self._ensure_baseline(lambda: contexts.extend(self._build_pool()))

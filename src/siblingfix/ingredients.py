@@ -66,49 +66,59 @@ def _ingredient(cls: ClassRef | None, decl: MethodRef | FieldDecl,
 
 
 def extract_fix_ingredients(groups: list[MethodGroup], index: SourceIndex,
-                            n: int) -> list[FixIngredient]:
-    """Ingredients for every sibling line across the groups, deduplicated."""
+                            n: int, memo: dict | None = None
+                            ) -> list[FixIngredient]:
+    """Ingredients for every sibling line across the groups, deduplicated.
+
+    `memo`, if given, keeps each line's ingredients, in the order they are
+    found, for later calls with the same index and `n`."""
+    memo = {} if memo is None else memo
     result: dict[tuple, FixIngredient] = {}
-
-    def add(ing: FixIngredient) -> None:
-        key = (ing.kind, ing.source_file, ing.line, ing.signature_text)
-        result.setdefault(key, ing)
-
     for group in groups:
         for stmt in sorted(group.siblings, key=lambda s: s.start_line):
-            idents = identifiers_in(stmt)
-            refs = [i for i in idents if i.kind in ("call", "field-access")]
-            classes: dict[tuple[str, int, str], ClassRef] = {}
-            for ref in refs:
-                # Directly referenced elements are themselves ingredients.
-                entries = index.declarations.get(ref.name, [])
-                kind = MethodRef if ref.kind == "call" else FieldDecl
-                for cls, decl in entries:
-                    if isinstance(decl, kind):
-                        add(_ingredient(cls, decl, 1.0))
-                # Resolve declaring classes: receiver type first, then name.
-                receiver = _receiver_of(stmt, ref.name)
-                resolved: list[ClassRef] = []
-                if receiver:
-                    type_token = _declared_type(index, stmt, receiver)
-                    if type_token:
-                        resolved = index.classes_by_name(type_token)
-                if not resolved:
-                    resolved = [cls for cls, _ in entries if cls is not None]
-                if not resolved:
-                    logger.debug("unresolvable reference %s at %s:%d",
-                                 ref.name, stmt.file, stmt.start_line)
-                for cls in resolved:
-                    classes[cls.file, cls.body_start, cls.name] = cls
-            if n == 0 or not classes:
-                continue
-            decls = [_ingredient(cls, d, 0.0)
-                     for cls in map(classes.get, sorted(classes))
-                     for d in chain(cls.methods, cls.fields)]
-            sims = tfidf_similarities(tokenize(stmt.text),
-                                      [tokenize(d.signature_text) for d in decls])
-            ranked = sorted(zip(sims, decls),
-                            key=lambda p: (-p[0], p[1].source_file, p[1].line))
-            for score, decl in ranked[:n]:
-                add(replace(decl, rank_score=score))
+            if stmt not in memo:
+                memo[stmt] = _line_ingredients(stmt, index, n)
+            for ing in memo[stmt]:
+                key = (ing.kind, ing.source_file, ing.line, ing.signature_text)
+                result.setdefault(key, ing)
     return list(result.values())
+
+
+def _line_ingredients(stmt: Statement, index: SourceIndex, n: int
+                      ) -> list[FixIngredient]:
+    """One sibling line's ingredients, in the order they are found."""
+    found: list[FixIngredient] = []
+    idents = identifiers_in(stmt)
+    refs = [i for i in idents if i.kind in ("call", "field-access")]
+    classes: dict[tuple[str, int, str], ClassRef] = {}
+    for ref in refs:
+        # Directly referenced elements are themselves ingredients.
+        entries = index.declarations.get(ref.name, [])
+        kind = MethodRef if ref.kind == "call" else FieldDecl
+        found += [_ingredient(cls, decl, 1.0) for cls, decl in entries
+                  if isinstance(decl, kind)]
+        # Resolve declaring classes: receiver type first, then name.
+        receiver = _receiver_of(stmt, ref.name)
+        resolved: list[ClassRef] = []
+        if receiver:
+            type_token = _declared_type(index, stmt, receiver)
+            if type_token:
+                resolved = index.classes_by_name(type_token)
+        if not resolved:
+            resolved = [cls for cls, _ in entries if cls is not None]
+        if not resolved:
+            logger.debug("unresolvable reference %s at %s:%d",
+                         ref.name, stmt.file, stmt.start_line)
+        for cls in resolved:
+            classes[cls.file, cls.body_start, cls.name] = cls
+    if n == 0 or not classes:
+        return found
+    decls = [_ingredient(cls, d, 0.0)
+             for cls in map(classes.get, sorted(classes))
+             for d in chain(cls.methods, cls.fields)]
+    sims = tfidf_similarities(tokenize(stmt.text),
+                              [tokenize(d.signature_text) for d in decls])
+    ranked = sorted(zip(sims, decls),
+                    key=lambda p: (-p[0], p[1].source_file, p[1].line))
+    found += [replace(decl, rank_score=score) for score, decl in ranked[:n]]
+    return found

@@ -7,11 +7,10 @@ import hashlib
 import logging
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .checks import check_type
 
@@ -93,19 +92,30 @@ class ScriptedBackend:
         return path.read_text(encoding="utf-8")
 
 
+def _request_errors() -> tuple[type[Exception], ...]:
+    """`requests.RequestException` if `requests` is imported. It is looked
+    up as an exception is matched: a session that raises it has imported it."""
+    requests = sys.modules.get("requests")
+    return (requests.RequestException,) if requests else ()
+
+
 class RemoteClient:
     """Bearer-auth JSON POST with exponential-backoff retries. Subclasses
     set the request `timeout`, the `error` raised once retries run out, and
-    `what` they request, for log and error messages."""
+    `what` they request, for log and error messages. `requests` is imported
+    only to build the default session: an offline run never loads it."""
 
     max_retries = 3
 
     def __init__(self, url: str, model: str, api_key_env: str,
-                 session: requests.Session | None = None, sleep=time.sleep):
+                 session=None, sleep=time.sleep):
         self.url = check_type("url", url, str)
         self.model = check_type("model", model, str)
         self.api_key_env = check_type("api_key_env", api_key_env, str)
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
     def _post(self, body: dict, read):
@@ -119,8 +129,8 @@ class RemoteClient:
                                          timeout=self.timeout)
                 resp.raise_for_status()
                 return read(resp.json())
-            except (requests.RequestException, KeyError, IndexError,
-                    TypeError, ValueError) as exc:
+            except (*_request_errors(), KeyError, IndexError, TypeError,
+                    ValueError) as exc:
                 last = exc
                 logger.warning("%s attempt %d failed: %s", self.what,
                                attempt + 1, exc)

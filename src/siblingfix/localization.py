@@ -11,6 +11,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .checks import check_type
@@ -104,10 +105,13 @@ def load_coverage(path: str | Path) -> CoverageMatrix:
     return matrix
 
 
-def ochiai_rank(matrix: CoverageMatrix) -> list[SuspiciousLocation]:
+def ochiai_rank(matrix: CoverageMatrix, limit: int | None = None,
+                spfl: Location | None = None) -> list[SuspiciousLocation]:
     """Score every covered location and rank descending.
 
-    Ties break by (file, line) ascending; ranks are 1..N.
+    Ties break by (file, line) ascending; ranks are 1..N. With `spfl`, that
+    location is forced to rank 1 as `apply_spfl` forces it. Only the first
+    `limit` locations (all if None) are built.
     """
     if not matrix.failing:
         raise CoverageError("ranking requires at least one failing test")
@@ -117,8 +121,7 @@ def ochiai_rank(matrix: CoverageMatrix) -> list[SuspiciousLocation]:
     for tid, locs in matrix.covered.items():
         (ef if tid in failing else ep).update(locs)
     # Ochiai is ef / sqrt((ef + nf) * (ef + ep)), and ef + nf = len(failing).
-    # Sorting (-score, file, line) tuples needs no key function. Every zero
-    # score is the one 0.0, not a new float per location.
+    # Sorting (-score, file, line) tuples needs no key function.
     n_failing = len(failing)
     scored = []
     for loc in ef.keys() | ep.keys():
@@ -126,25 +129,39 @@ def ochiai_rank(matrix: CoverageMatrix) -> list[SuspiciousLocation]:
         score = e_f / math.sqrt(n_failing * (e_f + ep[loc])) if e_f else 0.0
         scored.append((-score, *loc))
     scored.sort()
-    return [SuspiciousLocation(file=file, line=line, score=-neg if neg else 0.0,
-                               rank=i)
-            for i, (neg, file, line) in enumerate(scored, 1)]
+    if spfl is not None:
+        scored = _pinned(scored, spfl) or scored
+    return _locations(islice(scored, limit))
+
+
+def _locations(rows) -> list[SuspiciousLocation]:
+    """Locations ranked 1.. from (-score, file, line) rows. Every zero score
+    is the one 0.0, not a -0.0 or a new float per location."""
+    return [SuspiciousLocation(file, line, -neg if neg else 0.0, i)
+            for i, (neg, file, line) in enumerate(rows, 1)]
+
+
+def _pinned(rows: list[tuple[float, str, int]], known: Location
+            ) -> list[tuple[float, str, int]] | None:
+    """`rows` in rank order with `known`'s row moved first, or None if it is
+    first already. Its score is lifted to the list maximum, so scores stay
+    non-increasing with rank; a location absent from `rows` enters with
+    score 1.0."""
+    file, line = known
+    at = next((i for i, (_, f, l) in enumerate(rows)
+               if l == line and f == file), None)
+    if at == 0:
+        return None
+    if at is None:
+        logger.warning("SPFL location %s:%d absent from ranking, inserting", *known)
+        rest, neg = rows, -1.0
+    else:
+        rest, neg = rows[:at] + rows[at + 1:], rows[at][0]
+    return [(min(neg, rest[0][0]) if rest else neg, file, line), *rest]
 
 
 def apply_spfl(ranked: list[SuspiciousLocation],
                known: Location) -> list[SuspiciousLocation]:
     """Force a known buggy location to rank 1, keeping relative order."""
-    head = [loc for loc in ranked if (loc.file, loc.line) == known]
-    rest = [loc for loc in ranked if (loc.file, loc.line) != known]
-    if head:
-        if head[0].rank == 1:
-            return list(ranked)
-        top = head[0]
-    else:
-        logger.warning("SPFL location %s:%d absent from ranking, inserting", *known)
-        top = SuspiciousLocation(file=known[0], line=known[1], score=1.0, rank=1)
-    # Score lifted to the list maximum so scores stay non-increasing with rank.
-    score = max(top.score, rest[0].score) if rest else top.score
-    return [SuspiciousLocation(top.file, top.line, score, 1)] + [
-        SuspiciousLocation(loc.file, loc.line, loc.score, i)
-        for i, loc in enumerate(rest, 2)]
+    rows = _pinned([(-loc.score, loc.file, loc.line) for loc in ranked], known)
+    return list(ranked) if rows is None else _locations(rows)

@@ -25,8 +25,8 @@ from .checks import check_type
 from .embeddings import EmbeddingCache, LocalHashProvider, RemoteEmbeddingProvider
 from .engine import BaselineError, RepairConfig, RepairEngine, RepairState
 from .llm import Patch, RemoteChatBackend, ScriptedBackend
-from .localization import (CoverageError, SuspiciousLocation, apply_spfl,
-                           load_coverage, ochiai_rank)
+from .localization import (CoverageError, SuspiciousLocation, load_coverage,
+                           ochiai_rank)
 from .source_index import SourceIndex, index_source
 from .validation import HarnessProtocolError, patched_texts
 
@@ -187,13 +187,12 @@ def _make_run_dir(out_dir: Path) -> Path:
 
 
 def _suspicious_list(desc: ProjectDescriptor, coverage) -> list[SuspiciousLocation]:
+    """The first `cap` locations, the only ones the run and its report read."""
+    cap = desc.config.cap
     if desc.mode == "pfl":
         return [SuspiciousLocation(file=f, line=l, score=1.0, rank=i)
-                for i, (f, l) in enumerate(desc.pfl_locations, 1)]
-    ranked = ochiai_rank(coverage)
-    if desc.mode == "spfl":
-        ranked = apply_spfl(ranked, desc.spfl_location)
-    return ranked
+                for i, (f, l) in enumerate(desc.pfl_locations[:cap], 1)]
+    return ochiai_rank(coverage, cap, desc.spfl_location)
 
 
 def build_report(desc: ProjectDescriptor, suspicious: list[SuspiciousLocation],
@@ -202,8 +201,7 @@ def build_report(desc: ProjectDescriptor, suspicious: list[SuspiciousLocation],
         "schema_version": REPORT_SCHEMA_VERSION,
         "mode": desc.mode,
         "config": dataclasses.asdict(desc.config),
-        "suspicious": [dataclasses.asdict(s)
-                       for s in suspicious[:desc.config.cap]],
+        "suspicious": [dataclasses.asdict(s) for s in suspicious],
         "candidate_counts": state.candidate_counts,
         "attempt_log": [dataclasses.asdict(a) for a in state.attempt_log],
         "plausible": [{"id": p.id, "provenance": p.provenance,

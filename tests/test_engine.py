@@ -684,3 +684,28 @@ def test_ensure_baseline_calls_meanwhile_once_each_time(mini_index, mini_coverag
         engine._ensure_baseline(lambda: calls.append(len(runs)))
     engine.workspace.remove()
     assert len(runs) == 1 and calls == [1, 1]
+
+
+def test_each_sibling_line_gives_ingredients_once_per_run(
+        mini_index, mini_coverage, monkeypatch):
+    """Simultaneous and then iterative repair of one location need the
+    same sibling lines' ingredients; a run extracts each line's once, and
+    the next run again."""
+    from collections import Counter
+
+    from siblingfix import ingredients
+    seen = Counter()
+    identifiers_in = ingredients.identifiers_in
+
+    def counted(stmt):
+        seen[stmt] += 1
+        return identifiers_in(stmt)
+
+    monkeypatch.setattr(ingredients, "identifiers_in", counted)
+    for run_no in (1, 2):
+        engine = make_engine(mini_index, mini_coverage, RuleBackend(),
+                             attempts=1)
+        state = engine.repair_bug(ochiai_rank(mini_coverage))
+        assert {"sim-A", "iter-A"} <= {a.phase for a in state.attempt_log}
+        assert len(seen) > 1
+        assert set(seen.values()) == {run_no}

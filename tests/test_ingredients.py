@@ -280,3 +280,17 @@ def test_declarations_table_matches_whole_index_scans(tmp_path_factory, texts):
     for n in (0, 3):
         assert extract_fix_ingredients(groups, index, n) == \
             scan_ingredients(groups, index, n)
+
+
+def test_memo_replays_each_lines_ingredients(mini_index):
+    """Groups read from a memo filled by other calls, in another order and
+    combination, give a fresh extraction's ingredients."""
+    first = groups_for_line(mini_index, "src/Estimator.java", 4)
+    second = groups_for_line(mini_index, "src/Estimator.java", 22)
+    memo = {}
+    extract_fix_ingredients(first, mini_index, 10, memo)
+    extract_fix_ingredients(second, mini_index, 10, memo)
+    assert set(memo) == {g.siblings[0] for g in first + second}
+    both = second + first
+    assert extract_fix_ingredients(both, mini_index, 10, memo) == \
+        extract_fix_ingredients(both, mini_index, 10)

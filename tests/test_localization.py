@@ -343,3 +343,54 @@ def test_spfl_equals_replace_based_reference(ranked, pick, case):
     want = _ref_apply_spfl(ranked, known)
     assert got == want
     assert [g is r for g, r in zip(got, ranked)] == [w is r for w, r in zip(want, ranked)]
+
+
+def _rows(ranked):
+    return [(s.file, s.line, s.score.hex(), s.rank) for s in ranked]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TIED_MATRIX, st.integers(1, 6), st.integers(0, 100),
+       st.sampled_from(["none", "inside", "outside", "absent"]))
+def test_bounded_rank_is_the_full_rankings_head(outcomes_and_sets, cap, pick,
+                                                case):
+    """`ochiai_rank(matrix, cap, spfl)` is the first `cap` entries of the
+    full ranking after `apply_spfl`, with an SPFL location inside the top
+    `cap`, outside it, or covered by no test."""
+    outcomes, sets = outcomes_and_sets
+    outcomes[0] = "fail"
+    matrix = CoverageMatrix(
+        tests=[(f"t{i}", o) for i, o in enumerate(outcomes)],
+        covered={f"t{i}": locs for i, locs in enumerate(sets)})
+    full = ochiai_rank(matrix)
+    known = None
+    if case == "absent":
+        known = ("zz", 99)
+    elif case == "inside" and full:
+        loc = full[pick % min(cap, len(full))]
+        known = (loc.file, loc.line)
+    elif case == "outside" and len(full) > cap:
+        loc = full[cap + pick % (len(full) - cap)]
+        known = (loc.file, loc.line)
+    want = full if known is None else apply_spfl(full, known)
+    assert _rows(ochiai_rank(matrix, cap, known)) == _rows(want[:cap])
+
+
+def test_spfl_outside_the_cap_keeps_its_score_and_logs_nothing(caplog):
+    """A covered SPFL location ranked below the cap is lifted to the top
+    score, not inserted as absent with 1.0."""
+    matrix = matrix_of([("f1", "fail"), ("f2", "fail"), ("p1", "pass"),
+                        ("p2", "pass")],
+                       {"f1": [("a", 1), ("a", 2), ("a", 3)], "f2": [("a", 1)],
+                        "p1": [("a", 3)], "p2": [("a", 1)]})
+    top = 2 / math.sqrt(2 * 3)  # a:1's score; a:2 has 0.707, a:3 0.5
+    with caplog.at_level("WARNING"):
+        got = ochiai_rank(matrix, 1, ("a", 3))
+    assert caplog.records == []
+    assert _rows(got) == [("a", 3, top.hex(), 1)]
+    got = ochiai_rank(matrix, 2, ("a", 3))[1]
+    assert (got.file, got.line, got.score.hex(), got.rank) == \
+        ("a", 1, top.hex(), 2)
+    with caplog.at_level("WARNING"):
+        ochiai_rank(matrix, 1, ("b", 7))
+    assert "absent from ranking" in caplog.text

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -18,6 +19,8 @@ from siblingfix import orchestrator
 from siblingfix.cli import main, parse_duration
 from siblingfix.embeddings import EmbeddingCache
 from siblingfix.llm import Patch, PatchEdit, RemoteChatBackend
+from siblingfix.localization import (SuspiciousLocation, apply_spfl,
+                                     load_coverage, ochiai_rank)
 from siblingfix.orchestrator import (DescriptorError, load_descriptor,
                                      make_backend, make_provider, patch_to_diff,
                                      run)
@@ -617,3 +620,85 @@ def test_signal_during_the_report_write_waits_for_it(tmp_path, monkeypatch):
     [report_path] = (tmp_path / "runs").glob("*/report.json")
     report = json.loads(report_path.read_text())
     assert report["attempt_log"] == expected["attempt_log"] != []
+
+
+_NO_REQUESTS_RUN = """import json, sys
+sys.modules["requests"] = None  # any import of it raises ImportError
+from siblingfix.cli import main
+from siblingfix.llm import CompletionRequest, RemoteChatBackend
+code = main(sys.argv[1:])
+try:
+    RemoteChatBackend("http://x", "model")
+    built = "built"
+except ImportError:
+    built = "ImportError"
+
+
+class Session:  # an IndexError reply, retried, then a good one
+    replies = [{"choices": []}, {"choices": [{"message": {"content": "ok"}}]}]
+
+    def post(self, *args, **kwargs):
+        self.reply = self.replies.pop(0)
+        return self
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.reply
+
+
+reply = RemoteChatBackend("http://x", "model", session=Session(),
+                          sleep=lambda s: None).complete(CompletionRequest("p"))
+print(json.dumps({"exit": code, "built": built, "reply": reply}))
+"""
+
+
+def test_offline_run_needs_no_requests(tmp_path):
+    """With `requests` unimportable, a scripted run gives the golden log and
+    diff; a remote backend fails at construction without a session and
+    works with one given."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(FIXTURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_REQUESTS_RUN, "run", str(DESCRIPTOR),
+         "--out", str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "exit": 0, "built": "ImportError", "reply": "ok"}
+    [run_dir] = (tmp_path / "runs").iterdir()
+    report = json.loads((run_dir / "report.json").read_text())
+    golden = json.loads((FIXTURES / "golden" / "run_sbfl.json").read_text())
+    assert report["attempt_log"] == golden["report"]["attempt_log"]
+    assert (run_dir / "patches" / "plausible_1.diff").read_text() \
+        == golden["report"]["plausible"][0]["diff"] == EXPECTED_DIFF.read_text()
+
+
+@pytest.mark.parametrize("mode, spfl", [
+    ("sbfl", None),
+    ("spfl", {"file": "src/Estimator.java", "line": 22}),  # covered
+    ("spfl", {"file": "src/Estimator.java", "line": 999})])  # absent
+def test_run_builds_only_the_locations_it_reads(tmp_path, monkeypatch, mode,
+                                                spfl):
+    """The fixture covers 43 lines; a run with cap 3 builds at most 4
+    `SuspiciousLocation`s, and reports the full ranking's first 3."""
+    built = []
+    init = SuspiciousLocation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
+
+    changes = {"mode": mode, "config": {"attempts": 1, "cap": 3}}
+    if spfl:
+        changes["spfl"] = spfl
+    desc = write_descriptor(tmp_path, **changes)
+    monkeypatch.setattr(SuspiciousLocation, "__init__", counted)
+    report = run(desc, out_dir=tmp_path / "runs")[1]
+    assert len(built) <= 3 + 1
+    monkeypatch.undo()
+    ranked = ochiai_rank(load_coverage(FIXTURES / "coverage.jsonl"))
+    if spfl:
+        ranked = apply_spfl(ranked, (spfl["file"], spfl["line"]))
+    assert report["suspicious"] == [dataclasses.asdict(s) for s in ranked[:3]]
