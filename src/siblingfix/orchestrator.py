@@ -109,6 +109,8 @@ def load_descriptor(path: str | Path, overrides: dict | None = None
         raise DescriptorError(f"descriptor missing required key: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DescriptorError(f"bad descriptor value: {exc}") from exc
+    except ImportError as exc:  # a remote client without `requests`
+        raise DescriptorError(f"remote client unavailable: {exc}") from exc
     if mode not in ("sbfl", "spfl", "pfl"):
         raise DescriptorError(f"unknown mode: {mode}")
     if mode == "pfl" and not pfl_locations:

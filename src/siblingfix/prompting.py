@@ -18,7 +18,8 @@ from .validation import StackFrame, TestReport, TestResult
 _MARKER = "### SECTION: {name}"
 
 SIBLING_MARKER = "// SIBLING"
-EVIDENCE_FRAMES = 5  # frames shown per originally failing test
+EVIDENCE_FRAMES = 5  # frames shown per listed test
+FEEDBACK_OTHER_TESTS = 10  # other not-passing tests listed per report
 
 ROLE_TEXT = "You are an Automated Program Repair Tool."
 
@@ -94,9 +95,40 @@ def _render_evidence(failing: list[TestResult]) -> str:
     return "\n".join(parts)
 
 
-def _render_feedback(feedback: list[FeedbackEntry], include_frames: bool) -> str:
+def _render_report(report: TestReport, baseline: set[str],
+                   include_frames: bool) -> list[str]:
+    """The report's originally failing tests, then at most
+    FEEDBACK_OTHER_TESTS of its other tests that do not pass, each in
+    report order, then one line counting the rest."""
+    listed, others, passed = [], [], 0
+    for r in report.results:
+        if r.test in baseline:
+            listed.append(r)
+        elif r.status == "pass":
+            passed += 1
+        else:
+            others.append(r)
+    parts = []
+    for r in listed + others[:FEEDBACK_OTHER_TESTS]:
+        parts.append(f"TEST {r.test}: {r.status}"
+                     + (f" - {r.message}" if r.message else ""))
+        if include_frames:
+            parts.extend(map(_render_frame, r.frames[:EVIDENCE_FRAMES]))
+    rest = [f"{passed} pass"]
+    if len(others) > FEEDBACK_OTHER_TESTS:
+        rest.append(f"{len(others) - FEEDBACK_OTHER_TESTS} more not passing")
+    missing = len(baseline - {r.test for r in listed})
+    if missing:
+        rest.append(f"{missing} originally failing not reported")
+    parts.append("OTHER TESTS: " + ", ".join(rest))
+    return parts
+
+
+def _render_feedback(feedback: list[FeedbackEntry], failing: list[TestResult],
+                     include_frames: bool) -> str:
     if not feedback:
         return "(no previous attempts)"
+    baseline = {t.test for t in failing}
     parts = []
     for entry in feedback:
         if entry.patch is not None:
@@ -104,16 +136,10 @@ def _render_feedback(feedback: list[FeedbackEntry], include_frames: bool) -> str
             parts.append(render_patch(entry.patch))
         if entry.note:
             parts.append(f"ATTEMPT OUTCOME: {entry.note}")
-        report = entry.report
-        if report is None:
-            if entry.patch is not None and not entry.note:
-                parts.append("OUTCOME: passed all tests (plausible)")
-            continue
-        for r in report.results:
-            parts.append(f"TEST {r.test}: {r.status}"
-                         + (f" - {r.message}" if r.message else ""))
-            if include_frames:
-                parts.extend(map(_render_frame, r.frames))
+        if entry.report is not None:
+            parts.extend(_render_report(entry.report, baseline, include_frames))
+        elif entry.patch is not None and not entry.note:
+            parts.append("OUTCOME: passed all tests (plausible)")
     return "\n".join(parts)
 
 
@@ -134,7 +160,7 @@ def _assemble(groups, failing, feedback, ingredients, index,
         ("patch-definitions", DEFINITIONS_TEXT),
         ("buggy-methods", "\n\n".join(_render_group(g, index) for g in groups)),
         ("test-results", _render_evidence(failing)),
-        ("feedback", _render_feedback(feedback, feedback_frames)),
+        ("feedback", _render_feedback(feedback, failing, feedback_frames)),
         ("ingredients", _render_ingredients(ingredients)),
     ]
     text = "\n\n".join(_MARKER.format(name=name) + "\n" + body
@@ -152,7 +178,8 @@ def build_prompt(groups: list[MethodGroup], failing: list[TestResult],
                  ) -> PromptBundle:
     """Render the eight-section repair prompt within the token budget.
 
-    `failing` holds the baseline run's failing tests, shown as evidence.
+    `failing` holds the baseline run's failing tests, shown as evidence
+    and listed first in each fed-back report.
     Over budget, each pass cuts the lowest-scored ingredient, else the
     feedback stack traces, else the lowest-Jaccard group (groups without
     a Jaccard score are kept longest), else raises PromptBudgetError.

@@ -19,6 +19,7 @@ from siblingfix.engine import RepairState, location_id
 from siblingfix.llm import BackendError, ScriptedBackend, attempt_file
 from siblingfix.localization import CoverageMatrix
 from siblingfix.orchestrator import run
+from siblingfix.prompting import FEEDBACK_OTHER_TESTS
 
 pytestmark = pytest.mark.usefixtures("tmp_tempdir")
 
@@ -709,3 +710,56 @@ def test_each_sibling_line_gives_ingredients_once_per_run(
         assert {"sim-A", "iter-A"} <= {a.phase for a in state.attempt_log}
         assert len(seen) > 1
         assert set(seen.values()) == {run_no}
+
+
+# Runs the fixture's harness, then appends argv[1] more tests to its
+# results: passing on the unpatched project, with status argv[2] once
+# src/Estimator.java carries the fix's accessor.
+WIDE_SUITE = """
+import json, os, runpy, sys
+try:
+    runpy.run_path("harness.py", run_name="__main__")
+except SystemExit:
+    pass
+with open("src/Estimator.java") as fh:
+    patched = "getUnboundParameters" in fh.read()
+with open(os.environ["RESULTS_PATH"], "a") as fh:
+    for i in range(int(sys.argv[1])):
+        fh.write(json.dumps({
+            "test": f"org.apache.commons.math3.SomeLongTestName{i}#testCase{i}",
+            "status": sys.argv[2] if patched else "pass",
+            "message": "cannot find symbol" if patched else ""}) + "\\n")
+"""
+
+
+class RmsBackend(FixBackend):
+    """Answers with the getRms fix alone, which is promising."""
+
+    def complete(self, request):
+        super().complete(request)
+        return patch_response("getRms")
+
+
+@pytest.mark.parametrize("status, counted", [
+    ("pass", "OTHER TESTS: 3008 pass"),
+    ("error", "OTHER TESTS: 8 pass, 2990 more not passing")])
+def test_a_large_suite_still_gets_feedback(mini_index, mini_coverage,
+                                           tmp_tempdir, status, counted):
+    """The harness reports 3,000 tests beyond the fixture's. Whether a
+    patch leaves them passing or turns them to `error`, the next attempt
+    gets a prompt: its feedback lists the originally failing test, at most
+    FEEDBACK_OTHER_TESTS of the others, and counts the rest."""
+    script = tmp_tempdir / "wide_suite.py"
+    script.write_text(WIDE_SUITE, encoding="utf-8")
+    backend = RmsBackend()
+    engine = make_engine(mini_index, mini_coverage, backend, attempts=2, cap=1)
+    engine.harness.command = f'"{sys.executable}" "{script}" 3000 {status}'
+    state = engine.repair_bug(ochiai_rank(mini_coverage))
+    verdicts = [r.verdict for r in state.attempt_log]
+    assert verdicts[:2] == ["promising", "promising"]
+    assert "prompt-error" not in verdicts
+    second = backend.feedback[1]
+    assert "TEST t_estimator_rms: fail - expected 1.41 but was 2.00" in second
+    assert second.count("TEST org.apache.commons.math3.") == (
+        0 if status == "pass" else FEEDBACK_OTHER_TESTS)
+    assert second.rstrip("\n").endswith(counted)

@@ -654,16 +654,19 @@ print(json.dumps({"exit": code, "built": built, "reply": reply}))
 """
 
 
+def _src_env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(FIXTURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+
 def test_offline_run_needs_no_requests(tmp_path):
     """With `requests` unimportable, a scripted run gives the golden log and
     diff; a remote backend fails at construction without a session and
     works with one given."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(FIXTURES.parents[2] / "src"), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", _NO_REQUESTS_RUN, "run", str(DESCRIPTOR),
          "--out", str(tmp_path / "runs")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {
         "exit": 0, "built": "ImportError", "reply": "ok"}
@@ -673,6 +676,27 @@ def test_offline_run_needs_no_requests(tmp_path):
     assert report["attempt_log"] == golden["report"]["attempt_log"]
     assert (run_dir / "patches" / "plausible_1.diff").read_text() \
         == golden["report"]["plausible"][0]["diff"] == EXPECTED_DIFF.read_text()
+
+
+@pytest.mark.parametrize("component", ["backend", "provider"])
+def test_remote_client_without_requests_is_a_descriptor_error(tmp_path,
+                                                              component):
+    """A remote backend or provider, with `requests` unimportable, exits 2
+    with one `error:` line, no traceback and no run directory."""
+    desc = write_descriptor(tmp_path, **{component: {
+        "type": "remote", "url": "http://127.0.0.1:9", "model": "m"}})
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         'import sys\nsys.modules["requests"] = None\n'
+         'from siblingfix.cli import main\nsys.exit(main(sys.argv[1:]))',
+         "run", str(desc), "--out", str(tmp_path / "runs")],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    [error] = [line for line in proc.stderr.splitlines()
+               if line.startswith("error:")]
+    assert error.startswith("error: remote client unavailable: ")
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("mode, spfl", [

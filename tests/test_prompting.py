@@ -1,12 +1,17 @@
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siblingfix.ingredients import FixIngredient
 from siblingfix.llm import Patch, PatchEdit
 from siblingfix.matching import MethodGroup
-from siblingfix.prompting import (ROLE_TEXT, SIBLING_MARKER, FeedbackEntry,
-                                  PromptBudgetError, build_prompt)
+from siblingfix.prompting import (EVIDENCE_FRAMES, FEEDBACK_OTHER_TESTS,
+                                  ROLE_TEXT, SIBLING_MARKER, FeedbackEntry,
+                                  PromptBudgetError, _render_feedback,
+                                  build_prompt, estimate_tokens)
 from siblingfix.source_index import index_source
 from siblingfix.validation import StackFrame, TestReport, TestResult
 
@@ -75,7 +80,83 @@ def test_feedback_entry_rendered(mini_index):
     fb = dict(bundle.sections)["feedback"]
     assert "=== PATCH file=src/Estimator.java method=getRms ===" in fb
     assert "TEST t_fail: fail - still broken" in fb
-    assert "TEST t_ok: pass" in fb
+    assert "TEST t_ok" not in fb  # a passing test is only counted
+    assert fb.endswith("\nOTHER TESTS: 1 pass")
+
+
+def suite_test_id(i):
+    return f"org.apache.commons.math3.SomeLongTestName{i}#testCase{i}"
+
+
+def test_feedback_for_a_5000_test_suite_fits_the_default_budget(mini_index):
+    """One failing and 5,000 passing tests: the passing ones are counted,
+    not listed, so the prompt fits the default 24,000-token budget."""
+    group = one_group(mini_index, "src/Estimator.java", 4)
+    patch = Patch(edits=(PatchEdit("src/Estimator.java", "getRms", "body"),))
+    failing = [TestResult(suite_test_id(0), "fail", "expected 1 but was 2",
+                          [StackFrame("T", "test_it", "T.java", 10)])]
+    report = TestReport(results=failing + [
+        TestResult(suite_test_id(i), "pass") for i in range(1, 5001)])
+    bundle = build_prompt([group], failing,
+                          [FeedbackEntry(patch=patch, report=report)],
+                          [], mini_index)
+    assert estimate_tokens(bundle.text) <= 24000
+    fb = dict(bundle.sections)["feedback"]
+    assert fb.endswith(f"TEST {suite_test_id(0)}: fail - expected 1 but was 2\n"
+                       "    at T.test_it (T.java:10)\n"
+                       "OTHER TESTS: 5000 pass")
+
+
+_LISTED_RE = re.compile(r"^TEST (\S+): (\w+)", re.MULTILINE)
+_SUMMARY_RE = re.compile(r"OTHER TESTS: (\d+) pass(?:, (\d+) more not passing)?"
+                         r"(?:, (\d+) originally failing not reported)?")
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(0, 3000), seed=st.integers(0, 2 ** 32 - 1),
+       pass_share=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       baseline_share=st.floats(0, 1), missing=st.integers(0, 30),
+       frames=st.booleans())
+def test_feedback_lists_what_can_change_the_next_patch(
+        size, seed, pass_share, baseline_share, missing, frames):
+    """A report's originally failing tests are each listed once, in report
+    order, then at most FEEDBACK_OTHER_TESTS other tests that do not pass;
+    one line counts the rest, and passing tests add nothing else."""
+    rng = random.Random(seed)
+    results = [TestResult(
+        f"T{rng.getrandbits(32):08x}_{i}",
+        "pass" if rng.random() < pass_share
+        else rng.choice(["fail", "error", "timeout"]),
+        rng.choice(["", "boom"]),
+        [StackFrame("U", f"m{k}", "U.java", k) for k in range(rng.randrange(9))])
+        for i in range(size)]
+    baseline = [r for r in results if rng.random() < baseline_share]
+    baseline += [TestResult(f"gone{i}", "fail") for i in range(missing)]
+    rng.shuffle(baseline)  # the evidence's order is not the report's
+    ids = {t.test for t in baseline}
+
+    def render(report_results):
+        entry = FeedbackEntry(patch=None, report=TestReport(report_results))
+        return _render_feedback([entry], baseline, frames)
+
+    fb = render(results)
+    *lines, summary = fb.split("\n")
+    first = [r for r in results if r.test in ids]
+    others = [r for r in results if r.test not in ids and r.status != "pass"]
+    shown = first + others[:FEEDBACK_OTHER_TESTS]
+    assert _LISTED_RE.findall(fb) == [(r.test, r.status) for r in shown]
+    assert sum(line.startswith("    at ") for line in lines) == (
+        sum(min(len(r.frames), EVIDENCE_FRAMES) for r in shown) if frames else 0)
+    passed, more, absent = (int(n or 0) for n in
+                            _SUMMARY_RE.fullmatch(summary).groups())
+    assert len(shown) + passed + more == size
+    assert more == max(0, len(others) - FEEDBACK_OTHER_TESTS)
+    assert absent == missing
+    # Without its other passing tests the report renders the same lines,
+    # and the count differs only in its digits.
+    lean = render([r for r in results if r.test in ids or r.status != "pass"])
+    assert lean.split("\n")[:-1] == lines
+    assert len(fb) - len(lean) == len(str(passed)) - 1
 
 
 def test_bare_plausible_feedback(mini_index):
