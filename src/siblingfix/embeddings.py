@@ -159,7 +159,8 @@ class EmbeddingCache:
     Keys are scoped by provider name and model. `flush` appends the vectors
     put since the last flush in one transaction, and `embed` flushes after
     each batch, so a killed run loses at most the batch in flight. A file
-    that SQLite cannot read as a store is replaced with an empty store,
+    that SQLite cannot read as a store, also one whose header gives a
+    schema format SQLite does not know, is replaced with an empty store,
     with a warning. A row whose key is not UTF-8 text, or whose vector is
     not a BLOB of whole doubles, is dropped on load with a warning and
     recomputed. Each vector's norm is computed once and kept beside it.
@@ -196,11 +197,15 @@ class EmbeddingCache:
             rows = [_unpack(k, v) for k, v in self._db.execute(
                 "SELECT CAST(key AS BLOB), CASE typeof(vector)"
                 " WHEN 'blob' THEN vector END FROM embeddings")]
-        except sqlite3.OperationalError:
-            self.close()
-            raise  # unreadable or locked, not known to be corrupt
-        except (sqlite3.DatabaseError, ValueError):
-            # ValueError: a damaged schema's message that is not UTF-8.
+        except (sqlite3.DatabaseError, ValueError) as exc:
+            # ValueError: a damaged schema's message that is not UTF-8. An
+            # OperationalError is an unreadable or locked store, not known to
+            # be corrupt, unless it names the file format: a damaged schema
+            # format number, whose error name is the generic SQLITE_ERROR.
+            if (isinstance(exc, sqlite3.OperationalError)
+                    and str(exc) != "unsupported file format"):
+                self.close()
+                raise
             logger.warning("corrupt embedding cache ignored: %s", path)
             self.close()
             path.unlink()

@@ -185,7 +185,7 @@ class RepairEngine:
             command=harness_command, timeout=config.test_timeout,
             expected_tests=[t for t, _ in coverage.tests])
         self.baseline: TestReport | None = None
-        self._attempt_counters: dict[str, int] = {}
+        self._attempt_counters: dict[str, int] = {}  # one per repair_bug
         self._validation_cache: dict[str, TestReport] = {}
         self._deadline = math.inf  # armed by repair_bug from config.budget
         self._writer = _FileWriter()  # one per repair_bug
@@ -388,6 +388,7 @@ class RepairEngine:
         self._deadline = time.monotonic() + self.config.budget
         writer = self._writer = _FileWriter()
         self._ingredients = {}
+        self._attempt_counters = {}
         try:
             contexts: list[StatementContext] = []
             self._ensure_baseline(lambda: contexts.extend(self._build_pool()))

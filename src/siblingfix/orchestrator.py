@@ -27,6 +27,7 @@ from .engine import BaselineError, RepairConfig, RepairEngine, RepairState
 from .llm import Patch, RemoteChatBackend, ScriptedBackend
 from .localization import (CoverageError, SuspiciousLocation, load_coverage,
                            ochiai_rank)
+from .prompting import estimate_tokens
 from .source_index import SourceIndex, index_source
 from .validation import HarnessProtocolError, patched_texts
 
@@ -217,7 +218,7 @@ def build_report(desc: ProjectDescriptor, suspicious: list[SuspiciousLocation],
         "error": state.error,
         "timings": {"elapsed_seconds": round(elapsed, 3)},
         "counts": {"llm_requests": state.requests,
-                   "prompt_tokens_estimate": state.prompt_chars // 4},
+                   "prompt_tokens_estimate": estimate_tokens(state.prompt_chars)},
     }
 
 

@@ -168,8 +168,9 @@ def _assemble(groups, failing, feedback, ingredients, index,
     return PromptBundle(text=text, sections=sections)
 
 
-def estimate_tokens(text: str) -> int:
-    return len(text) // 4
+def estimate_tokens(chars: int) -> int:
+    """The tokens taken to be in `chars` characters of prompt: one per four."""
+    return chars // 4
 
 
 def build_prompt(groups: list[MethodGroup], failing: list[TestResult],
@@ -192,7 +193,7 @@ def build_prompt(groups: list[MethodGroup], failing: list[TestResult],
     while True:
         bundle = _assemble(groups, failing, feedback, ingredients, index,
                            feedback_frames)
-        if estimate_tokens(bundle.text) <= token_budget:
+        if estimate_tokens(len(bundle.text)) <= token_budget:
             return bundle
         if ingredients:
             ingredients.pop()
@@ -204,5 +205,5 @@ def build_prompt(groups: list[MethodGroup], failing: list[TestResult],
                                           else groups[i].jaccard)))
         else:
             raise PromptBudgetError(
-                f"prompt needs ~{estimate_tokens(bundle.text)} tokens, "
+                f"prompt needs ~{estimate_tokens(len(bundle.text))} tokens, "
                 f"budget is {token_budget}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import re
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,13 +49,10 @@ class Statement:
     end_line: int
     text: str
     kind: str  # simple | block-header | other
-
-    @cached_property
-    def masked(self) -> str:
-        """`mask_code(self.text)`, computed once per statement, unless its
-        file's `scopes` gave it a slice of the file's mask first."""
-        masked = mask_code(self.text)
-        return self.text if masked == self.text else masked  # share if equal
+    # The statement's span of its file's `mask_code`: `text` itself where
+    # the two are equal. A segmented statement holds whole each comment and
+    # literal it touches, so this is also what `mask_code` gives for `text`.
+    masked: str = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -98,10 +94,6 @@ class SourceFile:
     methods: list[MethodRef]
     classes: list[ClassRef]
     newline: str = "\n"  # "\r\n" for a CRLF file; `text` has "\n" either way
-    # The file's `mask_code` and each statement's start offset, if the
-    # segmenter made the statements; `scopes` slices masked texts from them.
-    mask: str | None = field(default=None, compare=False, repr=False)
-    offsets: array | None = field(default=None, compare=False, repr=False)
 
     def with_newline(self, text: str) -> str:
         """`text`, a text of this file with LF line ends, given the file's own."""
@@ -126,19 +118,7 @@ class SourceFile:
     @cached_property
     def scopes(self) -> dict[MethodRef | None, list[Statement]]:
         """Each owner's statements in text order. A statement's owner is the
-        method `method_by_line` gives at its start line, or None.
-
-        Building it also stores each statement's `masked` text, where
-        `cached_property` keeps it, as a slice of the file's mask, and then
-        drops the mask and the offsets. A statement holds whole each
-        comment and literal it touches, so the slice is `mask_code(text)`,
-        and the file is masked once in all."""
-        if self.mask is not None:
-            for s, start in zip(self.statements, self.offsets):
-                text = s.text
-                masked = self.mask[start:start + len(text)]
-                vars(s).setdefault("masked", text if masked == text else masked)
-            self.mask = self.offsets = None
+        method `method_by_line` gives at its start line, or None."""
         scopes: dict[MethodRef | None, list[Statement]] = {}
         for s in self.statements:
             scopes.setdefault(_at(self.method_by_line, s.start_line), []).append(s)
@@ -231,7 +211,7 @@ _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 
 
 def _mask(text: str) -> tuple[str, list[int]]:
-    """`mask_code(text)`, and the offsets where string/char literals open."""
+    """What `mask_code` returns, and the offsets where string/char literals open."""
     literals: list[int] = []
 
     def blank(m: re.Match) -> str:
@@ -266,8 +246,7 @@ _SIGNIFICANT_RE = re.compile(r"[^\s{}]")
 
 def _segment_statements(path: str, text: str, masked: str, starts: list[int],
                         literals: list[int]
-                        ) -> tuple[list[Statement], array, dict[int, int],
-                                   dict[int, int]]:
+                        ) -> tuple[list[Statement], dict[int, int], dict[int, int]]:
     """Statement segmentation over the '(', ')', ';', '{' and '}' of `masked`.
 
     A statement ends at ';' (outside parentheses) or at '{' (block header).
@@ -276,12 +255,11 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
     is neither blank nor a brace in `masked`, or at the opening quote of a
     string/char literal (`literals`); comments never start one.
 
-    The same walk pairs the brackets. Besides the statements and their
-    start offsets it returns the offset of the matching '(' for each ')'
-    that has one, and of the matching '}' for each '{' that has one. A
-    stack pairs each close with the latest unclosed open of its kind and
-    skips a close that finds none; that is the pair a forward depth count
-    from the open would find.
+    The same walk pairs the brackets. Besides the statements it returns
+    the offset of the matching '(' for each ')' that has one, and of the
+    matching '}' for each '{' that has one. A stack pairs each close with
+    the latest unclosed open of its kind and skips a close that finds none;
+    that is the pair a forward depth count from the open would find.
     """
     paren_open: dict[int, int] = {}
     brace_close: dict[int, int] = {}
@@ -315,7 +293,6 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
     # Each statement's start is searched for once, in the stretch between
     # the previous bound and its own; a stretch with none makes no statement.
     stmts: list[Statement] = []
-    offsets = array("l")
     after = 0
     for end, kind in bounds:
         m = _SIGNIFICANT_RE.search(masked, after, end + 1)
@@ -324,19 +301,20 @@ def _segment_statements(path: str, text: str, masked: str, starts: list[int],
         if k < len(literals):
             start = min(start, literals[k])
         if start <= end:
-            stmts.append(Statement(path, _line_of(start, starts),
-                                   _line_of(end, starts), text[start:end + 1], kind))
-            offsets.append(start)
+            span, masked_span = text[start:end + 1], masked[start:end + 1]
+            stmts.append(Statement(
+                path, _line_of(start, starts), _line_of(end, starts), span, kind,
+                span if masked_span == span else masked_span))
         after = end + 1
-    return stmts, offsets, paren_open, brace_close
+    return stmts, paren_open, brace_close
 
 
-def _linewise_statements(path: str, text: str) -> list[Statement]:
-    stmts = []
-    for i, line in enumerate(text.split("\n"), start=1):
-        if line.strip():
-            stmts.append(Statement(path, i, i, line, "other"))
-    return stmts
+def _linewise_statements(path: str, text: str, masked: str) -> list[Statement]:
+    """A statement per non-blank line, masked by its line of `masked`."""
+    return [Statement(path, i, i, line, "other", line if m == line else m)
+            for i, (line, m)
+            in enumerate(zip(text.split("\n"), masked.split("\n")), start=1)
+            if line.strip()]
 
 
 def _find_classes(path: str, masked: str, starts: list[int],
@@ -470,10 +448,10 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
     masked, literals = _mask(text)
     if masked.count("{") != masked.count("}"):
         logger.warning("unbalanced braces, indexed line-wise: %s", rel)
-        return SourceFile(text, digest, _linewise_statements(rel, text), [], [],
-                          newline)
+        return SourceFile(text, digest, _linewise_statements(rel, text, masked),
+                          [], [], newline)
     starts = _line_starts(text)
-    statements, offsets, paren_open, brace_close = _segment_statements(
+    statements, paren_open, brace_close = _segment_statements(
         rel, text, masked, starts, literals)
     classes = _find_classes(rel, masked, starts, brace_close)
     # Per line, the innermost class holding it: the one owner of each
@@ -482,8 +460,7 @@ def _index_file(root: Path, rel: str) -> SourceFile | None:
                                   lambda c: c.body_end - c.body_start)
     methods = _find_methods(rel, text, masked, starts, paren_open, brace_close,
                             class_by_line)
-    sf = SourceFile(text, digest, statements, methods, classes, newline,
-                    masked, offsets)
+    sf = SourceFile(text, digest, statements, methods, classes, newline)
     _collect_fields(sf, class_by_line)
     return sf
 

@@ -20,7 +20,7 @@ from siblingfix import (EmbeddingCache, LocalHashProvider, RepairConfig,
 from siblingfix.localization import CoverageMatrix
 from siblingfix.matching import StatementContext, TokenPool, token_match
 from siblingfix.orchestrator import run
-from siblingfix.source_index import Statement
+from siblingfix.source_index import Statement, mask_code
 from siblingfix.validation import (StackFrame, TestReport, TestResult,
                                    classify)
 
@@ -124,7 +124,7 @@ def test_acceptance_tokenizer_ground_truth():
 
 def _ctx(text, file, line):
     s = Statement(file=file, start_line=line, end_line=line, text=text,
-                  kind="simple")
+                  kind="simple", masked=mask_code(text))
     return StatementContext(target=s, context=(s,))
 
 

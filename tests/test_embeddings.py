@@ -24,7 +24,7 @@ from siblingfix.embeddings import (EmbeddingCache, EmbeddingError,
 from siblingfix.engine import RepairConfig
 from siblingfix.matching import CandidateSibling, StatementContext
 from siblingfix.orchestrator import run
-from siblingfix.source_index import Statement
+from siblingfix.source_index import Statement, mask_code
 
 
 def stored(path) -> dict:
@@ -107,7 +107,7 @@ def test_cosine_identical_and_zero():
 
 def ctx(text, file, line):
     s = Statement(file=file, start_line=line, end_line=line, text=text,
-                  kind="simple")
+                  kind="simple", masked=mask_code(text))
     return StatementContext(target=s, context=(s,))
 
 
@@ -402,6 +402,25 @@ def test_store_without_key_or_vector_column_replaced(tmp_path, caplog, column):
         assert cache._data == {}
         assert "corrupt embedding cache ignored" in caplog.text
         (vec,) = embed(["x"], provider, cache)
+    assert stored(store) == {EmbeddingCache.key(provider, "x"): vec}
+
+
+def test_store_with_unknown_schema_format_replaced(tmp_path, caplog):
+    """A store whose header gives schema format 5 (bytes 44-47) raises
+    `OperationalError: unsupported file format` in SQLite; it is corrupt,
+    not unreadable, and is replaced."""
+    provider = CountingProvider()
+    store = tmp_path / "cache.db"
+    with closing(EmbeddingCache(store)) as cache:
+        embed(["x"], provider, cache)
+    header = bytearray(store.read_bytes())
+    header[44:48] = (5).to_bytes(4, "big")
+    store.write_bytes(header)
+    with closing(EmbeddingCache(store)) as cache:
+        assert cache._data == {}
+        assert "corrupt embedding cache ignored" in caplog.text
+        (vec,) = embed(["x"], provider, cache)
+    assert provider.calls == 2
     assert stored(store) == {EmbeddingCache.key(provider, "x"): vec}
 
 

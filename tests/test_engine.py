@@ -276,6 +276,17 @@ def test_deterministic_attempt_log(mini_index, mini_coverage):
     assert runs[0] == runs[1]
 
 
+def test_second_repair_bug_numbers_its_attempts_afresh(mini_index, mini_coverage):
+    """A second run on one engine numbers its attempts from 1, as the first
+    did, so it reads the same scripted responses and logs the same attempts."""
+    engine = make_engine(mini_index, mini_coverage, ScriptedBackend(RESPONSES),
+                         attempts=1)
+    first = engine.repair_bug(ochiai_rank(mini_coverage))
+    second = engine.repair_bug(ochiai_rank(mini_coverage))
+    assert (first.stopped, second.stopped) == ("plausible", "plausible")
+    assert second.attempt_log == first.attempt_log
+
+
 def test_baseline_disagreement_is_fatal(mini_index, mini_coverage):
     engine = make_engine(mini_index, mini_coverage, ProseBackend())
     engine.harness.command = "python3 -c \"import os;open(os.environ['RESULTS_PATH'],'w').write('')\""

@@ -14,7 +14,7 @@ from siblingfix.matching import (StatementContext, TokenPool, _cosine, _norm,
                                  statement_contexts, tfidf_similarities,
                                  token_match, tokenize)
 from siblingfix.source_index import (Statement, identifiers_in, index_source,
-                                     variables_in)
+                                     mask_code, variables_in)
 from strategies import FILE
 
 
@@ -40,7 +40,7 @@ def test_tokenize_output_shape(text):
 
 def ctx(text, file="x.java", line=1):
     s = Statement(file=file, start_line=line, end_line=line, text=text,
-                  kind="simple")
+                  kind="simple", masked=mask_code(text))
     return StatementContext(target=s, context=(s,))
 
 
@@ -807,7 +807,7 @@ def test_defined_names_match_per_name_search(text):
     """A name is defined by a statement exactly when the per-name search
     says it is assigned or declared there, for every identifier of the text."""
     stmt = Statement(file="T.java", start_line=1, end_line=1, text=text,
-                     kind="simple")
+                     kind="simple", masked=mask_code(text))
     names = set(re.findall(r"[A-Za-z_$][\w$]*", text))
     defined = defined_names(stmt)
     assert defined <= names

@@ -52,6 +52,16 @@ def test_unbalanced_braces_fall_back_linewise(tmp_path, caplog):
     assert sf.methods == [] and sf.classes == []
 
 
+def test_linewise_line_inside_a_comment_is_masked(tmp_path):
+    """A line-wise statement is masked by its line of the file's mask, so
+    code inside a multi-line comment names nothing."""
+    write(tmp_path, "Bad.java",
+          "class Bad {\n  /* old code:\n     foo(x);\n  */\n  int y;\n")
+    index = index_source(tmp_path, ["*.java"])
+    assert identifiers_in(index.statement_at("Bad.java", 3)) == []
+    assert variables_in(index.statement_at("Bad.java", 5)) == ["y"]
+
+
 NESTED = """\
 class C {
     void outer() {
@@ -124,7 +134,8 @@ def test_enclosing_method_unknown_file(tmp_path):
 
 
 def stmt(text):
-    return Statement(file="x", start_line=1, end_line=1, text=text, kind="simple")
+    return Statement(file="x", start_line=1, end_line=1, text=text, kind="simple",
+                     masked=mask_code(text))
 
 
 def test_identifiers_classification():
@@ -404,26 +415,34 @@ def test_lookup_tables_match_linear_scans(tmp_path_factory, text):
     for ref in sf.methods:
         assert index.statements_in_method(ref) == \
             _scan_statements_in_method(sf, ref)
+    _assert_masked_by_rule(sf)
+
+
+def _assert_masked_by_rule(sf):
+    """Each statement's masked text is its span of the file's mask: for a
+    segmented statement that is `mask_code` of its own text, for a line-wise
+    one its line of the file's mask. It is the text itself where equal."""
+    file_mask = mask_code(sf.text)
+    linewise = file_mask.count("{") != file_mask.count("}")
+    lines = file_mask.split("\n")
     for s in sf.statements:
-        assert s.masked == mask_code(s.text)
+        want = lines[s.start_line - 1] if linewise else mask_code(s.text)
+        assert s.masked == want
+        assert (s.masked is s.text) == (want == s.text)
 
 
 @settings(max_examples=200, deadline=None)
 @given(FILE)
 def test_masked_slices_equal_mask_code(tmp_path_factory, text):
-    """Once `scopes` is built, each statement's masked text, a slice of its
-    file's mask, is `mask_code` of its own text, and the file keeps no mask.
-    A file indexed line-wise has no mask, and its statements mask their own
-    text."""
+    """Each statement is made with its slice of its file's one mask, and
+    building `scopes` changes no statement's masked text."""
     tmp = tmp_path_factory.mktemp("slices")
     (tmp / "T.java").write_text(text, encoding="utf-8")
     sf = index_source(tmp, ["*.java"]).files["T.java"]
-    sliced = sf.mask is not None
+    _assert_masked_by_rule(sf)
+    before = [(s, s.masked) for s in sf.statements]
     sf.scopes
-    assert sf.mask is None and sf.offsets is None
-    for s in sf.statements:
-        assert ("masked" in vars(s)) == sliced
-        assert s.masked == mask_code(s.text)
+    assert [(s, s.masked) for s in sf.statements] == before
 
 
 @settings(max_examples=150, deadline=None)
@@ -564,9 +583,10 @@ def _ref_segment_statements(path, text, masked, literals, starts):
     def flush(end, kind):
         nonlocal seg_start
         if seg_start is not None:
+            seg = text[seg_start:end + 1]
             stmts.append(Statement(path, _ref_line_of(seg_start, starts),
-                                   _ref_line_of(end, starts),
-                                   text[seg_start:end + 1], kind))
+                                   _ref_line_of(end, starts), seg, kind,
+                                   mask_code(seg)))
         seg_start = None
 
     for i, c in enumerate(masked):
@@ -658,7 +678,8 @@ def _ref_index_file(rel, text):
     digest = hashlib.sha256(text.encode()).hexdigest()
     masked, literals = _ref_scan(text)
     if masked.count("{") != masked.count("}"):
-        return SourceFile(text, digest, _linewise_statements(rel, text), [], [])
+        return SourceFile(text, digest, _linewise_statements(rel, text, masked),
+                          [], [])
     starts = _ref_line_starts(text)
     statements = _ref_segment_statements(rel, text, masked, literals, starts)
     classes = _ref_find_classes(rel, masked, starts)
