@@ -10,10 +10,11 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from array import array
 from collections import Counter, _count_elements
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import mul
 
 from .source_index import MethodRef, SourceIndex, Statement, variables_in
@@ -195,9 +196,13 @@ class TokenPool:
     When the target's statement is a pool member with the same context, as
     `extract_context` makes it from the pool's index, the corpus of
     `token_match` (pool minus target, plus target) is exactly the pool, so
-    IDF, vectors, norms and postings are the same for every such target and
-    are computed once, on first use. Any other target is ranked by a pool of
-    that corpus, built for the call.
+    IDF, norms and postings are the same for every such target and are
+    computed once, on first use. No context keeps a vector: postings hold
+    each weighted term's context positions and weights as packed arrays,
+    and a ranking rebuilds its target's vector from the target's own
+    statements. Each distinct statement is tokenized once per pool build.
+    Any other target is ranked by a pool of that corpus, built for the
+    call.
     """
 
     def __init__(self, contexts: list[StatementContext]):
@@ -236,28 +241,35 @@ class TokenPool:
 
     @cached_property
     def _tfidf(self):
-        # The counts and the token lists are freed before the postings are
-        # built.
-        vectors = tfidf_vectors(self._term_counts())
-        # Postings: each term of non-zero weight to the positions of the
-        # contexts that hold it. Weights are read from the vectors, so an
-        # entry costs one pointer to an int shared by its context's entries.
-        postings: dict[str, list[int]] = {}
-        for d, v in enumerate(vectors):
-            for t, w in v.items():
+        """IDF, norms and postings: each term of non-zero weight to an
+        `array("i")` of the positions of the contexts that hold it and an
+        `array("d")` of its weight in each. One pass weighs each context's
+        counts, as `tfidf_vectors` does, takes its norm, appends its
+        postings and frees its counts."""
+        counts = self._term_counts()
+        n = len(counts)
+        idf = {t: math.log(n / c)
+               for t, c in Counter(chain.from_iterable(counts)).items()}
+        # A term of every context weighs 0 and gets no postings.
+        postings = {t: (array("i"), array("d")) for t, x in idf.items() if x}
+        norms = array("d")
+        for d in range(n):
+            doc, counts[d] = counts[d], None
+            weights = []
+            for t, c in doc.items():
+                weights.append(w := c * idf[t])
                 if w:
-                    held = postings.get(t)
-                    if held is None:
-                        postings[t] = [d]
-                    else:
-                        held.append(d)
-        return (vectors, [_norm(v) for v in vectors],
-                [c.key for c in self.contexts], postings)
+                    positions, held = postings[t]
+                    positions.append(d)
+                    held.append(w)
+            norms.append(math.sqrt(math.fsum(map(mul, weights, weights))))
+        return idf, norms, postings
 
     @cached_property
     def _by_key(self) -> list[int]:
         """The pool's positions in (file, line) order, then pool order."""
-        return sorted(range(len(self.contexts)), key=self._tfidf[2].__getitem__)
+        contexts = self.contexts
+        return sorted(range(len(contexts)), key=lambda d: contexts[d].key)
 
     def ranked(self, target: StatementContext, limit: int
                ) -> list[tuple[float, StatementContext]]:
@@ -266,14 +278,17 @@ class TokenPool:
         of every other context's `_cosine` against the target (its first
         vector, as in `tfidf_similarities`) keeps them.
 
-        The target's postings give each context its dot product with the
-        target exactly as `_cosine` sums it: the same non-zero products in
-        the target's term order. A zero product, which `_cosine` skips,
-        adds +0.0 to a non-negative total and changes no bit. A context
-        that shares no weighted term scores +0.0.
+        The target's vector is rebuilt from its own statements' tokens:
+        count × idf, the pool's floats, in first-occurrence order. Its
+        terms' postings give each context its dot product with the target
+        exactly as `_cosine` sums it: the same non-zero products in the
+        target's term order. A zero product, which `_cosine` skips, adds
+        +0.0 to a non-negative total and changes no bit. A context that
+        shares no weighted term scores +0.0.
 
-        Only contexts with a non-zero dot product enter the heap. Weights
-        are >= 0, so each of their scores sorts before every +0.0; if fewer
+        Only contexts with a non-zero dot product are sorted, and of those
+        only the ones that reach the `limit`-th best score. Weights are
+        >= 0, so each of their scores sorts before every +0.0; if fewer
         than `limit` score, the zero-score contexts follow in (file, line)
         and pool order, as the sort places them.
         """
@@ -281,20 +296,27 @@ class TokenPool:
         if pos is None or self.contexts[pos].context != target.context:
             return TokenPool([c for c in self.contexts if c.target != target.target]
                              + [target]).ranked(target, limit)
-        vectors, norms, keys, postings = self._tfidf
-        tv, tn = vectors[pos], norms[pos]
-        dots = [0.0] * len(vectors)
-        for t, w in tv.items():
-            for d in postings.get(t, ()):
-                dots[d] += w * vectors[d][t]
+        idf, norms, postings = self._tfidf
+        _count_elements(tv := {}, chain.from_iterable(
+            tokenize(s.text) for s in target.context))
+        tn = norms[pos]
+        contexts = self.contexts
+        dots = [0.0] * len(contexts)
+        for t, c in tv.items():
+            if w := c * idf[t]:
+                for d, x in zip(*postings[t]):
+                    dots[d] += w * x
         dots[pos] = 0.0  # the target is not its own sibling
-        # The heap holds -similarity, so the best comes first.
-        best = [(-neg, self.contexts[d]) for neg, _, d in heapq.nsmallest(
-            limit, ((-dot / (tn * norms[d]), keys[d], d)
-                    for d, dot in enumerate(dots) if dot))]
+        # -similarity of each scoring context, so the best comes first.
+        negs = [-dot / (tn * nd) for dot, nd in zip(dots, norms) if dot]
+        cut = max(heapq.nsmallest(limit, negs), default=0.0)
+        best = [(-neg, contexts[d]) for neg, _, d in sorted(
+            (neg, contexts[d].key, d)
+            for neg, d in zip(negs, compress(count(), dots)) if neg <= cut
+        )[:limit]]
         if len(best) < limit:
             zeros = (d for d in self._by_key if not dots[d] and d != pos)
-            best += [(0.0, self.contexts[d])
+            best += [(0.0, contexts[d])
                      for d in islice(zeros, limit - len(best))]
         return best
 

@@ -19,6 +19,7 @@ _MARKER = "### SECTION: {name}"
 
 SIBLING_MARKER = "// SIBLING"
 EVIDENCE_FRAMES = 5  # frames shown per listed test
+MESSAGE_CHARS = 1000  # characters shown of a listed test's message
 FEEDBACK_OTHER_TESTS = 10  # other not-passing tests listed per report
 
 ROLE_TEXT = "You are an Automated Program Repair Tool."
@@ -87,10 +88,19 @@ def _render_frame(f: StackFrame) -> str:
     return f"    at {f.unit}.{f.method} ({f.file}:{f.line})"
 
 
+def _render_message(message: str) -> str:
+    """The message, cut to MESSAGE_CHARS characters with a note of how many
+    were cut: a harness may put a whole stack dump there."""
+    cut = len(message) - MESSAGE_CHARS
+    if cut <= 0:
+        return message
+    return f"{message[:MESSAGE_CHARS]} [... {cut} more chars]"
+
+
 def _render_evidence(failing: list[TestResult]) -> str:
     parts = [f"Originally failing tests: {len(failing)}"]
     for t in failing:
-        parts.append(f"FAILING TEST {t.test}: {t.message}")
+        parts.append(f"FAILING TEST {t.test}: {_render_message(t.message)}")
         parts.extend(map(_render_frame, t.frames[:EVIDENCE_FRAMES]))
     return "\n".join(parts)
 
@@ -111,7 +121,7 @@ def _render_report(report: TestReport, baseline: set[str],
     parts = []
     for r in listed + others[:FEEDBACK_OTHER_TESTS]:
         parts.append(f"TEST {r.test}: {r.status}"
-                     + (f" - {r.message}" if r.message else ""))
+                     + (f" - {_render_message(r.message)}" if r.message else ""))
         if include_frames:
             parts.extend(map(_render_frame, r.frames[:EVIDENCE_FRAMES]))
     rest = [f"{passed} pass"]

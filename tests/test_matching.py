@@ -390,8 +390,9 @@ def test_token_pool_bit_identical_on_generated_files(tmp_path_factory, texts):
 def test_token_pool_tokens_equal_rendered_tokens(tmp_path_factory, texts):
     """A context's tokens are its statements' tokens in order, since no
     word spans the "\n" that `rendered` joins them with; so the pool's
-    vectors, built from per-statement tokens, have the terms, order and
-    weights of vectors built from each rendered context."""
+    postings, built from per-statement tokens, hold, for each context in
+    position order, every non-zero weight of the vector built from its
+    rendered text, and each norm is that vector's `_norm`, bit for bit."""
     from collections import Counter
 
     from siblingfix.matching import tfidf_vectors
@@ -404,14 +405,22 @@ def test_token_pool_tokens_equal_rendered_tokens(tmp_path_factory, texts):
     for c in pool:
         assert [t for s in c.context for t in tokenize(s.text)] == tokenize(c.rendered)
     want = tfidf_vectors([Counter(tokenize(c.rendered)) for c in pool])
-    got = TokenPool(pool)._tfidf[0]
-    assert [[(t, float.hex(w)) for t, w in v.items()] for v in got] == \
-        [[(t, float.hex(w)) for t, w in v.items()] for v in want]
+    _, norms, postings = TokenPool(pool)._tfidf
+    assert [float.hex(n) for n in norms] == [float.hex(_norm(v)) for v in want]
+    got = {t: [(d, float.hex(w)) for d, w in zip(*held)]
+           for t, held in postings.items()}
+    expected = {}
+    for d, v in enumerate(want):
+        for t, w in v.items():
+            if w:
+                expected.setdefault(t, []).append((d, float.hex(w)))
+    assert got == expected
 
 
 def test_token_pool_tokenizes_each_statement_once(tmp_path, monkeypatch):
     """A statement in several contexts, as a definition and as a target,
-    is tokenized once per pool build."""
+    is tokenized once per pool build, and a ranking tokenizes only its
+    target's statements."""
     index = make_index(tmp_path, _chained_method(50), "Chain.java")
     scope = index.statements_in_method(index.enclosing_method("Chain.java", 3))
     pool = statement_contexts(index, scope)
@@ -422,8 +431,46 @@ def test_token_pool_tokenizes_each_statement_once(tmp_path, monkeypatch):
         texts.append(text)
         return tokenize(text)
     monkeypatch.setattr(matching, "tokenize", counted)
-    TokenPool(pool)._tfidf
+    tokens = TokenPool(pool)
+    tokens._tfidf
     assert sorted(texts) == sorted(s.text for s in scope)
+    # A ranking tokenizes only its target's own statements.
+    for target in pool[::7]:
+        texts.clear()
+        token_match(target, tokens)
+        assert texts == [s.text for s in target.context]
+
+
+def test_token_pool_postings_are_packed():
+    """What a pool's TF-IDF retains stays under 40 bytes per postings entry
+    (one context holding one weighted term): packed positions and weights
+    with per-term and per-context overheads, no per-context vector."""
+    import gc
+    import tracemalloc
+    from collections import Counter
+
+    from siblingfix.matching import tfidf_vectors
+    rng = random.Random(7)
+    words = ["".join(rng.choices(string.ascii_lowercase, k=6)) + w.title()
+             for w in ("count", "total", "value", "index", "size", "item")
+             for _ in range(150)]
+    pool = [ctx(f"{a} = {b}.{c}({d}, {e} + {f});", f"F{i % 40}.java", 1 + i)
+            for i in range(2000) for a, b, c, d, e, f in [rng.sample(words, 6)]]
+    entries = sum(1 for v in tfidf_vectors(
+        [Counter(tokenize(c.rendered)) for c in pool]) for w in v.values() if w)
+    TokenPool(pool)._tfidf  # fills the word-splitting cache
+    tokens = TokenPool(pool)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = tokens._tfidf
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held and entries > 20000
+    assert retained / entries < 40
 
 
 def test_token_pool_walks_a_shorter_context():

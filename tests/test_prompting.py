@@ -9,9 +9,10 @@ from siblingfix.ingredients import FixIngredient
 from siblingfix.llm import Patch, PatchEdit
 from siblingfix.matching import MethodGroup
 from siblingfix.prompting import (EVIDENCE_FRAMES, FEEDBACK_OTHER_TESTS,
-                                  ROLE_TEXT, SIBLING_MARKER, FeedbackEntry,
-                                  PromptBudgetError, _render_feedback,
-                                  build_prompt, estimate_tokens)
+                                  MESSAGE_CHARS, ROLE_TEXT, SIBLING_MARKER,
+                                  FeedbackEntry, PromptBudgetError,
+                                  _render_feedback, build_prompt,
+                                  estimate_tokens)
 from siblingfix.source_index import index_source
 from siblingfix.validation import StackFrame, TestReport, TestResult
 
@@ -105,6 +106,29 @@ def test_feedback_for_a_5000_test_suite_fits_the_default_budget(mini_index):
     assert fb.endswith(f"TEST {suite_test_id(0)}: fail - expected 1 but was 2\n"
                        "    at T.test_it (T.java:10)\n"
                        "OTHER TESTS: 5000 pass")
+
+
+def test_a_long_test_message_is_cut(mini_index):
+    """A stack dump in a test's message is cut to MESSAGE_CHARS characters,
+    with a note of how many were cut, in the evidence and in feedback."""
+    group = one_group(mini_index, "src/Estimator.java", 4)
+    patch = Patch(edits=(PatchEdit("src/Estimator.java", "getRms", "body"),))
+    dump = "".join(f"\tat pkg.Cls.m{i}(Cls.java:{i})\n"
+                   for i in range(2000))[:50000]
+    failing = [TestResult("t_fail", "fail", dump)]
+    bundle = build_prompt([group], failing,
+                          [FeedbackEntry(patch=patch,
+                                         report=TestReport(results=failing))],
+                          [], mini_index)
+    shown = f"{dump[:MESSAGE_CHARS]} [... {50000 - MESSAGE_CHARS} more chars]"
+    sections = dict(bundle.sections)
+    assert f"FAILING TEST t_fail: {shown}\n" in sections["test-results"] + "\n"
+    assert f"TEST t_fail: fail - {shown}\n" in sections["feedback"]
+    assert estimate_tokens(len(bundle.text)) < 4000
+    # A message of MESSAGE_CHARS characters is shown whole.
+    whole = [TestResult("t_fail", "fail", dump[:MESSAGE_CHARS])]
+    text = build_prompt([group], whole, [], [], mini_index).text
+    assert f"t_fail: {dump[:MESSAGE_CHARS]}\n" in text and "more chars]" not in text
 
 
 _LISTED_RE = re.compile(r"^TEST (\S+): (\w+)", re.MULTILINE)
