@@ -2,17 +2,17 @@
 and iterative repair with promising-patch carry-over.
 
 All LLM and validation calls are serialized; each attempt's prompt depends
-on the previous verdict. The sibling pool is built while the baseline
-harness runs, and one writer thread writes the run directory's files. The
-wall-clock budget is checked before every attempt, and an in-flight
-validation is allowed to finish.
+on the previous verdict. Each `repair_bug` call keeps its state on a run
+record dropped when the call ends; the engine keeps what outlives a run.
+The sibling pool is built while the baseline harness runs. The wall-clock
+budget is checked before every attempt, and an in-flight validation is
+allowed to finish.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import queue
 import shutil
 import signal
@@ -128,16 +128,19 @@ _ATTEMPT_FAILURES = {
 
 
 class _FileWriter:
-    """Writes queued files in order on one thread, started by the first
-    write with SIGINT and SIGTERM blocked, so they reach the caller's thread.
-    The thread stops at its first error, kept in `error`; `write` raises it."""
+    """Writes files under `root`, if any, in order on one thread, started by
+    the first write with SIGINT and SIGTERM blocked, so they reach the
+    caller's thread. It stops at its first error, which `write` raises."""
 
-    def __init__(self):
-        self.queue, self.thread, self.error = queue.SimpleQueue(), None, None
+    def __init__(self, root: Path | None = None):
+        self.root, self.queue = root, queue.SimpleQueue()
+        self.thread, self.error = None, None
 
-    def write(self, path: Path, text: str) -> None:
+    def write(self, rel: str, text: str) -> None:
         if self.error is not None:
             raise self.error
+        if self.root is None:
+            return
         if self.thread is None:
             self.thread = threading.Thread(target=self._run, daemon=True)
             mask = signal.pthread_sigmask(signal.SIG_BLOCK,
@@ -146,7 +149,12 @@ class _FileWriter:
                 self.thread.start()
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        self.queue.put((path, text))
+        self.queue.put((self.root / rel, text))
+
+    def write_log_tail(self, patch: Patch, tail: str) -> None:
+        if tail and self.root:
+            (self.root / "harness").mkdir(exist_ok=True)
+            self.write(f"harness/{patch.id}.txt", tail)
 
     def _run(self) -> None:
         try:
@@ -161,13 +169,30 @@ class _FileWriter:
             self.thread.join()
 
 
+@dataclass
+class _Run:
+    """One `repair_bug` call: what its attempts read and write."""
+    state: RepairState
+    baseline: TestReport
+    writer: _FileWriter
+    deadline: float
+    ingredients: dict = field(default_factory=dict)  # each sibling line's
+    attempts: Counter = field(default_factory=Counter)  # per location id
+
+    def check_budget(self) -> None:
+        if time.monotonic() >= self.deadline:
+            raise _BudgetExhausted()
+
+
 class RepairEngine:
+    """Keeps what outlives a `repair_bug` call: its inputs, the workspace,
+    whose tree lives as long as one call, and the validation cache, which
+    stays valid across calls because `apply_patch` checks file digests."""
+
     def __init__(self, project_root: str, index: SourceIndex,
                  coverage: CoverageMatrix, backend, provider,
                  harness_command: str, config: RepairConfig,
                  cache: EmbeddingCache, run_dir: str | Path | None = None):
-        # The project's copy, made by the baseline validation; its tree
-        # lives as long as repair_bug.
         self.workspace = Workspace(project_root, index)
         self.index = index
         self.coverage = coverage
@@ -184,35 +209,17 @@ class RepairEngine:
         self.harness = HarnessConfig(
             command=harness_command, timeout=config.test_timeout,
             expected_tests=[t for t, _ in coverage.tests])
-        self.baseline: TestReport | None = None
-        self._attempt_counters: dict[str, int] = {}  # one per repair_bug
         self._validation_cache: dict[str, TestReport] = {}
-        self._deadline = math.inf  # armed by repair_bug from config.budget
-        self._writer = _FileWriter()  # one per repair_bug
-        self._ingredients: dict = {}  # each sibling line's, one per repair_bug
 
     # -- plumbing ---------------------------------------------------------
 
-    def _check_budget(self) -> None:
-        if time.monotonic() >= self._deadline:
-            raise _BudgetExhausted()
-
-    def _save(self, sub: str, loc_id: str, attempt: int, text: str) -> None:
-        if self.run_dir:
-            self._writer.write(self.run_dir / sub / attempt_file(loc_id, attempt),
-                               text)
-
-    def _next_attempt(self, loc_id: str) -> int:
-        self._attempt_counters[loc_id] = self._attempt_counters.get(loc_id, 0) + 1
-        return self._attempt_counters[loc_id]
-
-    def _validate(self, patch: Patch, meanwhile=None) -> TestReport:
+    def _validate(self, patch: Patch, writer, meanwhile=None) -> TestReport:
         """Apply and test a patch in the run's workspace, caching reports
         by patch content. A run that gave no results, or malformed ones,
-        leaves its log's tail in `harness/<patch id>.txt` of the run
-        directory. `keep_workspaces` keeps a copy of the tree the harness
-        left, in a temporary directory whose name holds the patch id.
-        `meanwhile` is as for `run_tests`; a cache hit calls it at once."""
+        leaves its log's tail in `harness/<patch id>.txt` through `writer`.
+        `keep_workspaces` keeps a copy of the tree the harness left, in a
+        temporary directory whose name holds the patch id. `meanwhile` is
+        as for `run_tests`; a cache hit calls it at once."""
         cached = self._validation_cache.get(patch.id)
         if cached is not None:
             if meanwhile is not None:
@@ -222,28 +229,16 @@ class RepairEngine:
         try:
             report = run_tests(workspace, self.harness, meanwhile)
         except HarnessProtocolError as exc:
-            self._save_log_tail(patch, exc.log_tail)
+            writer.write_log_tail(patch, exc.log_tail)
             raise
         finally:
             if self.config.keep_workspaces:
                 kept = tempfile.mkdtemp(prefix=f"repair-ws-{patch.id}-")
                 shutil.copytree(workspace, kept, dirs_exist_ok=True)
                 logger.info("kept the workspace of patch %s: %s", patch.id, kept)
-        self._save_log_tail(patch, report.log_tail)
+        writer.write_log_tail(patch, report.log_tail)
         self._validation_cache[patch.id] = report
         return report
-
-    def _save_log_tail(self, patch: Patch, tail: str) -> None:
-        if tail and self.run_dir:
-            tails = self.run_dir / "harness"
-            tails.mkdir(exist_ok=True)
-            self._writer.write(tails / f"{patch.id}.txt", tail)
-
-    def _ensure_baseline(self, meanwhile=None) -> None:
-        self.baseline = self._validate(Patch(edits=()), meanwhile)
-        if not self.baseline.failing:
-            raise BaselineError("baseline run has no failing tests; "
-                                "coverage and harness disagree")
 
     def _build_pool(self) -> list[StatementContext]:
         """Contexts for every statement exercised by any test, in
@@ -265,7 +260,7 @@ class RepairEngine:
 
     # -- single attempt ---------------------------------------------------
 
-    def _attempt(self, state: RepairState, loc_id: str, phase: str,
+    def _attempt(self, run: _Run, loc_id: str, phase: str,
                  groups, ingredients, fb: list[FeedbackEntry],
                  seed: Patch | None) -> tuple[str, FeedbackEntry]:
         """One prompt/generate/validate cycle.
@@ -274,26 +269,28 @@ class RepairEngine:
         patch is the validated one. A failure before a verdict still
         consumes the attempt; its feedback carries only a note.
         """
-        self._check_budget()
-        attempt_no = self._next_attempt(loc_id)
+        run.check_budget()
+        run.attempts[loc_id] += 1
+        attempt_no = run.attempts[loc_id]
+        name = attempt_file(loc_id, attempt_no)
         patch = None
         try:
-            bundle = build_prompt(groups, self.baseline.failing, fb,
+            bundle = build_prompt(groups, run.baseline.failing, fb,
                                   ingredients, self.index,
                                   token_budget=self.config.token_budget)
-            self._save("prompts", loc_id, attempt_no, bundle.text)
-            state.prompt_chars += len(bundle.text)
-            state.requests += 1
+            run.writer.write(f"prompts/{name}", bundle.text)
+            run.state.prompt_chars += len(bundle.text)
+            run.state.requests += 1
             response = self.backend.complete(CompletionRequest(
                 prompt=bundle.text, temperature=self.config.temperature,
                 max_tokens=self.config.max_tokens, location_id=loc_id,
                 attempt=attempt_no))
-            self._save("responses", loc_id, attempt_no, response)
+            run.writer.write(f"responses/{name}", response)
             patch = parse_patch(response)
             if seed is not None:
                 patch = combine(patch, seed)
-            report = self._validate(patch)
-            verdict = classify(self.baseline, report)
+            report = self._validate(patch, run.writer)
+            verdict = classify(run.baseline, report)
             # A plausible patch is fed back without its (all-pass) report.
             entry = FeedbackEntry(
                 patch=patch, report=None if verdict == "pass-all" else report)
@@ -302,16 +299,15 @@ class RepairEngine:
             logger.debug("%s at %s attempt %d: %s", verdict, loc_id,
                          attempt_no, exc)
             entry = FeedbackEntry(patch=None, note=f"{what}: {exc}")
-        state.attempt_log.append(AttemptRecord(
+        run.state.attempt_log.append(AttemptRecord(
             location=loc_id, phase=phase, attempt=attempt_no, verdict=verdict,
             patch_id=None if patch is None else patch.id))
         return verdict, entry
 
     # -- Algorithm: one phase ---------------------------------------------
 
-    def _run_phase(self, state: RepairState, loc_id: str, phase: str,
-                   groups, ingredients, seed: Patch | None = None
-                   ) -> list[Patch]:
+    def _run_phase(self, run: _Run, loc_id: str, phase: str, groups,
+                   ingredients, seed: Patch | None = None) -> list[Patch]:
         """Up to `attempts` cycles, each fed back the previous outcome.
 
         Phase A starts fresh. Phase B starts from the seed, a carried
@@ -322,59 +318,58 @@ class RepairEngine:
         carry: list[Patch] = []
         fb: list[FeedbackEntry] = []
         if seed is not None:
-            fb = [FeedbackEntry(patch=seed, report=self._validate(seed))]
+            fb = [FeedbackEntry(patch=seed,
+                                report=self._validate(seed, run.writer))]
         for _ in range(self.config.attempts):
-            if self.config.stop_on_first_plausible and state.plausible:
+            if self.config.stop_on_first_plausible and run.state.plausible:
                 break
-            verdict, entry = self._attempt(state, loc_id, phase, groups,
+            verdict, entry = self._attempt(run, loc_id, phase, groups,
                                            ingredients, fb, seed)
             fb = [entry]
             if verdict == "pass-all":
-                if all(p.id != entry.patch.id for p in state.plausible):
-                    state.plausible.append(entry.patch)
+                if all(p.id != entry.patch.id for p in run.state.plausible):
+                    run.state.plausible.append(entry.patch)
             elif verdict == "promising":
                 carry.append(entry.patch)
             elif seed is not None:
                 carry.append(seed)  # carry-forward rule
         return carry
 
-    def _run_phases(self, state: RepairState, loc_id: str, prefix: str,
+    def _run_phases(self, run: _Run, loc_id: str, prefix: str,
                     groups, ingredients) -> list[Patch]:
         """Phase A, then one phase B per promising patch held on entry."""
-        carry = self._run_phase(state, loc_id, f"{prefix}-A", groups,
+        carry = self._run_phase(run, loc_id, f"{prefix}-A", groups,
                                 ingredients)
-        for seed in list(state.promising):
-            carry += self._run_phase(state, loc_id, f"{prefix}-B", groups,
+        for seed in list(run.state.promising):
+            carry += self._run_phase(run, loc_id, f"{prefix}-B", groups,
                                      ingredients, seed)
         return carry
 
     # -- Algorithm: simultaneous repair -----------------------------------
 
     def simultaneous_repair(self, candidates: list[CandidateSibling],
-                            target: StatementContext, state: RepairState,
+                            target: StatementContext, run: _Run,
                             loc_id: str) -> None:
         """All sibling groups in one prompt; the promising set is only read."""
         filtered = jaccard_filter(list(candidates), target, self.config.alpha)
         groups = group_by_method(filtered, self.index)
-        ingredients = extract_fix_ingredients(groups, self.index,
-                                              self.config.ingredients,
-                                              self._ingredients)
-        self._run_phases(state, loc_id, "sim", groups, ingredients)
+        ingredients = extract_fix_ingredients(
+            groups, self.index, self.config.ingredients, run.ingredients)
+        self._run_phases(run, loc_id, "sim", groups, ingredients)
 
     # -- Algorithm: iterative repair --------------------------------------
 
     def iterative_repair(self, candidates: list[CandidateSibling],
-                         state: RepairState, loc_id: str) -> None:
+                         run: _Run, loc_id: str) -> None:
         """One group at a time; each group started replaces the promising
         set with what its phases carry."""
         for group in group_by_method(list(candidates), self.index):
-            if self.config.stop_on_first_plausible and state.plausible:
+            if self.config.stop_on_first_plausible and run.state.plausible:
                 return
-            ingredients = extract_fix_ingredients([group], self.index,
-                                                  self.config.ingredients,
-                                                  self._ingredients)
-            state.promising = self._dedupe(self._run_phases(
-                state, loc_id, "iter", [group], ingredients))
+            ingredients = extract_fix_ingredients(
+                [group], self.index, self.config.ingredients, run.ingredients)
+            run.state.promising = self._dedupe(self._run_phases(
+                run, loc_id, "iter", [group], ingredients))
 
     # -- Algorithm: main loop ---------------------------------------------
 
@@ -385,16 +380,20 @@ class RepairEngine:
         The workspace is removed and run-directory files are written on every
         exit; a failed write is raised unless another exception is leaving."""
         state = state if state is not None else RepairState()
-        self._deadline = time.monotonic() + self.config.budget
-        writer = self._writer = _FileWriter()
-        self._ingredients = {}
-        self._attempt_counters = {}
+        deadline = time.monotonic() + self.config.budget
+        writer = _FileWriter(self.run_dir)
         try:
             contexts: list[StatementContext] = []
-            self._ensure_baseline(lambda: contexts.extend(self._build_pool()))
+            baseline = self._validate(
+                Patch(edits=()), writer,
+                lambda: contexts.extend(self._build_pool()))
+            if not baseline.failing:
+                raise BaselineError("baseline run has no failing tests; "
+                                    "coverage and harness disagree")
+            run = _Run(state, baseline, writer, deadline)
             pool = TokenPool(contexts)
             for loc in suspicious[:self.config.cap]:
-                self._check_budget()
+                run.check_budget()
                 if loc.file not in self.index.files:
                     logger.info("suspicious file not indexed: %s", loc.file)
                     continue
@@ -417,9 +416,9 @@ class RepairEngine:
                 candidates = [CandidateSibling(
                     context=target, token_similarity=1.0,
                     embedding_similarity=1.0, jaccard_similarity=1.0)] + cands
-                self.simultaneous_repair(candidates, target, state, loc_id)
+                self.simultaneous_repair(candidates, target, run, loc_id)
                 if not state.plausible:
-                    self.iterative_repair(candidates, state, loc_id)
+                    self.iterative_repair(candidates, run, loc_id)
                 if state.plausible:
                     break
             state.stopped = "plausible" if state.plausible else "exhausted"

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import math
 import re
+import shutil
 import signal
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -15,11 +18,14 @@ from siblingfix import (EmbeddingCache, LocalHashProvider, RepairConfig,
                         RepairEngine, SuspiciousLocation, engine as engine_module,
                         index_source, ochiai_rank, parse_patch)
 from siblingfix.embeddings import EmbeddingError
-from siblingfix.engine import RepairState, location_id
-from siblingfix.llm import BackendError, ScriptedBackend, attempt_file
+from siblingfix.engine import (BaselineError, RepairState, _FileWriter, _Run,
+                               location_id)
+from siblingfix.llm import BackendError, Patch, ScriptedBackend, attempt_file
 from siblingfix.localization import CoverageMatrix
+from siblingfix.matching import CandidateSibling, extract_context
 from siblingfix.orchestrator import run
 from siblingfix.prompting import FEEDBACK_OTHER_TESTS
+from siblingfix.validation import classify
 
 pytestmark = pytest.mark.usefixtures("tmp_tempdir")
 
@@ -116,10 +122,12 @@ def test_plausible_revalidates_from_pristine(mini_index, mini_coverage):
     state = engine.repair_bug(ochiai_rank(mini_coverage))
     (patch,) = state.plausible
     fresh = make_engine(mini_index, mini_coverage, backend, attempts=1)
-    fresh._ensure_baseline()
-    report = fresh._validate(patch)
-    from siblingfix.validation import classify
-    assert classify(fresh.baseline, report) == "pass-all"
+    writer = _FileWriter()
+    baseline = fresh._validate(Patch(edits=()), writer)
+    report = fresh._validate(patch, writer)
+    fresh.workspace.remove()
+    assert baseline.failing
+    assert classify(baseline, report) == "pass-all"
 
 
 class ProseBackend:
@@ -204,16 +212,18 @@ def test_sim_phase_b_combines_disjoint_edits(mini_index, mini_coverage):
 
     engine = make_engine(mini_index, mini_coverage, CBackend(),
                          attempts=1, stop_on_first_plausible=True)
-    engine._ensure_baseline()
-    from siblingfix.engine import RepairState
-    from siblingfix.matching import CandidateSibling, extract_context
-    state = RepairState()
+    writer = _FileWriter()
+    run = _Run(RepairState(), engine._validate(Patch(edits=()), writer),
+               writer, math.inf)
+    assert run.baseline.failing
+    state = run.state
     state.promising = [parse_patch(patch_response("getRms", "guessErrors"))]
     stmt = mini_index.statement_at("src/Estimator.java", 4)
     target = extract_context(mini_index, stmt)
     cands = [CandidateSibling(context=target, token_similarity=1.0,
                               embedding_similarity=1.0, jaccard_similarity=1.0)]
-    engine.simultaneous_repair(cands, target, state, "src_Estimator_java_L4")
+    engine.simultaneous_repair(cands, target, run, "src_Estimator_java_L4")
+    engine.workspace.remove()
     (patch,) = state.plausible
     assert patch.provenance == "combined"
     assert sorted(e.method for e in patch.edits) == [
@@ -287,11 +297,65 @@ def test_second_repair_bug_numbers_its_attempts_afresh(mini_index, mini_coverage
     assert second.attempt_log == first.attempt_log
 
 
-def test_baseline_disagreement_is_fatal(mini_index, mini_coverage):
+def _run_files(run_dir: Path) -> dict[str, bytes]:
+    return {f"{sub}/{p.name}": p.read_bytes()
+            for sub in ("prompts", "responses") for p in (run_dir / sub).iterdir()}
+
+
+@pytest.mark.parametrize("first", ["returns", "write-fails", "interrupted"])
+def test_no_run_state_is_left_on_the_engine(mini_index, mini_coverage, tmp_path,
+                                            monkeypatch, first):
+    """However a run ends (it returns, raises on a failed run-directory
+    write, or is interrupted while the pool is built), repair_bug binds no
+    engine attribute anew. Once the run directory is repaired, a second run
+    on the same engine logs and writes what a run on a fresh engine does."""
+    interrupt = [first == "interrupted"]
+    build = RepairEngine._build_pool
+
+    def build_pool(self):
+        if interrupt[0]:
+            raise KeyboardInterrupt
+        return build(self)
+    monkeypatch.setattr(RepairEngine, "_build_pool", build_pool)
+    run_dir = tmp_path / "run"
+    engine = make_engine(mini_index, mini_coverage, RuleBackend(),
+                         run_dir=run_dir, attempts=1)
+    attributes = {k: id(v) for k, v in vars(engine).items()}
+    if first == "returns":
+        assert engine.repair_bug(ochiai_rank(mini_coverage)).stopped == "plausible"
+    else:
+        if first == "write-fails":
+            (run_dir / "responses").rmdir()
+            (run_dir / "responses").write_text("", encoding="utf-8")
+        with pytest.raises(KeyboardInterrupt if interrupt[0]
+                           else NotADirectoryError):
+            engine.repair_bug(ochiai_rank(mini_coverage))
+    assert {k: id(v) for k, v in vars(engine).items()} == attributes
+    interrupt[0] = False
+    for sub in ("prompts", "responses"):
+        if (run_dir / sub).is_dir():
+            shutil.rmtree(run_dir / sub)
+        else:
+            (run_dir / sub).unlink()
+        (run_dir / sub).mkdir()
+    second = engine.repair_bug(ochiai_rank(mini_coverage))
+    assert {k: id(v) for k, v in vars(engine).items()} == attributes
+    fresh = make_engine(mini_index, mini_coverage, RuleBackend(),
+                        run_dir=tmp_path / "fresh", attempts=1)
+    assert second.attempt_log == \
+        fresh.repair_bug(ochiai_rank(mini_coverage)).attempt_log
+    assert _run_files(run_dir) == _run_files(tmp_path / "fresh")
+
+
+def test_baseline_disagreement_is_fatal(mini_index, mini_coverage, tmp_tempdir):
     engine = make_engine(mini_index, mini_coverage, ProseBackend())
     engine.harness.command = "python3 -c \"import os;open(os.environ['RESULTS_PATH'],'w').write('')\""
-    with pytest.raises(RuntimeError, match="no failing tests"):
-        engine._ensure_baseline()
+    state = RepairState()
+    with pytest.raises(BaselineError, match="no failing tests"):
+        engine.repair_bug(ochiai_rank(mini_coverage), state)
+    assert state.attempt_log == []
+    assert engine.workspace.path is None
+    assert not list(tmp_tempdir.glob("repair-ws-*"))
 
 
 def test_failing_embedding_provider_stops_the_run(mini_index, mini_coverage):
@@ -577,14 +641,15 @@ def test_run_directory_holds_every_prompt_and_response(mini_index, mini_coverage
                                                        tmp_path, stop):
     """However a run ends, once repair_bug has returned or raised, the run
     directory holds the exact text of every prompt sent and every response
-    received, among them those of each attempt the log names, and no
-    writer thread is left."""
+    received, among them those of each attempt the log names, and the
+    threads alive are those alive before the run: no writer thread is left."""
     backend_factory, cfg = WRITER_STOPS[stop]
     backend = RecordingBackend(backend_factory())
     run_dir = tmp_path / "run"
     engine = make_engine(mini_index, mini_coverage, backend, run_dir=run_dir,
                          **cfg)
     state = RepairState()
+    threads = set(threading.enumerate())
     if stop == "interrupted":
         with pytest.raises(KeyboardInterrupt):
             engine.repair_bug(ochiai_rank(mini_coverage), state)
@@ -596,8 +661,7 @@ def test_run_directory_holds_every_prompt_and_response(mini_index, mini_coverage
                       ("responses", backend.responses)):
         assert {p.name: p.read_text(encoding="utf-8")
                 for p in (run_dir / sub).iterdir()} == sent
-    thread = engine._writer.thread
-    assert thread is None or not thread.is_alive()
+    assert set(threading.enumerate()) == threads
 
 
 @pytest.mark.parametrize("backend, cfg", [
@@ -626,10 +690,12 @@ def test_writer_thread_blocks_sigint_and_sigterm(mini_index, mini_coverage,
     """The writer thread blocks SIGINT and SIGTERM, so they reach the main
     thread's harness wait; the main thread's mask is as it was."""
     masks = []
+    threads = set(threading.enumerate())
 
     class MaskReadingBackend(ProseBackend):
         def complete(self, request):
-            thread = engine._writer.thread  # started by the prompt's write
+            # The writer, started by the prompt's write, is the one new thread.
+            (thread,) = set(threading.enumerate()) - threads
             status = Path(f"/proc/self/task/{thread.native_id}/status").read_text()
             masks.append(int(re.search(r"^SigBlk:\s*(\w+)$", status, re.M)[1], 16))
             return super().complete(request)
@@ -682,10 +748,10 @@ def test_interrupt_while_the_pool_is_built_kills_the_baseline_harness(
     assert not late.exists()
 
 
-def test_ensure_baseline_calls_meanwhile_once_each_time(mini_index, mini_coverage,
-                                                        monkeypatch):
-    """`meanwhile` runs once per call: during the harness run, then on the
-    validation-cache hit of the second call."""
+def test_baseline_validation_calls_meanwhile_once_each_time(
+        mini_index, mini_coverage, monkeypatch):
+    """`meanwhile` runs once per validation of the empty patch: during the
+    harness run, then on the validation-cache hit of the second call."""
     runs = []
     run_tests = engine_module.run_tests
     monkeypatch.setattr(engine_module, "run_tests",
@@ -693,7 +759,9 @@ def test_ensure_baseline_calls_meanwhile_once_each_time(mini_index, mini_coverag
     engine = make_engine(mini_index, mini_coverage, ProseBackend())
     calls = []
     for _ in range(2):
-        engine._ensure_baseline(lambda: calls.append(len(runs)))
+        baseline = engine._validate(Patch(edits=()), _FileWriter(),
+                                    lambda: calls.append(len(runs)))
+        assert baseline.failing
     engine.workspace.remove()
     assert len(runs) == 1 and calls == [1, 1]
 
